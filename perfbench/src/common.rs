@@ -8,7 +8,8 @@ use crate::metrics::Outcome;
 use crate::stats;
 use crate::trace::Recorder;
 
-/// Repetitions of a workload's set-up step; `setup_s` is their median.
+/// Set-up samples per `--seconds` of a batch workload's timed phase, and
+/// in all for `serve_mix`; `setup_s` is their median.
 pub const SETUP_REPS: usize = 31;
 
 /// The seed whose first-pass digests are committed in the workloads.
@@ -63,45 +64,55 @@ pub fn shuffle<T>(items: &mut [T], rng: &mut u64) {
     }
 }
 
-/// Samples a workload's set-up step across its run: one sample before
-/// the first operation and one after each, topped up to [`SETUP_REPS`] at
-/// the end, so `setup_s` (their median) sees the same host conditions as
-/// the operations instead of the first few milliseconds of the process.
-/// A sample runs the step `per_sample` times back to back and keeps the
-/// mean, so a step of microseconds is not read off one timer interval.
-pub struct SetupTimer<F: FnMut()> {
+/// Samples a workload's set-up step on a schedule through its timed
+/// phase: a sample falls due every `--seconds / SETUP_REPS`, the first
+/// half an interval in, and the workload takes the samples due between
+/// two operations ([`SetupSampler::take_due`]). So `setup_s`, their
+/// median, weighs every part of the run alike instead of one moment of
+/// it, and no sample overlaps an operation: each times the step alone, as
+/// a user starting the program meets it. A sample runs the step
+/// `per_sample` times back to back and keeps the mean, so a step of
+/// microseconds is not read off one timer interval. The traced run takes
+/// no samples.
+pub struct SetupSampler<F: FnMut()> {
     step: F,
     per_sample: usize,
+    interval: Duration,
+    start: Instant,
+    enabled: bool,
     samples: Vec<f64>,
 }
 
-impl<F: FnMut()> SetupTimer<F> {
-    /// A timer over `step`, taking its first sample at once.
-    pub fn new(per_sample: usize, step: F) -> Self {
-        let mut timer = SetupTimer {
+impl<F: FnMut()> SetupSampler<F> {
+    /// A sampler whose schedule starts now, with the timed phase.
+    pub fn start(ctx: &Ctx, per_sample: usize, step: F) -> Self {
+        SetupSampler {
             step,
             per_sample,
+            interval: ctx.seconds / SETUP_REPS as u32,
+            start: Instant::now(),
+            enabled: !ctx.traced(),
             samples: Vec::new(),
-        };
-        timer.sample();
-        timer
-    }
-
-    /// Takes one sample.
-    pub fn sample(&mut self) {
-        let t = Instant::now();
-        for _ in 0..self.per_sample {
-            (self.step)();
         }
-        self.samples
-            .push(t.elapsed().as_secs_f64() / self.per_sample as f64);
     }
 
-    /// Tops up to [`SETUP_REPS`] samples and records `setup_s`.
+    /// Takes every sample that has fallen due.
+    pub fn take_due(&mut self) {
+        let interval = self.interval;
+        let due = |taken: usize| interval * (2 * taken as u32 + 1) / 2;
+        while self.enabled && self.start.elapsed() >= due(self.samples.len()) {
+            let t = Instant::now();
+            for _ in 0..self.per_sample {
+                (self.step)();
+            }
+            self.samples
+                .push(t.elapsed().as_secs_f64() / self.per_sample as f64);
+        }
+    }
+
+    /// Takes the samples still due and records `setup_s`.
     pub fn finish(mut self, out: &mut Outcome) {
-        while self.samples.len() < SETUP_REPS {
-            self.sample();
-        }
+        self.take_due();
         out.push("setup_s", stats::median(&self.samples), self.samples.len());
     }
 }

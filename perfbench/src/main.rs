@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use common::Ctx;
-use metrics::{unit_of, Metric, Outcome, PER_LAYER};
+use metrics::{unit_of, Outcome};
 use trace::Recorder;
 
 struct Args {
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
         rec: Recorder::new(args.trace),
         run_dir,
     };
-    let mut outcome = match workloads::run(&args.workload, &ctx) {
+    let outcome = match workloads::run(&args.workload, &ctx) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("perfbench: {}: {e}", args.workload);
@@ -125,23 +125,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("spans written to {}", path.display());
-        // Every per-layer metric is reported; layers this workload does
-        // not load read 0 with 0 samples.
-        let measured = std::mem::take(&mut outcome.metrics);
-        outcome.metrics = PER_LAYER
-            .iter()
-            .map(|(name, _)| {
-                measured
-                    .iter()
-                    .find(|m| m.name == *name)
-                    .cloned()
-                    .unwrap_or(Metric {
-                        name,
-                        value: 0.0,
-                        samples: 0,
-                    })
-            })
-            .collect();
     }
     println!(
         "workload {} seed {} ({} attempted, {} failed)",

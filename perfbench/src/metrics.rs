@@ -1,84 +1,45 @@
-//! The metric catalogue (mirrors `BENCHMARK.json`) and the result record
+//! The metric catalogue, read from `BENCHMARK.json`, and the result record
 //! a workload hands back to `main`.
 
-/// End-to-end metrics: `(name, unit)`. A workload reports the ones that
-/// apply to it (see `NOTES.md`).
-pub const END_TO_END: &[(&str, &str)] = &[
-    ("setup_s", "s"),
-    ("sim_epochs_per_s", "1/s"),
-    ("request_p50_ms", "ms"),
-    ("request_p99_ms", "ms"),
-    ("goodput_rps", "1/s"),
-    ("peak_rss_mb", "MB"),
-];
+use std::sync::OnceLock;
 
-/// Per-layer metrics of the traced run: `(name, unit)`. Counts are per
-/// operation of the workload (a study pass, a scenario round, a search or
-/// a request).
-pub const PER_LAYER: &[(&str, &str)] = &[
-    ("sparse.full_factorizations", "count/op"),
-    ("sparse.refactorizations", "count/op"),
-    ("sparse.solves", "count/op"),
-    ("sparse.krylov_iters_per_solve", "count"),
-    ("sparse.mg_cycles", "count/op"),
-    ("sparse.fallbacks", "count/op"),
-    ("thermal.warm_step_us.t2", "us"),
-    ("thermal.warm_step_us.t4", "us"),
-    ("thermal.refactor_ms.t2", "ms"),
-    ("thermal.refactor_ms.t4", "ms"),
-    ("thermal.cold_solve_ms.t2", "ms"),
-    ("thermal.cold_solve_ms.t4", "ms"),
-    ("thermal.adopted_solve_ms.t4", "ms"),
-    ("thermal.mg_setup_ms.g64", "ms"),
-    ("thermal.mg_step_ms.g64", "ms"),
-    ("thermal.mg_step_ms.g96", "ms"),
-    ("thermal.direct_setup_ms.g48", "ms"),
-    ("power.tier_powers_us", "us"),
-    ("policy.decide_us", "us"),
-    ("sim.new_us", "us"),
-    ("sim.initialize_ms", "ms"),
-    ("sim.epoch_us", "us"),
-    ("sim.epoch_p99_us", "us"),
-    ("sim.epoch_self_us", "us"),
-    ("scenario.build_us", "us"),
-    ("scenario.fingerprint_us", "us"),
-    ("batch.pass_ms", "ms"),
-    ("batch.sharing_saved_ms", "ms"),
-    ("batch.pattern_groups", "count"),
-    ("batch.retries", "count/op"),
-    ("checkpoint.record_us", "us"),
-    ("checkpoint.resume_ms", "ms"),
-    ("checkpoint.bytes_per_slot", "bytes"),
-    ("optimize.evaluations", "count/op"),
-    ("optimize.memo_hit_rate", "ratio"),
-    ("optimize.early_abort_savings", "ratio"),
-    ("optimize.spec_us", "us"),
-    ("floorplan.transform_us", "us"),
-    ("serve.hit_request_ms", "ms"),
-    ("serve.miss_request_ms", "ms"),
-    ("serve.scheduler_hit_ms", "ms"),
-    ("serve.scheduler_miss_ms", "ms"),
-    ("serve.transport_ms", "ms"),
-    ("serve.json_parse_us", "us"),
-    ("serve.json_encode_us", "us"),
-    ("serve.protocol_parse_us", "us"),
-    ("serve.slot_json_us", "us"),
-    ("serve.result_hit_rate", "ratio"),
-    ("serve.analysis_hit_rate", "ratio"),
-    ("serve.requests_per_batch", "count"),
-    ("serve.dedup_rate", "ratio"),
-    ("serve.result_evictions", "count"),
-    ("trace.spans", "count"),
-    ("trace.overhead_pct", "%"),
-];
+use cmosaic_serve::Json;
+
+/// `(name, unit)` of every metric `BENCHMARK.json` lists, end-to-end
+/// (index 0) and per layer (index 1). The file is compiled in, so the
+/// names and units printed are the ones it declares.
+fn catalogue() -> &'static [Vec<(String, String)>; 2] {
+    static CATALOGUE: OnceLock<[Vec<(String, String)>; 2]> = OnceLock::new();
+    CATALOGUE.get_or_init(|| {
+        let json = Json::parse(include_str!("../../BENCHMARK.json")).expect("valid BENCHMARK.json");
+        ["end_to_end", "per_layer"].map(|section| {
+            let list = json.get(section).and_then(Json::as_arr).expect(section);
+            list.iter()
+                .map(|m| {
+                    let field = |key: &str| m.get(key).and_then(Json::as_str).expect(key);
+                    (field("name").to_string(), field("unit").to_string())
+                })
+                .collect()
+        })
+    })
+}
 
 /// Unit of a catalogued metric.
 pub fn unit_of(name: &str) -> Option<&'static str> {
-    END_TO_END
+    catalogue()
         .iter()
-        .chain(PER_LAYER)
-        .find(|(n, _)| *n == name)
-        .map(|(_, u)| *u)
+        .flatten()
+        .find(|(n, _)| n == name)
+        .map(|(_, unit)| unit.as_str())
+}
+
+/// Names of the catalogued per-layer (`true`) or end-to-end metrics.
+#[cfg(test)]
+pub fn names(per_layer: bool) -> std::collections::BTreeSet<&'static str> {
+    catalogue()[usize::from(per_layer)]
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect()
 }
 
 /// One measured value and the number of samples behind it.
@@ -114,40 +75,6 @@ impl Outcome {
                 value,
                 samples,
             });
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The catalogue and `BENCHMARK.json` must list the same metrics with
-    /// the same units, in the same order.
-    #[test]
-    fn catalogue_matches_benchmark_json() {
-        let text =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
-                .expect("BENCHMARK.json at the repository root");
-        let json = cmosaic_serve::Json::parse(&text).expect("valid JSON");
-        for (key, catalogue) in [("end_to_end", END_TO_END), ("per_layer", PER_LAYER)] {
-            let listed: Vec<(String, String)> = json
-                .get(key)
-                .and_then(cmosaic_serve::Json::as_arr)
-                .expect("metric list")
-                .iter()
-                .map(|m| {
-                    (
-                        m.get("name").and_then(|v| v.as_str()).unwrap().to_string(),
-                        m.get("unit").and_then(|v| v.as_str()).unwrap().to_string(),
-                    )
-                })
-                .collect();
-            let expected: Vec<(String, String)> = catalogue
-                .iter()
-                .map(|(n, u)| (n.to_string(), u.to_string()))
-                .collect();
-            assert_eq!(listed, expected, "{key}");
         }
     }
 }

@@ -44,7 +44,7 @@ pub fn add_stats(into: &mut SolverStats, from: &SolverStats) {
 }
 
 /// The `sparse.*` metrics from solver counters summed over `ops`
-/// operations.
+/// operations (Krylov iterations per solve only with iterative solves).
 pub fn push_sparse(out: &mut Outcome, total: &SolverStats, ops: usize) {
     let per_op = |v: u64| Some(v as f64 / ops.max(1) as f64);
     out.push(
@@ -60,7 +60,8 @@ pub fn push_sparse(out: &mut Outcome, total: &SolverStats, ops: usize) {
     out.push("sparse.solves", per_op(total.in_place_solves), ops);
     out.push(
         "sparse.krylov_iters_per_solve",
-        Some(total.iterative_iterations as f64 / total.iterative_solves.max(1) as f64),
+        (total.iterative_solves > 0)
+            .then(|| total.iterative_iterations as f64 / total.iterative_solves as f64),
         total.iterative_solves as usize,
     );
     out.push("sparse.mg_cycles", per_op(total.mg_cycles), ops);

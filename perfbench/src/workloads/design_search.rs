@@ -20,7 +20,7 @@ use cmosaic::power::trace::WorkloadKind;
 use cmosaic::thermal::SolverStats;
 use cmosaic::{BatchRunner, PolicyKind, ScenarioSpec};
 
-use crate::common::{derived_seed, ms, push_rss, shuffle, splitmix, stream, Ctx, SetupTimer};
+use crate::common::{derived_seed, ms, push_rss, shuffle, splitmix, stream, Ctx, SetupSampler};
 use crate::metrics::Outcome;
 use crate::replay::{self, push_span, Res};
 use crate::stats;
@@ -46,6 +46,29 @@ const SA_POOL: [u64; 63] = [
 ];
 /// Strata of [`SA_POOL`]: a run's list holds every third seed (21).
 const STRATA: usize = 3;
+
+/// End-to-end metrics this workload reports.
+pub const END_TO_END: &[&str] = &["setup_s", "request_p50_ms", "peak_rss_mb"];
+/// Per-layer metrics its traced run reports.
+pub const PER_LAYER: &[&str] = &[
+    "sparse.full_factorizations",
+    "sparse.refactorizations",
+    "sparse.solves",
+    "sparse.mg_cycles",
+    "sparse.fallbacks",
+    "thermal.cold_solve_ms.t2",
+    "thermal.cold_solve_ms.t4",
+    "thermal.adopted_solve_ms.t4",
+    "sim.new_us",
+    "sim.initialize_ms",
+    "scenario.build_us",
+    "scenario.fingerprint_us",
+    "optimize.evaluations",
+    "optimize.memo_hit_rate",
+    "optimize.early_abort_savings",
+    "optimize.spec_us",
+    "floorplan.transform_us",
+];
 
 /// The annealing seed list of one run.
 fn sa_seeds(seed: u64) -> Vec<u64> {
@@ -122,12 +145,12 @@ fn matches_grid(report: &OptimizeReport, grid: &OptimizeReport) -> bool {
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 3);
-    let mut setup = SetupTimer::new(20, || {
+    let setup = || {
         let s = space(trace_seed).expect("static grid");
         for p in s.points() {
             std::hint::black_box(s.spec(&p).expect("every design resolves"));
         }
-    });
+    };
     let runner = BatchRunner::new(1);
     let constraints = Constraints::peak_below(Celsius(85.0));
     let optimizer = Optimizer::new(space(trace_seed)?, constraints.clone(), &runner);
@@ -140,6 +163,7 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     // Whole passes over the list only: as many as fill the measured time
     // best (at least one), decided once the first pass is timed.
     let mut passes = 1;
+    let mut setup = SetupSampler::start(ctx, 20, setup);
     let start = Instant::now();
     while search_ms.len() < passes * n {
         let i = search_ms.len();
@@ -150,7 +174,7 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         });
         search_ms.push(ms(t.elapsed()));
         out.attempted += 1;
-        setup.sample();
+        setup.take_due();
         if search_ms.len() == n {
             let ratio = ctx.seconds.as_secs_f64() / start.elapsed().as_secs_f64();
             passes = (ratio.round() as usize).max(1);

@@ -9,7 +9,7 @@ use cmosaic::floorplan::GridSpec;
 use cmosaic::thermal::{SolverBackend, SolverStats};
 use cmosaic::{PolicyKind, RunMetrics, Scenario, ScenarioSpec};
 
-use crate::common::{derived_seed, push_rss, Ctx, SetupTimer, DEFAULT_SEED};
+use crate::common::{derived_seed, push_rss, Ctx, SetupSampler, DEFAULT_SEED};
 use crate::digest::metrics_digest;
 use crate::metrics::Outcome;
 use crate::replay::{self, Res};
@@ -18,9 +18,31 @@ use crate::trace::SpanId;
 
 /// Simulated seconds per run.
 const SECONDS: usize = 10;
+/// Runs of each kind the timed phase completes at least (unless it
+/// reaches three times `--seconds` first), so each kind's median run time
+/// rests on many runs.
+const MIN_RUNS: usize = 10;
 /// `RunMetrics` digest of the first round (the four kinds in order) at
 /// [`DEFAULT_SEED`].
 const DEFAULT_DIGEST: u64 = 0x52f6_ef2d_ad02_d13a;
+
+/// End-to-end metrics this workload reports.
+pub const END_TO_END: &[&str] = &["setup_s", "sim_epochs_per_s", "peak_rss_mb"];
+/// Per-layer metrics its traced run reports.
+pub const PER_LAYER: &[&str] = &[
+    "sparse.full_factorizations",
+    "sparse.refactorizations",
+    "sparse.solves",
+    "sparse.krylov_iters_per_solve",
+    "sparse.mg_cycles",
+    "sparse.fallbacks",
+    "thermal.mg_setup_ms.g64",
+    "thermal.mg_step_ms.g64",
+    "thermal.mg_step_ms.g96",
+    "thermal.direct_setup_ms.g48",
+    "scenario.build_us",
+    "scenario.fingerprint_us",
+];
 
 /// The four scenario kinds, in round order.
 fn specs(trace_seed: u64) -> Result<Vec<ScenarioSpec>, cmosaic::CmosaicError> {
@@ -66,11 +88,11 @@ fn run_one(
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 2);
-    let mut setup = SetupTimer::new(200, || {
+    let setup = || {
         for spec in specs(trace_seed).expect("static grids") {
             std::hint::black_box(spec.build().expect("fine-grid scenario builds"));
         }
-    });
+    };
     let specs = specs(trace_seed)?;
     let scenarios = specs
         .iter()
@@ -81,15 +103,20 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut secs: Vec<Vec<f64>> = vec![Vec::new(); kinds];
     let mut first: Vec<Option<RunMetrics>> = vec![None; kinds];
     let mut stats_round = SolverStats::default();
-    let start = Instant::now();
     let mut runs = 0usize;
-    while runs < kinds || start.elapsed() < ctx.seconds {
+    let mut setup = SetupSampler::start(ctx, 200, setup);
+    let start = Instant::now();
+    let keep_going = |runs: usize| {
+        let t = start.elapsed();
+        t < ctx.seconds || (runs < MIN_RUNS * kinds && t < ctx.seconds * 3)
+    };
+    while runs < kinds || keep_going(runs) {
         let k = runs % kinds;
         let t = Instant::now();
         let result = run_one(ctx, &scenarios[k], runs as u64);
         secs[k].push(t.elapsed().as_secs_f64());
         out.attempted += 1;
-        setup.sample();
+        setup.take_due();
         match result {
             Ok((m, solver)) => {
                 if runs < kinds {

@@ -10,7 +10,7 @@ use cmosaic::floorplan::GridSpec;
 use cmosaic::thermal::SolverStats;
 use cmosaic::{checkpoint, BatchRunner, Study, StudyJournal, StudyReport};
 
-use crate::common::{derived_seed, ms, push_rss, Ctx, SetupTimer, DEFAULT_SEED};
+use crate::common::{derived_seed, ms, push_rss, Ctx, SetupSampler, DEFAULT_SEED};
 use crate::digest::metrics_digest;
 use crate::metrics::Outcome;
 use crate::replay::{self, push_span, Res};
@@ -24,6 +24,37 @@ const SUBSTEPS: f64 = 4.0;
 /// `RunMetrics` digest of one pass at [`DEFAULT_SEED`].
 const DEFAULT_DIGEST: u64 = 0x6281_fb8a_9341_942a;
 
+/// End-to-end metrics this workload reports.
+pub const END_TO_END: &[&str] = &["setup_s", "sim_epochs_per_s", "peak_rss_mb"];
+/// Per-layer metrics its traced run reports.
+pub const PER_LAYER: &[&str] = &[
+    "sparse.full_factorizations",
+    "sparse.refactorizations",
+    "sparse.solves",
+    "sparse.mg_cycles",
+    "sparse.fallbacks",
+    "thermal.warm_step_us.t2",
+    "thermal.warm_step_us.t4",
+    "thermal.refactor_ms.t2",
+    "thermal.refactor_ms.t4",
+    "power.tier_powers_us",
+    "policy.decide_us",
+    "sim.new_us",
+    "sim.initialize_ms",
+    "sim.epoch_us",
+    "sim.epoch_p99_us",
+    "sim.epoch_self_us",
+    "scenario.build_us",
+    "scenario.fingerprint_us",
+    "batch.pass_ms",
+    "batch.sharing_saved_ms",
+    "batch.pattern_groups",
+    "batch.retries",
+    "checkpoint.record_us",
+    "checkpoint.resume_ms",
+    "checkpoint.bytes_per_slot",
+];
+
 fn study(trace_seed: u64) -> Result<Study, cmosaic::CmosaicError> {
     let grid = GridSpec::new(12, 12)?;
     Ok(fig6_study(SECONDS, trace_seed, grid).chain(actuation_study(SECONDS, trace_seed, grid)))
@@ -36,10 +67,10 @@ fn digest(report: &StudyReport) -> u64 {
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 1);
-    let mut setup = SetupTimer::new(20, || {
+    let setup = || {
         let s = study(trace_seed).expect("static grid");
         std::hint::black_box(s.build().expect("the paper study builds"));
-    });
+    };
     let study = study(trace_seed)?;
     let epochs_per_pass: usize = study.specs().iter().map(|s| s.duration()).sum();
     let runner = BatchRunner::new(1);
@@ -48,6 +79,7 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut pass_ms = Vec::new();
     let mut first = None;
     let mut last = None;
+    let mut setup = SetupSampler::start(ctx, 20, setup);
     let start = Instant::now();
     while pass_ms.is_empty() || start.elapsed() < ctx.seconds {
         let _ = std::fs::remove_file(&journal);
@@ -60,7 +92,7 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
             });
         pass_ms.push(ms(t.elapsed()));
         out.attempted += 1;
-        setup.sample();
+        setup.take_due();
         match result {
             Ok((report, resumed)) => {
                 let d = digest(&report);

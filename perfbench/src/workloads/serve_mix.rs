@@ -47,6 +47,37 @@ const BLOCK: [Class; 20] = {
 /// Simulated seconds per served spec.
 const SECONDS: u64 = 10;
 
+/// End-to-end metrics this workload reports.
+pub const END_TO_END: &[&str] = &["setup_s", "request_p50_ms", "request_p99_ms", "goodput_rps"];
+/// Per-layer metrics its traced run reports.
+pub const PER_LAYER: &[&str] = &[
+    "sparse.full_factorizations",
+    "sparse.refactorizations",
+    "sparse.solves",
+    "sparse.mg_cycles",
+    "sparse.fallbacks",
+    "thermal.refactor_ms.t2",
+    "thermal.refactor_ms.t4",
+    "sim.new_us",
+    "sim.initialize_ms",
+    "scenario.build_us",
+    "scenario.fingerprint_us",
+    "serve.hit_request_ms",
+    "serve.miss_request_ms",
+    "serve.scheduler_hit_ms",
+    "serve.scheduler_miss_ms",
+    "serve.transport_ms",
+    "serve.json_parse_us",
+    "serve.json_encode_us",
+    "serve.protocol_parse_us",
+    "serve.slot_json_us",
+    "serve.result_hit_rate",
+    "serve.analysis_hit_rate",
+    "serve.requests_per_batch",
+    "serve.dedup_rate",
+    "serve.result_evictions",
+];
+
 const POLICIES: [&str; 3] = ["lc-fuzzy", "lc-lb", "lc-fuzzy-flow-only"];
 const WORKLOADS: [&str; 4] = ["web-server", "database", "multimedia", "max-utilization"];
 /// Grids of the cold requests, each used once per run.
@@ -299,7 +330,8 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let socket: PathBuf = ctx.run_dir.join("serve.sock");
     // Set-up samples straddle the timed phase (half before, half after,
-    // on a socket of their own) so they see the run's host conditions.
+    // on a socket of their own). During it, a daemon start would queue
+    // behind the four busy threads and time the OS scheduler instead.
     let setup_socket = ctx.run_dir.join("setup.sock");
     let mut setup_s = Vec::new();
     while setup_s.len() < SETUP_REPS / 2 {
