@@ -2,6 +2,8 @@
 //! set-up timing and memory readings.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::metrics::Outcome;
@@ -64,56 +66,55 @@ pub fn shuffle<T>(items: &mut [T], rng: &mut u64) {
     }
 }
 
-/// Samples a workload's set-up step on a schedule through its timed
-/// phase: a sample falls due every `--seconds / SETUP_REPS`, the first
-/// half an interval in, and the workload takes the samples due between
-/// two operations ([`SetupSampler::take_due`]). So `setup_s`, their
-/// median, weighs every part of the run alike instead of one moment of
-/// it, and no sample overlaps an operation: each times the step alone, as
-/// a user starting the program meets it. A sample runs the step
+/// Samples a workload's set-up step on a second thread through its timed
+/// phase: a sample falls due every `--seconds / SETUP_REPS`, the first half
+/// an interval in, until [`SetupSampler::finish`]. So `setup_s`, their
+/// median, weighs every part of the run alike, however long the
+/// workload's operations last: the host's speed drifts within a run, and
+/// samples taken only between multi-second passes see few of its states.
+/// The batch workloads run one operation at a time, so the sampler has the
+/// other core of a 2-core host to itself. A sample runs the step
 /// `per_sample` times back to back and keeps the mean, so a step of
 /// microseconds is not read off one timer interval. The traced run takes
 /// no samples.
-pub struct SetupSampler<F: FnMut()> {
-    step: F,
-    per_sample: usize,
-    interval: Duration,
-    start: Instant,
-    enabled: bool,
-    samples: Vec<f64>,
-}
+pub struct SetupSampler(Option<(mpsc::Sender<()>, JoinHandle<Vec<f64>>)>);
 
-impl<F: FnMut()> SetupSampler<F> {
+impl SetupSampler {
     /// A sampler whose schedule starts now, with the timed phase.
-    pub fn start(ctx: &Ctx, per_sample: usize, step: F) -> Self {
-        SetupSampler {
-            step,
-            per_sample,
-            interval: ctx.seconds / SETUP_REPS as u32,
-            start: Instant::now(),
-            enabled: !ctx.traced(),
-            samples: Vec::new(),
+    pub fn start(ctx: &Ctx, per_sample: usize, mut step: impl FnMut() + Send + 'static) -> Self {
+        if ctx.traced() {
+            return SetupSampler(None);
         }
-    }
-
-    /// Takes every sample that has fallen due.
-    pub fn take_due(&mut self) {
-        let interval = self.interval;
-        let due = |taken: usize| interval * (2 * taken as u32 + 1) / 2;
-        while self.enabled && self.start.elapsed() >= due(self.samples.len()) {
-            let t = Instant::now();
-            for _ in 0..self.per_sample {
-                (self.step)();
+        let interval = ctx.seconds / SETUP_REPS as u32;
+        // Dropping the sender (in `finish`, or when the workload fails)
+        // stops the sampler at its next due time or at once if waiting.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            let start = Instant::now();
+            let mut samples = Vec::new();
+            loop {
+                let due = start + interval * (2 * samples.len() as u32 + 1) / 2;
+                let wait = due.saturating_duration_since(Instant::now());
+                if !matches!(stopped.recv_timeout(wait), Err(RecvTimeoutError::Timeout)) {
+                    return samples;
+                }
+                let t = Instant::now();
+                for _ in 0..per_sample {
+                    step();
+                }
+                samples.push(t.elapsed().as_secs_f64() / per_sample as f64);
             }
-            self.samples
-                .push(t.elapsed().as_secs_f64() / self.per_sample as f64);
-        }
+        });
+        SetupSampler(Some((stop, thread)))
     }
 
-    /// Takes the samples still due and records `setup_s`.
-    pub fn finish(mut self, out: &mut Outcome) {
-        self.take_due();
-        out.push("setup_s", stats::median(&self.samples), self.samples.len());
+    /// Stops the sampler and records `setup_s`.
+    pub fn finish(self, out: &mut Outcome) {
+        if let Some((stop, thread)) = self.0 {
+            drop(stop);
+            let samples = thread.join().unwrap_or_default();
+            out.push("setup_s", stats::median(&samples), samples.len());
+        }
     }
 }
 

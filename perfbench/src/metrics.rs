@@ -33,9 +33,9 @@ pub fn unit_of(name: &str) -> Option<&'static str> {
         .map(|(_, unit)| unit.as_str())
 }
 
-/// Names of the catalogued per-layer (`true`) or end-to-end metrics.
-#[cfg(test)]
-pub fn names(per_layer: bool) -> std::collections::BTreeSet<&'static str> {
+/// Names of the catalogued per-layer (`true`) or end-to-end metrics: the
+/// metrics a traced or an untraced run reports, whatever its workload.
+pub fn names(per_layer: bool) -> Vec<&'static str> {
     catalogue()[usize::from(per_layer)]
         .iter()
         .map(|(n, _)| n.as_str())
@@ -76,5 +76,21 @@ impl Outcome {
                 samples,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn catalogue_names_are_unique_and_have_units() {
+        let all: Vec<&str> = names(false).into_iter().chain(names(true)).collect();
+        assert!(all.contains(&"setup_s"));
+        let mut unique = all.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), all.len());
+        assert!(all.iter().all(|n| unit_of(n).is_some()));
     }
 }

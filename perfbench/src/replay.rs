@@ -1,14 +1,17 @@
-//! Traced replays of a workload's inputs through the lower layers' public
-//! functions. Every call sits inside a span; the per-layer metrics are
-//! medians of those spans.
+//! Traced replays of a workload's inputs through the layers every workload
+//! loads: `thermal`, `power`, `policy`, `core::sim` and `core::scenario`
+//! (the `sparse` counters come from the workload's own outcomes). Every
+//! call sits inside a span; the per-layer metrics are medians of those
+//! spans.
 
-use cmosaic::floorplan::stack::presets;
+use std::time::{Duration, Instant};
+
 use cmosaic::floorplan::{GridSpec, Stack3d};
 use cmosaic::fuzzy::FuzzyController;
 use cmosaic::materials::units::{Kelvin, VolumetricFlow};
 use cmosaic::policy::{make_policy, Action, Observation};
 use cmosaic::power::{BlockKind, BlockState};
-use cmosaic::thermal::{SolverBackend, SolverStats, TemperatureField, ThermalModel, ThermalParams};
+use cmosaic::thermal::{SolverStats, ThermalModel, ThermalParams};
 use cmosaic::{RunMetrics, Scenario, ScenarioSpec};
 
 use crate::metrics::Outcome;
@@ -17,6 +20,11 @@ use crate::trace::{Recorder, SpanId};
 
 /// The benchmark's error type: any layer error, rendered.
 pub type Res<T> = Result<T, Box<dyn std::error::Error>>;
+
+/// Thermal sub-step of every replay (the scenarios' default), s.
+const DT: f64 = 0.25;
+/// Time each thermal measurement repeats for, after its minimum count.
+const BUDGET: Duration = Duration::from_millis(250);
 
 /// Records the median duration of the spans named `span` as `metric`,
 /// in ms (`scale` 1) or µs (`scale` 1000).
@@ -44,7 +52,7 @@ pub fn add_stats(into: &mut SolverStats, from: &SolverStats) {
 }
 
 /// The `sparse.*` metrics from solver counters summed over `ops`
-/// operations (Krylov iterations per solve only with iterative solves).
+/// operations of the workload.
 pub fn push_sparse(out: &mut Outcome, total: &SolverStats, ops: usize) {
     let per_op = |v: u64| Some(v as f64 / ops.max(1) as f64);
     out.push(
@@ -58,22 +66,46 @@ pub fn push_sparse(out: &mut Outcome, total: &SolverStats, ops: usize) {
         ops,
     );
     out.push("sparse.solves", per_op(total.in_place_solves), ops);
-    out.push(
-        "sparse.krylov_iters_per_solve",
-        (total.iterative_solves > 0)
-            .then(|| total.iterative_iterations as f64 / total.iterative_solves as f64),
-        total.iterative_solves as usize,
-    );
-    out.push("sparse.mg_cycles", per_op(total.mg_cycles), ops);
-    out.push(
-        "sparse.fallbacks",
-        per_op(total.pivot_fallbacks + total.iterative_fallbacks),
-        ops,
-    );
+}
+
+/// Every per-layer metric but the `sparse` counts, from a workload's own
+/// specs: the thermal replays on its first liquid-cooled 2- and 4-tier
+/// scenario, the allocator and policy on that 4-tier scenario's trace,
+/// every scenario replayed epoch by epoch through the simulator, and
+/// `ScenarioSpec::build` and `fingerprint` over the specs. Returns each
+/// scenario's final metrics, in spec order.
+pub fn lower_layers(
+    out: &mut Outcome,
+    rec: &Recorder,
+    specs: &[ScenarioSpec],
+) -> Res<Vec<RunMetrics>> {
+    let scenarios = specs
+        .iter()
+        .map(ScenarioSpec::build)
+        .collect::<Result<Vec<_>, _>>()?;
+    let liquid = |tiers: usize| {
+        scenarios
+            .iter()
+            .find(|s| s.spec().policy_kind().is_liquid_cooled() && s.stack().tiers().len() == tiers)
+            .ok_or_else(|| format!("the workload has no liquid-cooled {tiers}-tier scenario"))
+    };
+    thermal(out, rec, liquid(2)?, Tier::T2)?;
+    thermal(out, rec, liquid(4)?, Tier::T4)?;
+    power_policy(out, rec, liquid(4)?)?;
+    let finals = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, sc)| replay_scenario(rec, sc, i as u64))
+        .collect::<Res<Vec<_>>>()?;
+    push_span(out, rec, "sim.new", "sim.new_us", 1e3);
+    push_span(out, rec, "sim.initialize", "sim.initialize_ms", 1.0);
+    push_span(out, rec, "sim.epoch", "sim.epoch_us", 1e3);
+    scenario_layer(out, rec, specs)?;
+    Ok(finals)
 }
 
 /// `scenario.build_us` and `scenario.fingerprint_us` over `specs`.
-pub fn scenario_layer(out: &mut Outcome, rec: &Recorder, specs: &[ScenarioSpec]) -> Res<()> {
+fn scenario_layer(out: &mut Outcome, rec: &Recorder, specs: &[ScenarioSpec]) -> Res<()> {
     let reps = (400 / specs.len().max(1)).clamp(1, 20);
     for rep in 0..reps {
         for (i, spec) in specs.iter().enumerate() {
@@ -96,246 +128,140 @@ pub fn scenario_layer(out: &mut Outcome, rec: &Recorder, specs: &[ScenarioSpec])
 }
 
 /// Replays `scenario` (as request `req`) through `build_simulator`,
-/// `initialize` and, with `epochs`, one `Simulator::run(1)` per control
-/// interval. Returns the final cumulative metrics (`None` without epochs).
-pub fn replay_scenario(
-    rec: &Recorder,
-    scenario: &Scenario,
-    req: u64,
-    epochs: bool,
-) -> Res<Option<RunMetrics>> {
+/// `initialize` and one `Simulator::run(1)` per control interval, and
+/// returns its final cumulative metrics.
+fn replay_scenario(rec: &Recorder, scenario: &Scenario, req: u64) -> Res<RunMetrics> {
     rec.span("replay.scenario", SpanId::NONE, req, |p| {
         let mut sim = rec.span("sim.new", p, req, |_| scenario.build_simulator())?;
         rec.span("sim.initialize", p, req, |_| sim.initialize())?;
         let mut last = None;
-        if epochs {
-            for _ in 0..scenario.seconds() {
-                last = Some(rec.span("sim.epoch", p, req, |_| sim.run(1))?);
-            }
+        for _ in 0..scenario.seconds() {
+            last = Some(rec.span("sim.epoch", p, req, |_| sim.run(1))?);
         }
-        Ok(last)
+        Ok(last.ok_or("a scenario without epochs")?)
     })
 }
 
-/// `sim.new_us` and `sim.initialize_ms` from [`replay_scenario`] spans.
-pub fn push_sim_setup(out: &mut Outcome, rec: &Recorder) {
-    push_span(out, rec, "sim.new", "sim.new_us", 1e3);
-    push_span(out, rec, "sim.initialize", "sim.initialize_ms", 1.0);
+/// Calls `f` with 0, 1, 2, … at least `min` times and until [`BUDGET`]
+/// has passed.
+fn repeat(min: u64, mut f: impl FnMut(u64) -> Res<()>) -> Res<()> {
+    let start = Instant::now();
+    let mut i = 0;
+    while i < min || start.elapsed() < BUDGET {
+        f(i)?;
+        i += 1;
+    }
+    Ok(())
 }
 
-/// A uniform power map (36 W per tier) for the thermal replays.
-fn uniform_maps(tiers: usize, grid: GridSpec) -> Vec<Vec<f64>> {
-    let cells = grid.cell_count();
-    vec![vec![36.0 / cells as f64; cells]; tiers]
+/// The tier count a thermal metric is named after.
+#[derive(Clone, Copy)]
+enum Tier {
+    T2,
+    T4,
 }
 
-/// The eight pump levels of the Table I fuzzy controller, lowest first.
-fn fuzzy_levels() -> Vec<VolumetricFlow> {
-    let c = FuzzyController::table1();
-    (0..c.levels()).map(|l| c.level_flow(l)).collect()
+impl Tier {
+    /// Cold-solve, refactorisation and warm-step span (and metric) names.
+    fn names(self) -> [&'static str; 3] {
+        match self {
+            Tier::T2 => [
+                "thermal.cold_solve_ms.t2",
+                "thermal.refactor_ms.t2",
+                "thermal.warm_step_us.t2",
+            ],
+            Tier::T4 => [
+                "thermal.cold_solve_ms.t4",
+                "thermal.refactor_ms.t4",
+                "thermal.warm_step_us.t4",
+            ],
+        }
+    }
 }
 
-/// The `tiers`-tier 12×12 liquid-cooled preset the paper-scale replays
-/// run on, its uniform power map and the fuzzy pump levels.
-struct PaperScale {
+/// A scenario's thermal pattern (stack, grid, solver backend) under a
+/// uniform power map (36 W per tier) and the fuzzy pump levels.
+struct Pattern {
     stack: Stack3d,
     grid: GridSpec,
+    params: ThermalParams,
     maps: Vec<Vec<f64>>,
+    /// The eight pump levels of the Table I fuzzy controller, lowest first.
     levels: Vec<VolumetricFlow>,
 }
 
-impl PaperScale {
-    fn new(tiers: usize) -> Res<Self> {
-        let grid = GridSpec::new(12, 12)?;
-        Ok(PaperScale {
-            stack: presets::liquid_cooled_mpsoc(tiers)?,
+impl Pattern {
+    fn of(scenario: &Scenario) -> Self {
+        let grid = scenario.spec().grid_spec();
+        let tiers = scenario.stack().tiers().len();
+        let cells = grid.cell_count();
+        let fuzzy = FuzzyController::table1();
+        Pattern {
+            stack: scenario.stack().clone(),
             grid,
-            maps: uniform_maps(tiers, grid),
-            levels: fuzzy_levels(),
-        })
-    }
-}
-
-/// Paper-scale direct-LU solves: cold steady solves (one full pivoting
-/// factorisation each) and, at 4 tiers, steady solves of a model that
-/// adopted a donated analysis (numeric refactorisation only).
-pub fn thermal_solves(out: &mut Outcome, rec: &Recorder, tiers: usize) -> Res<()> {
-    let cold = if tiers == 2 {
-        "thermal.cold_solve_ms.t2"
-    } else {
-        "thermal.cold_solve_ms.t4"
-    };
-    let PaperScale {
-        stack,
-        grid,
-        maps,
-        levels,
-    } = PaperScale::new(tiers)?;
-    let max = *levels.last().expect("eight levels");
-    let mut analysis = None;
-    for rep in 0..5 {
-        let mut m = ThermalModel::new(&stack, grid, ThermalParams::default())?;
-        m.set_flow_rate(max)?;
-        rec.span(cold, SpanId::NONE, rep, |_| m.steady_state(&maps))?;
-        analysis = m.export_analysis();
-    }
-    push_span(out, rec, cold, cold, 1.0);
-    if tiers == 4 {
-        let analysis = analysis.ok_or("no analysis after a solve")?;
-        let adopted = "thermal.adopted_solve_ms.t4";
-        for rep in 0..5 {
-            let mut m = ThermalModel::new(&stack, grid, ThermalParams::default())?;
-            m.adopt_analysis(&analysis);
-            m.set_flow_rate(max)?;
-            rec.span(adopted, SpanId::NONE, rep, |_| m.steady_state(&maps))?;
+            params: ThermalParams {
+                solver: scenario.spec().solver_backend(),
+                ..ThermalParams::default()
+            },
+            maps: vec![vec![36.0 / cells as f64; cells]; tiers],
+            levels: (0..fuzzy.levels()).map(|l| fuzzy.level_flow(l)).collect(),
         }
-        push_span(out, rec, adopted, adopted, 1.0);
     }
-    Ok(())
+
+    /// A fresh model at the top pump level.
+    fn model(&self) -> Res<ThermalModel> {
+        let mut m = ThermalModel::new(&self.stack, self.grid, self.params.clone())?;
+        m.set_flow_rate(*self.levels.last().expect("eight levels"))?;
+        Ok(m)
+    }
 }
 
-/// Paper-scale direct-LU refactorisations: the first sub-step after each
-/// fuzzy pump-level change (`set_flow_rate`, then a refactorisation at the
-/// new operating point and the solve).
-pub fn thermal_refactors(out: &mut Outcome, rec: &Recorder, tiers: usize) -> Res<()> {
-    let refactor = if tiers == 2 {
-        "thermal.refactor_ms.t2"
-    } else {
-        "thermal.refactor_ms.t4"
-    };
-    let PaperScale {
-        stack,
-        grid,
-        maps,
-        levels,
-    } = PaperScale::new(tiers)?;
-    let max = *levels.last().expect("eight levels");
-    for rep in 0..3 {
-        let mut m = ThermalModel::new(&stack, grid, ThermalParams::default())?;
-        m.set_flow_rate(max)?;
-        m.steady_state(&maps)?;
+/// `thermal.*` on the pattern of `scenario`: steady solves on fresh
+/// models (one full factorisation, or one multigrid set-up, each); the
+/// first sub-step after each fuzzy pump-level change (`set_flow_rate`,
+/// then a refactorisation at the new operating point and the solve); and
+/// warm sub-steps at a cached operating point.
+fn thermal(out: &mut Outcome, rec: &Recorder, scenario: &Scenario, tier: Tier) -> Res<()> {
+    let [cold, refactor, warm] = tier.names();
+    let p = Pattern::of(scenario);
+    repeat(5, |rep| {
+        let mut m = p.model()?;
+        rec.span(cold, SpanId::NONE, rep, |_| m.steady_state(&p.maps))?;
+        Ok(())
+    })?;
+    repeat(3, |rep| {
+        let mut m = p.model()?;
+        m.steady_state(&p.maps)?;
         let mut field = m.current_field();
-        for &q in levels.iter().rev().skip(1) {
+        for &q in p.levels.iter().rev().skip(1) {
             rec.span(refactor, SpanId::NONE, rep, |_| -> Res<()> {
                 m.set_flow_rate(q)?;
-                m.step_into(&maps, 0.25, &mut field)?;
+                m.step_into(&p.maps, DT, &mut field)?;
                 Ok(())
             })?;
         }
-    }
-    push_span(out, rec, refactor, refactor, 1.0);
-    Ok(())
-}
-
-/// A paper-scale model parked at a cached operating point (the top fuzzy
-/// pump level, 0.25 s sub-step), for warm direct-LU sub-steps.
-pub struct WarmSteps {
-    model: ThermalModel,
-    maps: Vec<Vec<f64>>,
-    field: TemperatureField,
-    /// Span (and metric) name: `thermal.warm_step_us.t<tiers>`.
-    pub span: &'static str,
-}
-
-impl WarmSteps {
-    /// Builds the `tiers`-tier model and takes one sub-step, so the
-    /// operating point's factorisation is cached.
-    pub fn new(tiers: usize) -> Res<Self> {
-        let PaperScale {
-            stack,
-            grid,
-            maps,
-            levels,
-        } = PaperScale::new(tiers)?;
-        let mut model = ThermalModel::new(&stack, grid, ThermalParams::default())?;
-        model.set_flow_rate(*levels.last().expect("eight levels"))?;
-        model.steady_state(&maps)?;
-        let mut field = model.current_field();
-        model.step_into(&maps, 0.25, &mut field)?;
-        Ok(WarmSteps {
-            model,
-            maps,
-            field,
-            span: if tiers == 2 {
-                "thermal.warm_step_us.t2"
-            } else {
-                "thermal.warm_step_us.t4"
-            },
-        })
-    }
-
-    /// `n` warm sub-steps, each in a span for request `req`.
-    pub fn run(&mut self, rec: &Recorder, n: usize, req: u64) -> Res<()> {
-        for _ in 0..n {
-            rec.span(self.span, SpanId::NONE, req, |_| {
-                self.model.step_into(&self.maps, 0.25, &mut self.field)
-            })?;
-        }
         Ok(())
-    }
-}
-
-/// Fine-grid thermal replays on the 2-tier preset: multigrid set-up
-/// (model, flow, first steady solve) and warm multigrid sub-steps at 64²
-/// and 96², and the direct set-up with its one large factorisation at
-/// 48².
-pub fn thermal_fine(out: &mut Outcome, rec: &Recorder) -> Res<()> {
-    let stack: Stack3d = presets::liquid_cooled_mpsoc(2)?;
-    let max = *fuzzy_levels().last().expect("eight levels");
-    let mg = ThermalParams {
-        solver: SolverBackend::multigrid(),
-        ..ThermalParams::default()
-    };
-    let setup = |grid: GridSpec, params: &ThermalParams| -> Res<ThermalModel> {
-        let mut m = ThermalModel::new(&stack, grid, params.clone())?;
-        m.set_flow_rate(max)?;
-        m.steady_state(&uniform_maps(2, grid))?;
-        Ok(m)
-    };
-    let g64 = GridSpec::new(64, 64)?;
-    let mut model = None;
-    for rep in 0..3 {
-        model = Some(rec.span("thermal.mg_setup_ms.g64", SpanId::NONE, rep, |_| {
-            setup(g64, &mg)
-        })?);
-    }
-    let m64 = model.ok_or("no 64² model")?;
-    let g96 = GridSpec::new(96, 96)?;
-    let m96 = setup(g96, &mg)?;
-    for (mut m, grid, span, steps) in [
-        (m64, g64, "thermal.mg_step_ms.g64", 10),
-        (m96, g96, "thermal.mg_step_ms.g96", 6),
-    ] {
-        let maps = uniform_maps(2, grid);
-        let mut field = m.current_field();
-        m.step_into(&maps, 0.25, &mut field)?;
-        for rep in 0..steps {
-            rec.span(span, SpanId::NONE, rep, |_| {
-                m.step_into(&maps, 0.25, &mut field)
-            })?;
-        }
-    }
-    let g48 = GridSpec::new(48, 48)?;
-    for rep in 0..2 {
-        rec.span("thermal.direct_setup_ms.g48", SpanId::NONE, rep, |_| {
-            setup(g48, &ThermalParams::default())
+    })?;
+    let mut m = p.model()?;
+    m.steady_state(&p.maps)?;
+    let mut field = m.current_field();
+    m.step_into(&p.maps, DT, &mut field)?;
+    repeat(20, |rep| {
+        rec.span(warm, SpanId::NONE, rep, |_| {
+            m.step_into(&p.maps, DT, &mut field)
         })?;
-    }
-    for span in [
-        "thermal.mg_setup_ms.g64",
-        "thermal.mg_step_ms.g64",
-        "thermal.mg_step_ms.g96",
-        "thermal.direct_setup_ms.g48",
-    ] {
-        push_span(out, rec, span, span, 1.0);
-    }
+        Ok(())
+    })?;
+    push_span(out, rec, cold, cold, 1.0);
+    push_span(out, rec, refactor, refactor, 1.0);
+    push_span(out, rec, warm, warm, 1e3);
     Ok(())
 }
 
 /// `power.tier_powers_us` and `policy.decide_us`: the scenario's
 /// allocator prices every tier, and its policy decides, once per trace
 /// row, in batches of 100 calls per span.
-pub fn power_policy(out: &mut Outcome, rec: &Recorder, scenario: &Scenario) -> Res<()> {
+fn power_policy(out: &mut Outcome, rec: &Recorder, scenario: &Scenario) -> Res<()> {
     const BATCH: usize = 100;
     let allocator = scenario.spec().allocator_preset().build();
     let plans = scenario.stack().tiers();

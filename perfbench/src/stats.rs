@@ -1,48 +1,7 @@
 //! Order statistics for the benchmark's timings.
-//!
-//! Percentiles use the nearest-rank definition: the `p`-th percentile of
-//! `n` sorted samples is the sample at rank `ceil(p/100 * n)`. A
-//! percentile is only reported when at least [`MIN_BEYOND`] samples lie
-//! strictly above that rank, so a tail figure never rests on a handful of
-//! observations.
 
-/// Samples that must lie beyond a percentile before it is reported.
-pub const MIN_BEYOND: usize = 10;
-
-/// Nearest rank (1-based) of the `p`-th percentile among `n` samples.
-fn rank(p: f64, n: usize) -> usize {
-    ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n)
-}
-
-/// The `p`-th percentile of `samples` (any order), `None` when empty.
-pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(sorted[rank(p, sorted.len()) - 1])
-}
-
-/// How many samples rank beyond the `p`-th percentile.
-pub fn beyond(n: usize, p: f64) -> usize {
-    if n == 0 {
-        0
-    } else {
-        n - rank(p, n)
-    }
-}
-
-/// The `p`-th percentile, only when at least [`MIN_BEYOND`] samples lie
-/// beyond it.
-pub fn supported_percentile(samples: &[f64], p: f64) -> Option<f64> {
-    (beyond(samples.len(), p) >= MIN_BEYOND)
-        .then(|| percentile(samples, p))
-        .flatten()
-}
-
-/// The median (the 50th percentile by nearest rank for odd counts, the
-/// mean of the two middle samples for even counts).
+/// The median (the middle sample for odd counts, the mean of the two
+/// middle samples for even counts), `None` when empty.
 pub fn median(samples: &[f64]) -> Option<f64> {
     if samples.is_empty() {
         return None;
@@ -57,47 +16,15 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     })
 }
 
-/// Arithmetic mean, `None` when empty.
-pub fn mean(samples: &[f64]) -> Option<f64> {
-    (!samples.is_empty()).then(|| samples.iter().sum::<f64>() / samples.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn nearest_rank_percentiles() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&xs, 50.0), Some(50.0));
-        assert_eq!(percentile(&xs, 99.0), Some(99.0));
-        assert_eq!(percentile(&xs, 100.0), Some(100.0));
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.0), Some(1.0));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn percentile_ignores_input_order() {
-        let xs = [5.0, 1.0, 4.0, 2.0, 3.0];
-        assert_eq!(percentile(&xs, 50.0), Some(3.0));
-        assert_eq!(median(&xs), Some(3.0));
+    fn median_ignores_input_order() {
+        assert_eq!(median(&[5.0, 1.0, 4.0, 2.0, 3.0]), Some(3.0));
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
-        assert_eq!(mean(&[1.0, 2.0, 6.0]), Some(3.0));
-    }
-
-    #[test]
-    fn ten_beyond_rule() {
-        // 1000 samples: rank(99) = 990, so exactly 10 lie beyond p99.
-        let xs: Vec<f64> = (0..1000).map(f64::from).collect();
-        assert_eq!(beyond(1000, 99.0), 10);
-        assert_eq!(supported_percentile(&xs, 99.0), Some(989.0));
-        // 999 samples: rank(99) = ceil(989.01) = 990, only 9 beyond.
-        assert_eq!(beyond(999, 99.0), 9);
-        assert_eq!(supported_percentile(&xs[..999], 99.0), None);
-        // The median needs only 20 samples.
-        assert_eq!(beyond(20, 50.0), 10);
-        assert!(supported_percentile(&xs[..20], 50.0).is_some());
-        assert!(supported_percentile(&xs[..19], 50.0).is_none());
-        assert_eq!(beyond(0, 50.0), 0);
+        assert_eq!(median(&[7.0]), Some(7.0));
+        assert_eq!(median(&[]), None);
     }
 }

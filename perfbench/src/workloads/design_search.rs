@@ -8,13 +8,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cmosaic::floorplan::stack::presets;
 use cmosaic::floorplan::transform::{spread_hotspots_in_tier, swap_in_tier};
 use cmosaic::floorplan::{ElementKind, GridSpec};
 use cmosaic::materials::units::{Celsius, VolumetricFlow};
 use cmosaic::optimize::{
-    ConstraintMonitor, Constraints, DesignAxis, DesignPoint, DesignSpace, GridSearch,
-    OptimizeReport, Optimizer, SimulatedAnnealing, StackTransform,
+    ConstraintMonitor, Constraints, DesignAxis, DesignSpace, GridSearch, OptimizeReport, Optimizer,
+    SimulatedAnnealing, StackTransform,
 };
 use cmosaic::power::trace::WorkloadKind;
 use cmosaic::thermal::SolverStats;
@@ -22,7 +21,7 @@ use cmosaic::{BatchRunner, PolicyKind, ScenarioSpec};
 
 use crate::common::{derived_seed, ms, push_rss, shuffle, splitmix, stream, Ctx, SetupSampler};
 use crate::metrics::Outcome;
-use crate::replay::{self, push_span, Res};
+use crate::replay::{self, Res};
 use crate::stats;
 use crate::trace::SpanId;
 
@@ -46,29 +45,6 @@ const SA_POOL: [u64; 63] = [
 ];
 /// Strata of [`SA_POOL`]: a run's list holds every third seed (21).
 const STRATA: usize = 3;
-
-/// End-to-end metrics this workload reports.
-pub const END_TO_END: &[&str] = &["setup_s", "request_p50_ms", "peak_rss_mb"];
-/// Per-layer metrics its traced run reports.
-pub const PER_LAYER: &[&str] = &[
-    "sparse.full_factorizations",
-    "sparse.refactorizations",
-    "sparse.solves",
-    "sparse.mg_cycles",
-    "sparse.fallbacks",
-    "thermal.cold_solve_ms.t2",
-    "thermal.cold_solve_ms.t4",
-    "thermal.adopted_solve_ms.t4",
-    "sim.new_us",
-    "sim.initialize_ms",
-    "scenario.build_us",
-    "scenario.fingerprint_us",
-    "optimize.evaluations",
-    "optimize.memo_hit_rate",
-    "optimize.early_abort_savings",
-    "optimize.spec_us",
-    "floorplan.transform_us",
-];
 
 /// The annealing seed list of one run.
 fn sa_seeds(seed: u64) -> Vec<u64> {
@@ -145,7 +121,7 @@ fn matches_grid(report: &OptimizeReport, grid: &OptimizeReport) -> bool {
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 3);
-    let setup = || {
+    let setup = move || {
         let s = space(trace_seed).expect("static grid");
         for p in s.points() {
             std::hint::black_box(s.spec(&p).expect("every design resolves"));
@@ -159,11 +135,12 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let n = sa_seeds.len();
 
     let mut search_ms = Vec::new();
+    let mut ok = 0usize;
     let mut reports = Vec::new();
     // Whole passes over the list only: as many as fill the measured time
     // best (at least one), decided once the first pass is timed.
     let mut passes = 1;
-    let mut setup = SetupSampler::start(ctx, 20, setup);
+    let setup = SetupSampler::start(ctx, 20, setup);
     let start = Instant::now();
     while search_ms.len() < passes * n {
         let i = search_ms.len();
@@ -174,14 +151,15 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         });
         search_ms.push(ms(t.elapsed()));
         out.attempted += 1;
-        setup.take_due();
         if search_ms.len() == n {
             let ratio = ctx.seconds.as_secs_f64() / start.elapsed().as_secs_f64();
             passes = (ratio.round() as usize).max(1);
         }
         match result {
             Ok(report) => {
-                if !matches_grid(&report, &grid) {
+                if matches_grid(&report, &grid) {
+                    ok += 1;
+                } else {
                     out.failed += 1;
                     eprintln!("search {i} (seed {seed}) disagrees with the grid");
                 }
@@ -197,6 +175,8 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     }
     setup.finish(&mut out);
     out.push("request_p50_ms", stats::median(&search_ms), search_ms.len());
+    let busy_s: f64 = search_ms.iter().sum::<f64>() / 1e3;
+    out.push("goodput_rps", Some(ok as f64 / busy_s), ok);
     push_rss(&mut out);
     if ctx.traced() {
         traced(ctx, &mut out, &optimizer, &constraints, &reports)?;
@@ -204,6 +184,10 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     Ok(out)
 }
 
+/// Per-layer metrics of the searches: solver counters, each evaluated
+/// design replayed once through the batch engine with the same
+/// early-abort monitor and summed per search; then the 36 designs
+/// replayed through the lower layers.
 fn traced(
     ctx: &Ctx,
     out: &mut Outcome,
@@ -211,25 +195,6 @@ fn traced(
     constraints: &Constraints,
     reports: &[OptimizeReport],
 ) -> Res<()> {
-    let rec = &ctx.rec;
-    let n = reports.len();
-    let mean_of = |f: &dyn Fn(&OptimizeReport) -> f64| {
-        stats::mean(&reports.iter().map(f).collect::<Vec<_>>())
-    };
-    out.push(
-        "optimize.evaluations",
-        mean_of(&|r| r.n_evaluations() as f64),
-        n,
-    );
-    out.push("optimize.memo_hit_rate", mean_of(&|r| r.memo_hit_rate()), n);
-    out.push(
-        "optimize.early_abort_savings",
-        mean_of(&|r| r.early_abort_savings()),
-        n,
-    );
-
-    // Solver counters: each evaluated design replayed once through the
-    // batch engine with the same early-abort monitor, summed per search.
     let space = optimizer.space();
     let runner = BatchRunner::new(1);
     let mut per_design: BTreeMap<Vec<usize>, SolverStats> = BTreeMap::new();
@@ -248,51 +213,13 @@ fn traced(
             replay::add_stats(&mut total, &per_design[&key]);
         }
     }
-    replay::push_sparse(out, &total, n);
-
-    let points: Vec<DesignPoint> = space.points();
-    for rep in 0..10 {
-        for (i, p) in points.iter().enumerate() {
-            rec.span(
-                "optimize.spec",
-                SpanId::NONE,
-                (rep * points.len() + i) as u64,
-                |_| space.spec(p),
-            )?;
-        }
-    }
-    push_span(out, rec, "optimize.spec", "optimize.spec_us", 1e3);
-    for tiers in [2, 4] {
-        let stack = presets::liquid_cooled_mpsoc(tiers)?;
-        for rep in 0..50 {
-            rec.span("floorplan.transform", SpanId::NONE, rep, |_| swap(&stack))?;
-            rec.span("floorplan.transform", SpanId::NONE, rep, |_| spread(&stack))?;
-        }
-    }
-    push_span(
-        out,
-        rec,
-        "floorplan.transform",
-        "floorplan.transform_us",
-        1e3,
-    );
-
-    for tiers in [2, 4] {
-        replay::thermal_solves(out, rec, tiers)?;
-    }
-    let specs = points
+    replay::push_sparse(out, &total, reports.len());
+    let specs = space
+        .points()
         .iter()
         .map(|p| space.spec(p))
         .collect::<Result<Vec<_>, _>>()?;
-    let scenarios = specs
-        .iter()
-        .map(ScenarioSpec::build)
-        .collect::<Result<Vec<_>, _>>()?;
-    for (i, sc) in scenarios.iter().enumerate() {
-        replay::replay_scenario(rec, sc, i as u64, false)?;
-    }
-    replay::push_sim_setup(out, rec);
-    replay::scenario_layer(out, rec, &specs)?;
+    replay::lower_layers(out, &ctx.rec, &specs)?;
     Ok(())
 }
 

@@ -19,30 +19,14 @@ use crate::trace::SpanId;
 /// Simulated seconds per run.
 const SECONDS: usize = 10;
 /// Runs of each kind the timed phase completes at least (unless it
-/// reaches three times `--seconds` first), so each kind's median run time
-/// rests on many runs.
-const MIN_RUNS: usize = 10;
+/// reaches twice `--seconds` first), so each kind's median run time rests
+/// on several runs while ten runs of the workload still take only minutes:
+/// the host's speed drifts from minute to minute, and a longer set of runs
+/// spreads wider.
+const MIN_RUNS: usize = 5;
 /// `RunMetrics` digest of the first round (the four kinds in order) at
 /// [`DEFAULT_SEED`].
 const DEFAULT_DIGEST: u64 = 0x52f6_ef2d_ad02_d13a;
-
-/// End-to-end metrics this workload reports.
-pub const END_TO_END: &[&str] = &["setup_s", "sim_epochs_per_s", "peak_rss_mb"];
-/// Per-layer metrics its traced run reports.
-pub const PER_LAYER: &[&str] = &[
-    "sparse.full_factorizations",
-    "sparse.refactorizations",
-    "sparse.solves",
-    "sparse.krylov_iters_per_solve",
-    "sparse.mg_cycles",
-    "sparse.fallbacks",
-    "thermal.mg_setup_ms.g64",
-    "thermal.mg_step_ms.g64",
-    "thermal.mg_step_ms.g96",
-    "thermal.direct_setup_ms.g48",
-    "scenario.build_us",
-    "scenario.fingerprint_us",
-];
 
 /// The four scenario kinds, in round order.
 fn specs(trace_seed: u64) -> Result<Vec<ScenarioSpec>, cmosaic::CmosaicError> {
@@ -67,7 +51,7 @@ fn specs(trace_seed: u64) -> Result<Vec<ScenarioSpec>, cmosaic::CmosaicError> {
 }
 
 /// One run: `Scenario::run`, or in the traced run the same three calls it
-/// makes, each in a span, returning the solver counters too.
+/// makes, returning the solver counters too.
 fn run_one(
     ctx: &Ctx,
     scenario: &Scenario,
@@ -78,8 +62,8 @@ fn run_one(
         if !ctx.traced() {
             return scenario.run().map(|m| (m, None));
         }
-        let mut sim = rec.span("sim.new", p, req, |_| scenario.build_simulator())?;
-        rec.span("sim.initialize", p, req, |_| sim.initialize())?;
+        let mut sim = scenario.build_simulator()?;
+        sim.initialize()?;
         let m = rec.span("sim.run", p, req, |_| sim.run(scenario.seconds()))?;
         Ok((m, Some(sim.solver_stats())))
     })
@@ -88,7 +72,7 @@ fn run_one(
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 2);
-    let setup = || {
+    let setup = move || {
         for spec in specs(trace_seed).expect("static grids") {
             std::hint::black_box(spec.build().expect("fine-grid scenario builds"));
         }
@@ -104,11 +88,12 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut first: Vec<Option<RunMetrics>> = vec![None; kinds];
     let mut stats_round = SolverStats::default();
     let mut runs = 0usize;
-    let mut setup = SetupSampler::start(ctx, 200, setup);
+    let mut ok = 0usize;
+    let setup = SetupSampler::start(ctx, 200, setup);
     let start = Instant::now();
     let keep_going = |runs: usize| {
         let t = start.elapsed();
-        t < ctx.seconds || (runs < MIN_RUNS * kinds && t < ctx.seconds * 3)
+        t < ctx.seconds || (runs < MIN_RUNS * kinds && t < ctx.seconds * 2)
     };
     while runs < kinds || keep_going(runs) {
         let k = runs % kinds;
@@ -116,7 +101,6 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         let result = run_one(ctx, &scenarios[k], runs as u64);
         secs[k].push(t.elapsed().as_secs_f64());
         out.attempted += 1;
-        setup.take_due();
         match result {
             Ok((m, solver)) => {
                 if runs < kinds {
@@ -125,7 +109,9 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
                     }
                 }
                 let want = first[k].get_or_insert_with(|| m.clone());
-                if m != *want {
+                if m == *want {
+                    ok += 1;
+                } else {
                     out.failed += 1;
                     eprintln!(
                         "run {runs} ({}) differs from its first run",
@@ -149,18 +135,16 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         }
     }
     setup.finish(&mut out);
-    // Fixed simulated work (one round) over the per-kind median times.
+    // One request is one round of the four kinds: the sum of the per-kind
+    // median run times, and verified rounds per second of run time.
     let round_s: Option<f64> = secs.iter().map(|s| stats::median(s)).sum();
-    out.push(
-        "sim_epochs_per_s",
-        round_s.map(|t| (SECONDS * kinds) as f64 / t),
-        runs,
-    );
+    out.push("request_p50_ms", round_s.map(|t| t * 1e3), runs);
+    let busy_s: f64 = secs.iter().flatten().sum();
+    out.push("goodput_rps", Some(ok as f64 / kinds as f64 / busy_s), ok);
     push_rss(&mut out);
     if ctx.traced() {
         replay::push_sparse(&mut out, &stats_round, 1);
-        replay::thermal_fine(&mut out, &ctx.rec)?;
-        replay::scenario_layer(&mut out, &ctx.rec, &specs)?;
+        replay::lower_layers(&mut out, &ctx.rec, &specs)?;
     }
     Ok(out)
 }

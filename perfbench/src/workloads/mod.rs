@@ -1,4 +1,6 @@
-//! The four workloads, one per entry path.
+//! The four workloads, one per entry path. Every workload reports every
+//! metric `BENCHMARK.json` lists for its mode: all end-to-end metrics in
+//! the untraced run, all per-layer metrics in the traced run.
 
 mod design_search;
 mod fine_grid;
@@ -6,70 +8,21 @@ mod paper_sweep;
 mod serve_mix;
 
 use crate::common::Ctx;
-use crate::metrics::Outcome;
+use crate::metrics::{self, Outcome};
 use crate::replay::Res;
 use crate::trace;
 
-/// A workload and the metrics it reports: end-to-end in the untraced run,
-/// per layer in the traced run.
-struct Workload {
-    name: &'static str,
-    run: fn(&Ctx) -> Res<Outcome>,
-    end_to_end: &'static [&'static str],
-    per_layer: &'static [&'static str],
-}
-
-const WORKLOADS: [Workload; 4] = [
-    Workload {
-        name: "paper_sweep",
-        run: paper_sweep::run,
-        end_to_end: paper_sweep::END_TO_END,
-        per_layer: paper_sweep::PER_LAYER,
-    },
-    Workload {
-        name: "fine_grid",
-        run: fine_grid::run,
-        end_to_end: fine_grid::END_TO_END,
-        per_layer: fine_grid::PER_LAYER,
-    },
-    Workload {
-        name: "design_search",
-        run: design_search::run,
-        end_to_end: design_search::END_TO_END,
-        per_layer: design_search::PER_LAYER,
-    },
-    Workload {
-        name: "serve_mix",
-        run: serve_mix::run,
-        end_to_end: serve_mix::END_TO_END,
-        per_layer: serve_mix::PER_LAYER,
-    },
-];
-
-/// Per-layer metrics every traced run reports.
-const TRACE: [&str; 2] = ["trace.spans", "trace.overhead_pct"];
-
-impl Workload {
-    /// The metrics this workload reports in the traced (`true`) or the
-    /// untraced run.
-    fn reports(&self, traced: bool) -> Vec<&'static str> {
-        if traced {
-            self.per_layer.iter().chain(&TRACE).copied().collect()
-        } else {
-            self.end_to_end.to_vec()
-        }
-    }
-}
-
-/// Runs `workload` and keeps exactly the metrics it reports in this mode
-/// (adding the tracing overhead in the traced run). A metric it reports
-/// but could not measure counts as a failed operation.
+/// Runs `workload` and keeps exactly the catalogued metrics of this mode,
+/// in catalogue order (adding the tracing overhead in the traced run). A
+/// metric it could not measure counts as a failed operation.
 pub fn run(workload: &str, ctx: &Ctx) -> Res<Outcome> {
-    let w = WORKLOADS
-        .iter()
-        .find(|w| w.name == workload)
-        .ok_or_else(|| format!("unknown workload '{workload}'"))?;
-    let mut out = (w.run)(ctx)?;
+    let mut out = match workload {
+        "paper_sweep" => paper_sweep::run(ctx)?,
+        "fine_grid" => fine_grid::run(ctx)?,
+        "design_search" => design_search::run(ctx)?,
+        "serve_mix" => serve_mix::run(ctx)?,
+        _ => return Err(format!("unknown workload '{workload}'").into()),
+    };
     if ctx.traced() {
         // Overhead: recorded spans times the measured cost of one span,
         // as a share of the traced run's wall time so far.
@@ -82,33 +35,15 @@ pub fn run(workload: &str, ctx: &Ctx) -> Res<Outcome> {
             spans,
         );
     }
-    let reports = w.reports(ctx.traced());
-    out.metrics.retain(|m| reports.contains(&m.name));
-    for name in reports {
-        if !out.metrics.iter().any(|m| m.name == name) {
-            out.failed += 1;
-            eprintln!("{workload}: {name} was not measured");
+    let measured = std::mem::take(&mut out.metrics);
+    for name in metrics::names(ctx.traced()) {
+        match measured.iter().find(|m| m.name == name) {
+            Some(m) => out.metrics.push(m.clone()),
+            None => {
+                out.failed += 1;
+                eprintln!("{workload}: {name} was not measured");
+            }
         }
     }
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::BTreeSet;
-
-    use super::*;
-    use crate::metrics;
-
-    /// Every metric a workload reports is catalogued in `BENCHMARK.json`
-    /// in the right section, and every catalogued metric is reported by
-    /// at least one workload.
-    #[test]
-    fn workloads_report_the_catalogue() {
-        for traced in [false, true] {
-            let reported: BTreeSet<&str> =
-                WORKLOADS.iter().flat_map(|w| w.reports(traced)).collect();
-            assert_eq!(reported, metrics::names(traced), "traced {traced}");
-        }
-    }
 }

@@ -8,52 +8,19 @@ use std::time::Instant;
 use cmosaic::experiments::{actuation_study, fig6_study};
 use cmosaic::floorplan::GridSpec;
 use cmosaic::thermal::SolverStats;
-use cmosaic::{checkpoint, BatchRunner, Study, StudyJournal, StudyReport};
+use cmosaic::{BatchRunner, Study, StudyReport};
 
 use crate::common::{derived_seed, ms, push_rss, Ctx, SetupSampler, DEFAULT_SEED};
 use crate::digest::metrics_digest;
 use crate::metrics::Outcome;
-use crate::replay::{self, push_span, Res};
+use crate::replay::{self, Res};
 use crate::stats;
 use crate::trace::SpanId;
 
 /// Simulated seconds per scenario.
 const SECONDS: usize = 60;
-/// Sub-steps per control interval (1 s interval, 0.25 s thermal step).
-const SUBSTEPS: f64 = 4.0;
 /// `RunMetrics` digest of one pass at [`DEFAULT_SEED`].
 const DEFAULT_DIGEST: u64 = 0x6281_fb8a_9341_942a;
-
-/// End-to-end metrics this workload reports.
-pub const END_TO_END: &[&str] = &["setup_s", "sim_epochs_per_s", "peak_rss_mb"];
-/// Per-layer metrics its traced run reports.
-pub const PER_LAYER: &[&str] = &[
-    "sparse.full_factorizations",
-    "sparse.refactorizations",
-    "sparse.solves",
-    "sparse.mg_cycles",
-    "sparse.fallbacks",
-    "thermal.warm_step_us.t2",
-    "thermal.warm_step_us.t4",
-    "thermal.refactor_ms.t2",
-    "thermal.refactor_ms.t4",
-    "power.tier_powers_us",
-    "policy.decide_us",
-    "sim.new_us",
-    "sim.initialize_ms",
-    "sim.epoch_us",
-    "sim.epoch_p99_us",
-    "sim.epoch_self_us",
-    "scenario.build_us",
-    "scenario.fingerprint_us",
-    "batch.pass_ms",
-    "batch.sharing_saved_ms",
-    "batch.pattern_groups",
-    "batch.retries",
-    "checkpoint.record_us",
-    "checkpoint.resume_ms",
-    "checkpoint.bytes_per_slot",
-];
 
 fn study(trace_seed: u64) -> Result<Study, cmosaic::CmosaicError> {
     let grid = GridSpec::new(12, 12)?;
@@ -67,19 +34,19 @@ fn digest(report: &StudyReport) -> u64 {
 pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let mut out = Outcome::default();
     let trace_seed = derived_seed(ctx.seed, 1);
-    let setup = || {
+    let setup = move || {
         let s = study(trace_seed).expect("static grid");
         std::hint::black_box(s.build().expect("the paper study builds"));
     };
     let study = study(trace_seed)?;
-    let epochs_per_pass: usize = study.specs().iter().map(|s| s.duration()).sum();
     let runner = BatchRunner::new(1);
     let journal = ctx.run_dir.join("paper_sweep.journal");
 
     let mut pass_ms = Vec::new();
+    let mut ok = 0usize;
     let mut first = None;
     let mut last = None;
-    let mut setup = SetupSampler::start(ctx, 20, setup);
+    let setup = SetupSampler::start(ctx, 20, setup);
     let start = Instant::now();
     while pass_ms.is_empty() || start.elapsed() < ctx.seconds {
         let _ = std::fs::remove_file(&journal);
@@ -92,7 +59,6 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
             });
         pass_ms.push(ms(t.elapsed()));
         out.attempted += 1;
-        setup.take_due();
         match result {
             Ok((report, resumed)) => {
                 let d = digest(&report);
@@ -101,7 +67,9 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
                     println!("first-pass digest {d:016x} (trace seed {trace_seed})");
                 }
                 let pinned = ctx.seed != DEFAULT_SEED || d == DEFAULT_DIGEST;
-                if !report.all_ok() || resumed != 0 || d != want || !pinned {
+                if report.all_ok() && resumed == 0 && d == want && pinned {
+                    ok += 1;
+                } else {
                     out.failed += 1;
                     eprintln!("pass {pass}: digest {d:016x}, expected {want:016x}");
                 }
@@ -114,154 +82,32 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         }
     }
     setup.finish(&mut out);
-    out.push(
-        "sim_epochs_per_s",
-        stats::median(&pass_ms).map(|m| epochs_per_pass as f64 / (m / 1e3)),
-        pass_ms.len(),
-    );
+    out.push("request_p50_ms", stats::median(&pass_ms), pass_ms.len());
+    let busy_s: f64 = pass_ms.iter().sum::<f64>() / 1e3;
+    out.push("goodput_rps", Some(ok as f64 / busy_s), ok);
     push_rss(&mut out);
     if ctx.traced() {
         let report = last.ok_or("no pass succeeded")?;
-        traced(ctx, &mut out, &study, &runner, &report)?;
+        traced(ctx, &mut out, &study, &report)?;
     }
     Ok(out)
 }
 
-/// Per-layer replays of the pass: solver counters, the batch without its
-/// journal, the journal on its own, and every scenario replayed
-/// standalone through the simulator, thermal model, allocator and policy.
-fn traced(
-    ctx: &Ctx,
-    out: &mut Outcome,
-    study: &Study,
-    runner: &BatchRunner,
-    report: &StudyReport,
-) -> Res<()> {
-    let rec = &ctx.rec;
-    let slots = report.len();
+/// Per-layer metrics of the pass: the solver counters of its outcomes,
+/// then every scenario replayed standalone through the lower layers. The
+/// replays must land on the pass's metrics bit for bit.
+fn traced(ctx: &Ctx, out: &mut Outcome, study: &Study, report: &StudyReport) -> Res<()> {
     let mut total = SolverStats::default();
     for o in report.outcomes() {
         replay::add_stats(&mut total, &o.solver);
     }
     replay::push_sparse(out, &total, 1);
-    out.push(
-        "batch.pattern_groups",
-        Some(report.pattern_groups() as f64),
-        1,
-    );
-    let retries: u32 = report
-        .outcomes()
-        .iter()
-        .map(|o| o.recovery.attempts.saturating_sub(1))
-        .sum();
-    out.push("batch.retries", Some(f64::from(retries)), slots);
-
-    // The last pass left a complete journal: measure its size, then
-    // resume from it (decode only, nothing re-runs).
-    let journal = ctx.run_dir.join("paper_sweep.journal");
-    let text = std::fs::read_to_string(&journal)?;
-    let header = text.lines().next().map_or(0, |l| l.len() + 1);
-    out.push(
-        "checkpoint.bytes_per_slot",
-        Some((text.len() - header) as f64 / slots as f64),
-        slots,
-    );
-    for rep in 0..5 {
-        let (_, resumed) = rec.span("study.resume", SpanId::NONE, rep, |_| {
-            study.run_checkpointed(runner, &journal)
-        })?;
-        if resumed != slots {
-            out.failed += 1;
-            eprintln!("resume {rep}: {resumed} of {slots} slots resumed");
-        }
-    }
-    push_span(out, rec, "study.resume", "checkpoint.resume_ms", 1.0);
-
-    // The journal on its own: the pass's slots recorded into a fresh
-    // journal one by one, as `run_checkpointed` does when each finishes.
-    let _ = std::fs::remove_file(&journal);
-    let fresh = StudyJournal::open(&journal, checkpoint::fingerprint(study.specs()), slots)?;
-    for (i, slot) in report.slots().iter().enumerate() {
-        rec.span("checkpoint.record", SpanId::NONE, i as u64, |_| {
-            fresh.record(i, slot)
-        });
-    }
-    push_span(out, rec, "checkpoint.record", "checkpoint.record_us", 1e3);
-
-    // The same pass without the journal.
-    for rep in 0..3 {
-        let plain = rec.span("study.run", SpanId::NONE, rep, |_| study.run(runner))?;
-        if plain.slots() != report.slots() {
-            out.failed += 1;
-            eprintln!("Study::run pass {rep} differs from the checkpointed pass");
-        }
-    }
-    push_span(out, rec, "study.run", "batch.pass_ms", 1.0);
-    let run_ms = stats::median(&rec.durations_ms("study.run")).unwrap_or(0.0);
-
-    for tiers in [2, 4] {
-        replay::thermal_refactors(out, rec, tiers)?;
-    }
-
-    // Every scenario standalone, epoch by epoch; the replay must land on
-    // the pass's metrics bit for bit. Each replay is followed by warm
-    // sub-steps of its tier count, so that the sub-steps an epoch's self
-    // time subtracts are timed under the same host conditions.
-    let scenarios = study.build()?;
-    let mut warm = [replay::WarmSteps::new(2)?, replay::WarmSteps::new(4)?];
-    let mut warm_us = Vec::with_capacity(scenarios.len());
-    for (i, (sc, slot)) in scenarios.iter().zip(report.slots()).enumerate() {
-        let fin = replay::replay_scenario(rec, sc, i as u64, true)?;
-        if !matches!((fin, slot), (Some(f), Ok(o)) if f == o.metrics) {
+    let finals = replay::lower_layers(out, &ctx.rec, study.specs())?;
+    for (i, (fin, slot)) in finals.iter().zip(report.slots()).enumerate() {
+        if !matches!(slot, Ok(o) if *fin == o.metrics) {
             out.failed += 1;
             eprintln!("replay of scenario {i} differs from the pass");
         }
-        let steps = &mut warm[usize::from(sc.stack().tiers().len() == 4)];
-        steps.run(rec, 40, i as u64)?;
-        let own: Vec<f64> = rec
-            .spans()
-            .iter()
-            .filter(|s| s.name == steps.span && s.request == i as u64)
-            .map(|s| s.duration() as f64 / 1e3)
-            .collect();
-        warm_us.push(stats::median(&own).unwrap_or(0.0));
     }
-    for steps in &warm {
-        push_span(out, rec, steps.span, steps.span, 1e3);
-    }
-    let standalone: f64 = rec.durations_ms("replay.scenario").iter().sum();
-    out.push(
-        "batch.sharing_saved_ms",
-        Some(standalone - run_ms),
-        scenarios.len(),
-    );
-    replay::push_sim_setup(out, rec);
-    let mut epoch_us = Vec::new();
-    let mut self_us = Vec::new();
-    for s in rec.spans().iter().filter(|s| s.name == "sim.epoch") {
-        let us = s.duration() as f64 / 1e3;
-        epoch_us.push(us);
-        let i = s.request as usize;
-        if scenarios[i].spec().policy_kind().is_liquid_cooled() {
-            self_us.push(us - SUBSTEPS * warm_us[i]);
-        }
-    }
-    out.push("sim.epoch_us", stats::median(&epoch_us), epoch_us.len());
-    out.push(
-        "sim.epoch_p99_us",
-        stats::supported_percentile(&epoch_us, 99.0),
-        epoch_us.len(),
-    );
-    out.push("sim.epoch_self_us", stats::median(&self_us), self_us.len());
-
-    // Allocator and policy on the 4-tier fuzzy scenario's trace.
-    let fuzzy4 = scenarios
-        .iter()
-        .find(|s| {
-            s.stack().tiers().len() == 4 && s.spec().policy_kind() == cmosaic::PolicyKind::LcFuzzy
-        })
-        .ok_or("the study has a 4-tier LC_FUZZY scenario")?;
-    replay::power_policy(out, rec, fuzzy4)?;
-    replay::scenario_layer(out, rec, study.specs())?;
     Ok(())
 }

@@ -10,18 +10,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cmosaic::{BatchRunner, ScenarioSpec};
 use cmosaic_serve::json::obj;
 use cmosaic_serve::protocol::{done_event, parse_spec, slot_json};
-use cmosaic_serve::scheduler::Reply;
-use cmosaic_serve::{Json, Request, Scheduler, SchedulerConfig, Server, ServerConfig};
+use cmosaic_serve::{Json, SchedulerConfig, Server, ServerConfig};
 
-use crate::common::{derived_seed, ms, shuffle, splitmix, stream, Ctx, SETUP_REPS};
+use crate::common::{derived_seed, ms, push_rss, shuffle, splitmix, stream, Ctx, SETUP_REPS};
 use crate::metrics::Outcome;
-use crate::replay::{self, push_span, Res};
+use crate::replay::{self, Res};
 use crate::stats;
 use crate::trace::SpanId;
 
@@ -29,9 +27,6 @@ use crate::trace::SpanId;
 const CLIENTS: usize = 2;
 /// Specs in the hot set.
 const HOT: usize = 16;
-/// Requests the timed phase completes at least, so that at least ten
-/// latency samples lie beyond p99.
-const MIN_REQUESTS: usize = 1100;
 /// Requests generated per client (more than any run sends).
 const PER_CLIENT: usize = 4000;
 /// Every this many requests a client sends one first use of a new grid.
@@ -46,37 +41,6 @@ const BLOCK: [Class; 20] = {
 };
 /// Simulated seconds per served spec.
 const SECONDS: u64 = 10;
-
-/// End-to-end metrics this workload reports.
-pub const END_TO_END: &[&str] = &["setup_s", "request_p50_ms", "request_p99_ms", "goodput_rps"];
-/// Per-layer metrics its traced run reports.
-pub const PER_LAYER: &[&str] = &[
-    "sparse.full_factorizations",
-    "sparse.refactorizations",
-    "sparse.solves",
-    "sparse.mg_cycles",
-    "sparse.fallbacks",
-    "thermal.refactor_ms.t2",
-    "thermal.refactor_ms.t4",
-    "sim.new_us",
-    "sim.initialize_ms",
-    "scenario.build_us",
-    "scenario.fingerprint_us",
-    "serve.hit_request_ms",
-    "serve.miss_request_ms",
-    "serve.scheduler_hit_ms",
-    "serve.scheduler_miss_ms",
-    "serve.transport_ms",
-    "serve.json_parse_us",
-    "serve.json_encode_us",
-    "serve.protocol_parse_us",
-    "serve.slot_json_us",
-    "serve.result_hit_rate",
-    "serve.analysis_hit_rate",
-    "serve.requests_per_batch",
-    "serve.dedup_rate",
-    "serve.result_evictions",
-];
 
 const POLICIES: [&str; 3] = ["lc-fuzzy", "lc-lb", "lc-fuzzy-flow-only"];
 const WORKLOADS: [&str; 4] = ["web-server", "database", "multimedia", "max-utilization"];
@@ -138,13 +102,17 @@ fn spec_json(tiers: u64, grid: (u64, u64), policy: &str, workload: &str, seed: u
 }
 
 /// The `n`-th spec of a family on a warm pattern (12×12) with trace seed
-/// `seed`. Tier count, policy and workload follow `n`: every seventh spec
-/// has 4 tiers (its miss costs about three times a 2-tier one), and the
-/// twelve (policy, workload) pairs take turns, so each pair recurs every
-/// 12 specs at 2 tiers and every 84 at 4 tiers and every run seed gets the
-/// same cost mix.
-fn warm_spec(seed: u64, n: usize) -> Json {
-    let tiers = if n % 7 == 6 { 4 } else { 2 };
+/// `seed`, with 4 tiers on every `wide`-th spec (its miss costs about
+/// three times a 2-tier one; `wide` 0: never). Policy and workload follow
+/// `n`: the twelve (policy, workload) pairs take turns, so every run seed
+/// gets the same cost mix, and with `wide` coprime to 12 every pair also
+/// recurs at 4 tiers.
+fn warm_spec(seed: u64, n: usize, wide: usize) -> Json {
+    let tiers = if wide > 0 && n % wide == wide - 1 {
+        4
+    } else {
+        2
+    };
     let policy = POLICIES[n % POLICIES.len()];
     let workload = WORKLOADS[(n / POLICIES.len()) % WORKLOADS.len()];
     spec_json(tiers, (12, 12), policy, workload, seed)
@@ -160,7 +128,7 @@ fn generate(seed: u64) -> Mix {
     let mut specs = Vec::new();
     let base = derived_seed(seed, 5) * 100_000;
     for i in 0..HOT {
-        specs.push(warm_spec(base + i as u64, i));
+        specs.push(warm_spec(base + i as u64, i, 7));
     }
     // Fresh and cold specs take consecutive trace seeds after the hot set.
     let mut next_seed = base + HOT as u64;
@@ -170,13 +138,17 @@ fn generate(seed: u64) -> Mix {
         let mut reqs = Vec::with_capacity(PER_CLIENT);
         let mut block = BLOCK;
         let mut fresh_n = 0;
+        // Only the first client's fresh specs have 4 tiers, so two 4-tier
+        // misses never run at once: whether they did was a timing
+        // coincidence that moved peak memory by 10 MB from run to run.
+        let wide = if c == 0 { 5 } else { 0 };
         for k in 0..PER_CLIENT {
             if k % BLOCK.len() == 0 {
                 shuffle(&mut block, &mut rng);
             }
             let mut fresh = |specs: &mut Vec<Json>| {
                 next_seed += 1;
-                specs.push(warm_spec(next_seed, fresh_n));
+                specs.push(warm_spec(next_seed, fresh_n, wide));
                 fresh_n += 1;
                 specs.len() - 1
             };
@@ -338,29 +310,31 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         sample_setup(&setup_socket, &mut setup_s)?;
     }
     let mix = generate(ctx.seed);
-    let (server, clients) = start(&socket)?;
+    let (server, mut clients) = start(&socket)?;
+    // Warm-up: every hot spec once, so the timed phase meets the hot set
+    // cached, as it stays (each hot spec recurs every few dozen requests).
+    for spec in &mix.specs[..HOT] {
+        let line = obj(vec![
+            ("op", Json::str("run")),
+            ("specs", Json::Arr(vec![spec.clone()])),
+        ])
+        .encode();
+        clients[0].run(&line)?;
+    }
 
-    // Timed phase: both clients in a closed loop until the time is up and
-    // enough requests are in (or three times the time has passed).
-    let done = AtomicUsize::new(0);
+    // Timed phase: both clients in a closed loop until the time is up.
     let begin = Instant::now();
-    let keep_going = |done: &AtomicUsize| {
-        let t = begin.elapsed();
-        t < ctx.seconds * 3 && (t < ctx.seconds || done.load(Ordering::SeqCst) < MIN_REQUESTS)
-    };
     let answers: Vec<Result<Vec<Answer>, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = clients
             .into_iter()
             .zip(&mix.clients)
             .enumerate()
             .map(|(c, (mut client, reqs))| {
-                let done = &done;
-                let keep_going = &keep_going;
                 let rec = &ctx.rec;
                 s.spawn(move || -> Result<Vec<Answer>, String> {
                     let mut answers = Vec::new();
                     for (k, req) in reqs.iter().enumerate() {
-                        if !keep_going(done) {
+                        if begin.elapsed() >= ctx.seconds {
                             break;
                         }
                         let id = (c * PER_CLIENT + k) as u64;
@@ -374,7 +348,6 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
                             done: done_line,
                             epochs,
                         });
-                        done.fetch_add(1, Ordering::SeqCst);
                     }
                     Ok(answers)
                 })
@@ -389,6 +362,7 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
             .collect()
     });
     let wall = begin.elapsed();
+    push_rss(&mut out);
     let answers: Vec<Vec<Answer>> = answers.into_iter().collect::<Result<_, _>>()?;
     let stats_snapshot = server.stats();
     while setup_s.len() < SETUP_REPS {
@@ -417,20 +391,15 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
     let offline = BatchRunner::new(1).run_scenarios(&scenarios);
     let mut expected: BTreeMap<usize, Json> = BTreeMap::new();
     for (k, &i) in order.iter().enumerate() {
-        let slot = ctx
-            .rec
-            .span("serve.slot_json", SpanId::NONE, k as u64, |_| {
-                slot_json(
-                    &scenarios[k].label(),
-                    specs[k].fingerprint(),
-                    &offline.slots[k],
-                )
-            });
+        let slot = slot_json(
+            &scenarios[k].label(),
+            specs[k].fingerprint(),
+            &offline.slots[k],
+        );
         expected.insert(i, slot);
     }
     let mut ok = 0usize;
     let mut all_ms = Vec::new();
-    let (mut hot_ms, mut fresh_ms) = (Vec::new(), Vec::new());
     for (c, list) in answers.iter().enumerate() {
         for a in list {
             let req = &mix.clients[c][a.req];
@@ -448,11 +417,6 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
                 out.failed += 1;
                 eprintln!("request {} ({:?}) answered wrongly", req.id, req.class);
             }
-            match req.class {
-                Class::Hot => hot_ms.push(a.ms),
-                Class::Fresh => fresh_ms.push(a.ms),
-                _ => {}
-            }
         }
     }
     println!(
@@ -464,162 +428,19 @@ pub fn run(ctx: &Ctx) -> Res<Outcome> {
         stats_snapshot.cache.result_evictions
     );
     out.push("request_p50_ms", stats::median(&all_ms), all_ms.len());
-    out.push(
-        "request_p99_ms",
-        stats::supported_percentile(&all_ms, 99.0),
-        all_ms.len(),
-    );
     out.push("goodput_rps", Some(ok as f64 / wall.as_secs_f64()), ok);
-
-    if ctx.traced() {
-        out.push("serve.hit_request_ms", stats::median(&hot_ms), hot_ms.len());
-        out.push(
-            "serve.miss_request_ms",
-            stats::median(&fresh_ms),
-            fresh_ms.len(),
-        );
-        let cache = &stats_snapshot.cache;
-        let ratio = |a: u64, b: u64| Some(a as f64 / (a + b).max(1) as f64);
-        out.push(
-            "serve.result_hit_rate",
-            ratio(cache.result_hits, cache.result_misses),
-            cache.scenarios as usize,
-        );
-        out.push(
-            "serve.analysis_hit_rate",
-            ratio(cache.analysis_hits, cache.analysis_misses),
-            cache.batches as usize,
-        );
-        out.push(
-            "serve.requests_per_batch",
-            Some(cache.requests as f64 / cache.batches.max(1) as f64),
-            cache.batches as usize,
-        );
-        out.push(
-            "serve.dedup_rate",
-            ratio(cache.coalesced_duplicates, cache.scenarios),
-            cache.scenarios as usize,
-        );
-        out.push(
-            "serve.result_evictions",
-            Some(cache.result_evictions as f64),
-            1,
-        );
-        replay::push_sparse(&mut out, &stats_snapshot.solver, cache.requests as usize);
-        push_span(
-            &mut out,
-            &ctx.rec,
-            "serve.slot_json",
-            "serve.slot_json_us",
-            1e3,
-        );
-        traced(ctx, &mut out, &mix, &socket, &answers)?;
-    }
     drop(server);
     let _ = std::fs::remove_file(&socket);
+    if ctx.traced() {
+        let requests = out.attempted as usize;
+        replay::push_sparse(&mut out, &stats_snapshot.solver, requests);
+        let specs: Vec<ScenarioSpec> = mix.specs[..2 * HOT]
+            .iter()
+            .map(parse_spec)
+            .collect::<Result<_, _>>()?;
+        replay::lower_layers(&mut out, &ctx.rec, &specs)?;
+    }
     Ok(out)
-}
-
-/// In-process scheduler and codec replays, and the socket's own cost.
-fn traced(
-    ctx: &Ctx,
-    out: &mut Outcome,
-    mix: &Mix,
-    socket: &Path,
-    answers: &[Vec<Answer>],
-) -> Res<()> {
-    let rec = &ctx.rec;
-
-    // The same hot requests over the warm daemon's socket (one client,
-    // one spec at a time) and straight into a warm in-process scheduler,
-    // alternating so that both see the same host conditions.
-    let mut client = Client::connect(socket)?;
-    let scheduler = Scheduler::start(scheduler_config());
-    let submit = |spec: ScenarioSpec| -> Res<()> {
-        let rx = scheduler
-            .submit(vec![spec], false)
-            .ok_or("scheduler refused")?;
-        for reply in rx {
-            if let Reply::Done { .. } = reply {
-                return Ok(());
-            }
-        }
-        Err("no done reply".into())
-    };
-    let hot_specs: Vec<ScenarioSpec> = mix.specs[..HOT]
-        .iter()
-        .map(parse_spec)
-        .collect::<Result<_, _>>()?;
-    for spec in &hot_specs {
-        submit(spec.clone())?;
-    }
-    for i in 0..2 * HOT {
-        let k = i % HOT;
-        let line = obj(vec![
-            ("op", Json::str("run")),
-            ("specs", Json::Arr(vec![mix.specs[k].clone()])),
-        ])
-        .encode();
-        let req = i as u64;
-        rec.span("socket.hit", SpanId::NONE, req, |_| client.run(&line))?;
-        rec.span("scheduler.hit", SpanId::NONE, req, |_| {
-            submit(hot_specs[k].clone())
-        })?;
-    }
-    drop(client);
-    let base = derived_seed(ctx.seed, 20) * 100_000;
-    for i in 0..2 * HOT {
-        let spec = parse_spec(&warm_spec(base + i as u64, i))?;
-        rec.span("scheduler.miss", SpanId::NONE, i as u64, |_| submit(spec))?;
-    }
-    scheduler.shutdown();
-    push_span(out, rec, "scheduler.hit", "serve.scheduler_hit_ms", 1.0);
-    push_span(out, rec, "scheduler.miss", "serve.scheduler_miss_ms", 1.0);
-    let p50 = |name: &str| stats::median(&rec.durations_ms(name));
-    out.push(
-        "serve.transport_ms",
-        p50("socket.hit")
-            .zip(p50("scheduler.hit"))
-            .map(|(a, b)| a - b),
-        2 * HOT,
-    );
-
-    // Codec: the daemon's parse of every request line sent, its protocol
-    // decode, and the encode of every done event answered.
-    let mut i = 0u64;
-    for (c, list) in answers.iter().enumerate() {
-        for a in list {
-            let line = &mix.clients[c][a.req].line;
-            let v = rec.span("json.parse", SpanId::NONE, i, |_| Json::parse(line))?;
-            rec.span("protocol.parse", SpanId::NONE, i, |_| Request::parse(&v))?;
-            if let Some(done) = &a.done {
-                let d = Json::parse(done)?;
-                std::hint::black_box(rec.span("json.encode", SpanId::NONE, i, |_| d.encode()));
-            }
-            i += 1;
-        }
-    }
-    push_span(out, rec, "json.parse", "serve.json_parse_us", 1e3);
-    push_span(out, rec, "protocol.parse", "serve.protocol_parse_us", 1e3);
-    push_span(out, rec, "json.encode", "serve.json_encode_us", 1e3);
-
-    for tiers in [2, 4] {
-        replay::thermal_refactors(out, rec, tiers)?;
-    }
-    let specs: Vec<ScenarioSpec> = mix.specs[..2 * HOT]
-        .iter()
-        .map(parse_spec)
-        .collect::<Result<_, _>>()?;
-    let scenarios = specs
-        .iter()
-        .map(ScenarioSpec::build)
-        .collect::<Result<Vec<_>, _>>()?;
-    for (i, sc) in scenarios.iter().enumerate() {
-        replay::replay_scenario(rec, sc, i as u64, false)?;
-    }
-    replay::push_sim_setup(out, rec);
-    replay::scenario_layer(out, rec, &specs)?;
-    Ok(())
 }
 
 #[cfg(test)]
