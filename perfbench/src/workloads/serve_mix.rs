@@ -1,7 +1,8 @@
 //! `serve_mix` — the served-request entry path: an in-process daemon on a
 //! unix socket (default scheduler settings, `threads` = the host's
-//! parallelism) loaded by two closed-loop NDJSON clients, each sending a
-//! seeded request sequence: repeats of a 16-spec hot set, fresh 10 s specs
+//! parallelism) loaded by two closed-loop NDJSON clients, each sending,
+//! after an untimed warm-up of the hot set, a seeded request sequence:
+//! repeats of a 16-spec hot set, fresh 10 s specs
 //! on the warm 2- and 4-tier patterns, streaming requests, three-spec
 //! requests with an in-request duplicate, and a few first uses of new
 //! grids (cold patterns).
