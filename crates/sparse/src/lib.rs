@@ -56,11 +56,21 @@
 //! which links SuperLU precisely to reuse one symbolic analysis across a
 //! transient run (`SamePattern_SameRowPerm`), this crate splits the direct
 //! solver: [`lu::factor_with_symbolic`] performs one full pivoting
-//! factorisation and freezes the column ordering, pivot sequence and L/U
-//! patterns in a [`SymbolicLu`]; [`LuFactors::refactor`] (or
+//! factorisation and freezes the column ordering, pivot sequence and
+//! factor layout in a [`SymbolicLu`]; [`LuFactors::refactor`] (or
 //! [`SymbolicLu::refactor_into`] for allocation reuse) then replays only
 //! the numeric sweep — no DFS, no pivot search — for any matrix with the
 //! *identical* pattern.
+//!
+//! **Factor layout.** Rows are numbered by the step that pivoted them,
+//! and each column of `L` and `U` is stored as one contiguous row range —
+//! its envelope — whose shape the [`SymbolicLu`] shares with every
+//! [`LuFactors`] over it. No entry carries a row index; rows inside a
+//! range that the exact pattern lacks hold stored zeros. The
+//! refactorisation and both triangular solves therefore run every update
+//! as a contiguous `x[a..b] -= v·t`, with results bit-identical to an
+//! index-per-entry layout for finite inputs (the argument is in the
+//! [`lu`] module docs).
 //!
 //! **When refactorisation is valid.** The frozen pivot sequence was chosen
 //! for the values seen at analysis time. It remains numerically sound
@@ -85,7 +95,7 @@
 //! use cmosaic_sparse::{TripletMatrix, lu};
 //!
 //! # fn main() -> Result<(), cmosaic_sparse::SparseError> {
-//! // 2x2 system: [[4, 1], [2, 5]] · x = [9, 12]  =>  x = [1.5, 1.8]... let's check.
+//! // 2x2 system: [[4, 1], [2, 5]] · x = [9, 12]  =>  x = [11/6, 5/3].
 //! let mut t = TripletMatrix::new(2, 2);
 //! t.push(0, 0, 4.0);
 //! t.push(0, 1, 1.0);
@@ -94,9 +104,8 @@
 //! let a = t.to_csc();
 //! let f = lu::factor(&a)?;
 //! let x = f.solve(&[9.0, 12.0])?;
-//! let r0 = 4.0 * x[0] + 1.0 * x[1] - 9.0;
-//! let r1 = 2.0 * x[0] + 5.0 * x[1] - 12.0;
-//! assert!(r0.abs() < 1e-12 && r1.abs() < 1e-12);
+//! assert!((x[0] - 11.0 / 6.0).abs() < 1e-12);
+//! assert!((x[1] - 5.0 / 3.0).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```

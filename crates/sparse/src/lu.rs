@@ -12,20 +12,56 @@
 //! the lattice-structured matrices of the thermal model keeps the factors
 //! essentially banded.
 //!
+//! # Envelope storage
+//!
+//! Once the pivot sequence is known, rows are numbered by the step that
+//! pivoted them, and in that *pivot space* each factor column is stored as
+//! one contiguous row range: `L(:,j)` holds rows `j+1..=l_last(j)` and
+//! `U(:,j)` holds rows `u_first(j)..j`, the outermost rows of the exact
+//! Gilbert–Peierls pattern. Rows inside an extent that the exact pattern
+//! lacks are stored as exact zeros. No entry carries a row index: two
+//! column-pointer arrays describe the whole layout, shared through an
+//! `Arc` by a [`SymbolicLu`] and every [`LuFactors`] built over it. The
+//! triangular solves and the refactorisation then run every update as one
+//! contiguous `x[a..b] -= v[..]·t`, which the compiler vectorises. Under
+//! RCM the thermal operators' factors are banded, so the envelope stores
+//! only a few to a few tens of percent more entries than the exact pattern
+//! ([`SymbolicLu::exact_nnz`] against [`SymbolicLu::nnz_l`] +
+//! [`SymbolicLu::nnz_u`]).
+//!
+//! The padding leaves every result bit-identical to an index-per-entry
+//! layout for finite inputs. Each kernel visits the columns in the same
+//! order as it would over the exact pattern, and every update is a
+//! separate multiply and subtract (`a - l·t`, never a fused multiply-add),
+//! so each exact entry receives the same subtractions in the same order.
+//! A padded slot always holds a zero: a row outside the exact pattern of a
+//! column is never reached by a nonzero update (it would then belong to
+//! the pattern), so it stays `+0`, and an update through a padded slot
+//! subtracts `±0`, which leaves any nonzero value as it was. A zero
+//! multiplier skips its column in both layouts. The only bits the padding
+//! can touch are the sign of an entry that is exactly zero, which no later
+//! step turns into a nonzero difference.
+//!
 //! # Symbolic/numeric split
 //!
 //! The RC networks this crate serves have a sparsity pattern fixed at model
 //! construction; only the *values* change between operating points (flow
 //! rates, transient time steps, two-phase sweeps). [`factor_with_symbolic`]
-//! therefore captures the column ordering, pivot sequence and L/U nonzero
-//! patterns of one full pivoting factorisation in a [`SymbolicLu`], and
-//! [`LuFactors::refactor`] replays only the numeric sweep over that frozen
-//! pattern — the same trick 3D-ICE gets from SuperLU's
-//! `SamePattern_SameRowPerm` path. A refactorisation skips the DFS *and*
-//! the pivot search, so it is valid only while the frozen pivot sequence
-//! remains numerically acceptable; a pivot-growth guard detects degradation
-//! and reports [`SparseError::UnstablePivot`] so callers can fall back to a
-//! fresh pivoting factorisation.
+//! therefore captures the column ordering, pivot sequence and envelope of
+//! one full pivoting factorisation in a [`SymbolicLu`], together with the
+//! rows of `A` mapped to pivot steps, and [`LuFactors::refactor`] replays
+//! only the numeric sweep over that frozen layout — the same trick 3D-ICE
+//! gets from SuperLU's `SamePattern_SameRowPerm` path. The sweep is
+//! left-looking: column `j` scatters `A(:,j)` into a dense pivot-space
+//! column, then applies `L(:,k)` for every `k` of its `U` extent in
+//! ascending order, which is a valid elimination order. A refactorisation
+//! skips the DFS *and* the pivot search, so it is valid only while the
+//! frozen pivot sequence remains numerically acceptable; a pivot-growth
+//! guard detects degradation and reports [`SparseError::UnstablePivot`]
+//! so callers can fall back to a fresh pivoting factorisation.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::csc::CscMatrix;
 use crate::ordering::{reverse_cuthill_mckee, Permutation};
@@ -51,25 +87,68 @@ pub enum ColumnOrdering {
     Rcm,
 }
 
-/// The result of a sparse LU factorisation: `P·A·Q = L·U`.
-///
-/// `L` has an implicit unit diagonal and stores *original* row indices; `U`
-/// is strictly upper triangular in pivot coordinates with its diagonal held
-/// separately. Use [`LuFactors::solve`] to solve `A·x = b`.
-#[derive(Debug, Clone)]
-pub struct LuFactors {
+/// The pivot-space envelope layout of one factorisation, shared by its
+/// [`SymbolicLu`] and every [`LuFactors`] over it.
+#[derive(Debug)]
+struct Envelope {
     n: usize,
-    l_colptr: Vec<usize>,
-    l_rows: Vec<usize>,
-    l_vals: Vec<f64>,
-    u_colptr: Vec<usize>,
-    u_rows: Vec<usize>,
-    u_vals: Vec<f64>,
-    u_diag: Vec<f64>,
-    /// `p[j]` = original row index chosen as the pivot of step `j`.
+    /// `L(:,j)` is stored at `l_ptr[j]..l_ptr[j + 1]` and holds pivot
+    /// rows `j + 1..j + 1 + len`.
+    l_ptr: Vec<usize>,
+    /// `U(:,j)` is stored at `u_ptr[j]..u_ptr[j + 1]` and holds pivot
+    /// rows `j - len..j`.
+    u_ptr: Vec<usize>,
+    /// `p[j]` = original row pivoted at step `j`.
     p: Vec<usize>,
     /// Column permutation (`q.old_of(j)` = original column factored at `j`).
     q: Permutation,
+    /// Entries of the exact L and U patterns, U's diagonal included.
+    exact_nnz: usize,
+}
+
+impl Envelope {
+    /// Value slots of `L(:,j)`; its rows start at `j + 1`.
+    fn l_col(&self, j: usize) -> Range<usize> {
+        self.l_ptr[j]..self.l_ptr[j + 1]
+    }
+
+    /// Value slots of `U(:,j)`; its rows end at `j - 1`.
+    fn u_col(&self, j: usize) -> Range<usize> {
+        self.u_ptr[j]..self.u_ptr[j + 1]
+    }
+
+    fn nnz_l(&self) -> usize {
+        self.l_ptr[self.n]
+    }
+
+    fn nnz_u(&self) -> usize {
+        self.u_ptr[self.n] + self.n
+    }
+}
+
+/// `dst -= src·t`, slot by slot: a multiply, then a subtract, never a
+/// fused multiply-add, so each slot rounds exactly as an index-per-entry
+/// update of the same entry would.
+#[inline]
+fn sub_scaled(dst: &mut [f64], src: &[f64], t: f64) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d -= s * t;
+    }
+}
+
+/// The result of a sparse LU factorisation: `P·A·Q = L·U`.
+///
+/// `L` has an implicit unit diagonal and `U`'s diagonal is held
+/// separately; both are stored in the pivot-space envelope layout of the
+/// [module docs](self), whose shape is shared with the [`SymbolicLu`] it
+/// belongs to, so a factor object owns only its values. Use
+/// [`LuFactors::solve`] to solve `A·x = b`.
+#[derive(Debug, Clone)]
+pub struct LuFactors {
+    env: Arc<Envelope>,
+    l_vals: Vec<f64>,
+    u_vals: Vec<f64>,
+    u_diag: Vec<f64>,
 }
 
 /// Factors a square matrix with the default (RCM) column pre-ordering.
@@ -106,6 +185,9 @@ pub fn factor_with_ordering(
         ColumnOrdering::Rcm => reverse_cuthill_mckee(a),
     };
 
+    // The exact factors, with L in original row indices: rows get their
+    // pivot step only as the factorisation reaches them, so the DFS works
+    // in original rows and the envelope is laid out once at the end.
     let mut l_colptr = Vec::with_capacity(n + 1);
     let mut l_rows: Vec<usize> = Vec::new();
     let mut l_vals: Vec<f64> = Vec::new();
@@ -232,18 +314,53 @@ pub fn factor_with_ordering(
         u_colptr.push(u_rows.len());
     }
 
-    Ok(LuFactors {
+    // ---- Lay the exact factors out in the envelope. Every row is pivoted
+    // now, so L's rows become pivot steps like U's already are; each
+    // column's extent reaches its outermost row, and the values land in
+    // their row's slot unchanged.
+    for r in &mut l_rows {
+        *r = pinv[*r];
+    }
+    let mut l_ptr = Vec::with_capacity(n + 1);
+    let mut u_ptr = Vec::with_capacity(n + 1);
+    l_ptr.push(0);
+    u_ptr.push(0);
+    for j in 0..n {
+        let l_last = l_rows[l_colptr[j]..l_colptr[j + 1]]
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(j);
+        let u_first = u_rows[u_colptr[j]..u_colptr[j + 1]]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(j);
+        l_ptr.push(l_ptr[j] + l_last - j);
+        u_ptr.push(u_ptr[j] + j - u_first);
+    }
+    let mut f = LuFactors::zeroed(Arc::new(Envelope {
         n,
-        l_colptr,
-        l_rows,
-        l_vals,
-        u_colptr,
-        u_rows,
-        u_vals,
-        u_diag,
+        exact_nnz: l_rows.len() + u_rows.len() + n,
+        l_ptr,
+        u_ptr,
         p,
         q,
-    })
+    }));
+    f.u_diag = u_diag;
+    let env = &*f.env;
+    for j in 0..n {
+        let l = &mut f.l_vals[env.l_col(j)];
+        for k in l_colptr[j]..l_colptr[j + 1] {
+            l[l_rows[k] - (j + 1)] = l_vals[k];
+        }
+        let u = &mut f.u_vals[env.u_col(j)];
+        let u_first = j - u.len();
+        for k in u_colptr[j]..u_colptr[j + 1] {
+            u[u_rows[k] - u_first] = u_vals[k];
+        }
+    }
+    Ok(f)
 }
 
 /// Factors `a` and captures the symbolic analysis for later numeric
@@ -262,83 +379,68 @@ pub fn factor_with_symbolic(
 }
 
 /// The reusable symbolic half of a sparse LU factorisation: column
-/// ordering, pivot sequence and the L/U nonzero patterns, frozen from one
-/// full pivoting factorisation ([`factor_with_symbolic`]).
+/// ordering, pivot sequence and the envelope layout of the factors, frozen
+/// from one full pivoting factorisation ([`factor_with_symbolic`]).
 ///
 /// A `SymbolicLu` is valid for any matrix with *exactly* the sparsity
 /// pattern of the matrix it was captured from (values free to change); the
-/// pattern is checked on every [`SymbolicLu::refactor`] call. Within each U
-/// column the pattern is stored in ascending pivot order, which is a valid
-/// topological elimination order, so the numeric sweep needs no DFS.
+/// pattern is checked on every [`SymbolicLu::refactor`] call. The rows of
+/// that pattern are kept mapped to pivot steps, so the numeric sweep
+/// scatters each column straight into pivot space and needs no DFS.
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
-    n: usize,
-    l_colptr: Vec<usize>,
-    /// L pattern rows in *original* row indices.
-    l_rows: Vec<usize>,
-    u_colptr: Vec<usize>,
-    /// U pattern rows as pivot steps, ascending within each column.
-    u_rows: Vec<usize>,
-    /// `p[j]` = original row pivoted at step `j`.
-    p: Vec<usize>,
-    q: Permutation,
+    env: Arc<Envelope>,
     /// Pattern of the factored matrix, for validity checking.
     a_colptr: Vec<usize>,
     a_rows: Vec<usize>,
+    /// `a_steps[k]` = pivot step of row `a_rows[k]`.
+    a_steps: Vec<usize>,
 }
 
 impl SymbolicLu {
     /// Extracts the symbolic analysis from a completed factorisation of
     /// `a`.
     fn capture(f: &LuFactors, a: &CscMatrix) -> Self {
-        let mut u_rows = f.u_rows.clone();
-        for j in 0..f.n {
-            u_rows[f.u_colptr[j]..f.u_colptr[j + 1]].sort_unstable();
+        let mut pinv = vec![0; f.env.n];
+        for (step, &row) in f.env.p.iter().enumerate() {
+            pinv[row] = step;
         }
         SymbolicLu {
-            n: f.n,
-            l_colptr: f.l_colptr.clone(),
-            l_rows: f.l_rows.clone(),
-            u_colptr: f.u_colptr.clone(),
-            u_rows,
-            p: f.p.clone(),
-            q: f.q.clone(),
+            env: Arc::clone(&f.env),
             a_colptr: a.col_ptr().to_vec(),
             a_rows: a.row_idx().to_vec(),
+            a_steps: a.row_idx().iter().map(|&r| pinv[r]).collect(),
         }
     }
 
     /// Dimension of the analysed matrix.
     pub fn n(&self) -> usize {
-        self.n
+        self.env.n
     }
 
-    /// Stored entries in the frozen `L` pattern (implicit unit diagonal
-    /// excluded).
+    /// Stored entries of `L` (implicit unit diagonal excluded): the
+    /// envelope, padding included.
     pub fn nnz_l(&self) -> usize {
-        self.l_rows.len()
+        self.env.nnz_l()
     }
 
-    /// Stored entries in the frozen `U` pattern (diagonal included).
+    /// Stored entries of `U` (diagonal included): the envelope, padding
+    /// included.
     pub fn nnz_u(&self) -> usize {
-        self.u_rows.len() + self.n
+        self.env.nnz_u()
+    }
+
+    /// Entries of the exact Gilbert–Peierls `L` and `U` patterns (`U`'s
+    /// diagonal included) — what an index-per-entry layout would store.
+    /// `nnz_l() + nnz_u()` over this is the envelope's padding ratio.
+    pub fn exact_nnz(&self) -> usize {
+        self.env.exact_nnz
     }
 
     /// Allocates a factor object shaped for this pattern, ready for
     /// [`SymbolicLu::refactor_into`].
     pub fn allocate_factors(&self) -> LuFactors {
-        LuFactors {
-            n: self.n,
-            l_colptr: self.l_colptr.clone(),
-            l_rows: self.l_rows.clone(),
-            l_vals: vec![0.0; self.l_rows.len()],
-            u_colptr: self.u_colptr.clone(),
-            u_rows: self.u_rows.clone(),
-            u_vals: vec![0.0; self.u_rows.len()],
-            u_diag: vec![0.0; self.n],
-            p: self.p.clone(),
-            q: self.q.clone(),
-        }
+        LuFactors::zeroed(Arc::clone(&self.env))
     }
 
     /// Numerically refactors `a` over the frozen pattern into a fresh
@@ -358,8 +460,7 @@ impl SymbolicLu {
     /// `f` is an allocation donor: any factor object with this pattern's
     /// array shapes works (one from [`SymbolicLu::allocate_factors`], a
     /// previous refactorisation, or a fresh [`factor`] of the same
-    /// matrix), and its pattern arrays are rewritten to this symbolic
-    /// object's layout.
+    /// matrix), and it takes this symbolic object's layout.
     ///
     /// # Errors
     ///
@@ -370,7 +471,7 @@ impl SymbolicLu {
     ///   stability bound; the caller should run a fresh pivoting
     ///   [`factor`].
     pub fn refactor_into(&self, a: &CscMatrix, f: &mut LuFactors) -> Result<(), SparseError> {
-        let mut x = vec![0.0f64; self.n];
+        let mut x = vec![0.0f64; self.n()];
         self.refactor_into_with(a, f, &mut x)
     }
 
@@ -389,12 +490,14 @@ impl SymbolicLu {
         f: &mut LuFactors,
         x: &mut Vec<f64>,
     ) -> Result<(), SparseError> {
+        let env = &*self.env;
+        let n = env.n;
         // The scratch column must start zeroed, and the documented
         // invariant is that it comes back sized-to-`n` and zeroed on
         // *every* exit path — including the shape-check early returns
         // below — so warm loops can hand the same buffer back blindly.
         x.clear();
-        x.resize(self.n, 0.0);
+        x.resize(n, 0.0);
         if a.col_ptr() != self.a_colptr.as_slice() || a.row_idx() != self.a_rows.as_slice() {
             return Err(SparseError::Shape {
                 detail: format!(
@@ -402,63 +505,46 @@ impl SymbolicLu {
                      {n}x{n} matrix with {nnz} stored entries in a fixed \
                      pattern; pass a matrix with the identical pattern or \
                      re-run the full factorisation",
-                    n = self.n,
                     nnz = self.a_rows.len(),
                 ),
             });
         }
-        if f.n != self.n
-            || f.l_vals.len() != self.l_rows.len()
-            || f.u_vals.len() != self.u_rows.len()
-        {
+        if f.n() != n || f.nnz_l() != env.nnz_l() || f.nnz_u() != env.nnz_u() {
             return Err(SparseError::Shape {
                 detail: "refactor target does not match this pattern's array shapes".into(),
             });
         }
-        // Align the donor's pattern with this symbolic layout (a fresh
-        // `factor` stores U columns in topological rather than ascending
-        // pivot order).
-        f.l_colptr.clone_from(&self.l_colptr);
-        f.l_rows.clone_from(&self.l_rows);
-        f.u_colptr.clone_from(&self.u_colptr);
-        f.u_rows.clone_from(&self.u_rows);
-        f.p.clone_from(&self.p);
-        f.q.clone_from(&self.q);
+        f.env = Arc::clone(&self.env);
 
-        for jj in 0..self.n {
-            let col = self.q.old_of(jj);
-            for (r, v) in a.col_iter(col) {
-                x[r] = v;
+        let a_vals = a.values();
+        for jj in 0..n {
+            let col = env.q.old_of(jj);
+            for k in self.a_colptr[col]..self.a_colptr[col + 1] {
+                x[self.a_steps[k]] = a_vals[k];
             }
-            // Eliminate with the frozen pivot sequence: ascending pivot
-            // order within the column is topological. Slice-pair iteration
-            // keeps the hot multiply-accumulate free of index bounds
-            // checks on the pattern arrays.
-            let (u_lo, u_hi) = (self.u_colptr[jj], self.u_colptr[jj + 1]);
-            for (t, &k) in (u_lo..u_hi).zip(&self.u_rows[u_lo..u_hi]) {
-                let xk = x[self.p[k]];
-                f.u_vals[t] = xk;
-                x[self.p[k]] = 0.0;
+            // Eliminate with the frozen pivot sequence, ascending through
+            // the U extent (a topological order); padded rows hold zero
+            // and skip their column.
+            let u = &mut f.u_vals[env.u_col(jj)];
+            let u_first = jj - u.len();
+            for (k, uv) in (u_first..jj).zip(u) {
+                let xk = std::mem::take(&mut x[k]);
+                *uv = xk;
                 if xk != 0.0 {
-                    let (lo, hi) = (self.l_colptr[k], self.l_colptr[k + 1]);
-                    for (&r, &lv) in self.l_rows[lo..hi].iter().zip(&f.l_vals[lo..hi]) {
-                        x[r] -= lv * xk;
-                    }
+                    let l = &f.l_vals[env.l_col(k)];
+                    sub_scaled(&mut x[k + 1..k + 1 + l.len()], l, xk);
                 }
             }
-            let d = x[self.p[jj]];
-            x[self.p[jj]] = 0.0;
-            let (lo, hi) = (self.l_colptr[jj], self.l_colptr[jj + 1]);
-            let mut colmax = 0.0f64;
-            for &r in &self.l_rows[lo..hi] {
-                colmax = colmax.max(x[r].abs());
-            }
+            let d = std::mem::take(&mut x[jj]);
+            let l_slots = env.l_col(jj);
+            let below = &mut x[jj + 1..jj + 1 + l_slots.len()];
+            let colmax = below.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if !d.is_finite() || d.abs() <= PIVOT_TINY {
-                x.iter_mut().for_each(|v| *v = 0.0);
+                x.fill(0.0);
                 return Err(SparseError::Singular { column: col });
             }
             if colmax > MAX_PIVOT_GROWTH * d.abs() {
-                x.iter_mut().for_each(|v| *v = 0.0);
+                x.fill(0.0);
                 return Err(SparseError::UnstablePivot {
                     column: col,
                     growth: colmax / d.abs(),
@@ -466,32 +552,30 @@ impl SymbolicLu {
             }
             f.u_diag[jj] = d;
             let inv_d = 1.0 / d;
-            for (&r, lv) in self.l_rows[lo..hi].iter().zip(&mut f.l_vals[lo..hi]) {
-                *lv = x[r] * inv_d;
-                x[r] = 0.0;
+            for (lv, xr) in f.l_vals[l_slots].iter_mut().zip(below) {
+                *lv = std::mem::take(xr) * inv_d;
             }
         }
         Ok(())
     }
 }
 
-/// Reusable scratch for [`LuFactors::solve_with`]: the two dense working
-/// vectors a triangular solve needs, kept across calls so a warm solver
-/// loop performs zero heap allocation.
+/// Reusable scratch for [`LuFactors::solve_with`]: the dense pivot-space
+/// vector the in-place triangular solve works in, kept across calls so a
+/// warm solver loop performs zero heap allocation.
 ///
-/// One workspace serves factorisations of any size — the buffers grow to
-/// the largest `n` seen and then stay. [`SolveWorkspace::grows`] counts how
-/// often a buffer actually had to reallocate, which is the observable that
-/// lets callers *assert* their hot path is allocation-free.
+/// One workspace serves factorisations of any size — the buffer grows to
+/// the largest `n` seen and then stays. [`SolveWorkspace::grows`] counts how
+/// often it actually had to reallocate, which is the observable that lets
+/// callers *assert* their hot path is allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
-    w: Vec<f64>,
     y: Vec<f64>,
     grows: u64,
 }
 
 impl SolveWorkspace {
-    /// Creates an empty workspace (buffers grow on first use).
+    /// Creates an empty workspace (the buffer grows on first use).
     pub fn new() -> Self {
         Self::default()
     }
@@ -500,29 +584,23 @@ impl SolveWorkspace {
     /// the first solve allocates nothing.
     pub fn with_dimension(n: usize) -> Self {
         SolveWorkspace {
-            w: vec![0.0; n],
             y: vec![0.0; n],
             grows: 0,
         }
     }
 
-    /// Number of times a buffer had to reallocate since construction. A
+    /// Number of times the buffer had to reallocate since construction. A
     /// warm loop must keep this constant.
     pub fn grows(&self) -> u64 {
         self.grows
     }
 
-    /// Sizes both buffers to `n`, counting real reallocations. Both
-    /// buffers are fully overwritten by every solve (`w` by the RHS copy,
-    /// `y` by the forward sweep), so a warm call — lengths already `n` —
-    /// does no work here at all.
+    /// Sizes the buffer to `n`, counting real reallocations. Every solve
+    /// overwrites it completely (the right-hand side is gathered into it),
+    /// so a warm call — length already `n` — does no work here at all.
     fn ensure(&mut self, n: usize) {
-        if self.w.capacity() < n || self.y.capacity() < n {
+        if self.y.capacity() < n {
             self.grows += 1;
-        }
-        if self.w.len() != n {
-            self.w.clear();
-            self.w.resize(n, 0.0);
         }
         if self.y.len() != n {
             self.y.clear();
@@ -532,9 +610,19 @@ impl SolveWorkspace {
 }
 
 impl LuFactors {
+    /// All-zero factors laid out in `env`.
+    fn zeroed(env: Arc<Envelope>) -> Self {
+        LuFactors {
+            l_vals: vec![0.0; env.l_ptr[env.n]],
+            u_vals: vec![0.0; env.u_ptr[env.n]],
+            u_diag: vec![0.0; env.n],
+            env,
+        }
+    }
+
     /// Dimension of the factored matrix.
     pub fn n(&self) -> usize {
-        self.n
+        self.env.n
     }
 
     /// Numeric-only refactorisation: recomputes factors for `a` over the
@@ -549,14 +637,16 @@ impl LuFactors {
         symbolic.refactor(a)
     }
 
-    /// Stored entries in `L` (excluding the implicit unit diagonal).
+    /// Stored entries in `L` (excluding the implicit unit diagonal): the
+    /// envelope, padding included.
     pub fn nnz_l(&self) -> usize {
         self.l_vals.len()
     }
 
-    /// Stored entries in `U` (including the diagonal).
+    /// Stored entries in `U` (including the diagonal): the envelope,
+    /// padding included.
     pub fn nnz_u(&self) -> usize {
-        self.u_vals.len() + self.n
+        self.u_vals.len() + self.u_diag.len()
     }
 
     /// Solves `A·x = b` using the computed factors.
@@ -566,7 +656,7 @@ impl LuFactors {
     /// Returns [`SparseError::Shape`] if `b.len() != n`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SparseError> {
         let mut ws = SolveWorkspace::new();
-        let mut x = vec![0.0f64; self.n];
+        let mut x = vec![0.0f64; self.n()];
         self.solve_with(&mut ws, b, &mut x)?;
         Ok(x)
     }
@@ -575,6 +665,10 @@ impl LuFactors {
     /// solution (in original ordering, permutation applied) overwrites `x`
     /// completely; `b` is untouched. After the workspace has warmed to this
     /// dimension, the call performs no heap allocation.
+    ///
+    /// The right-hand side is gathered into pivot order, the forward and
+    /// backward sweeps run in place in the workspace's one buffer, and the
+    /// result is scattered back through the column permutation.
     ///
     /// # Errors
     ///
@@ -585,78 +679,55 @@ impl LuFactors {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<(), SparseError> {
-        if b.len() != self.n || x.len() != self.n {
+        let env = &*self.env;
+        let n = env.n;
+        if b.len() != n || x.len() != n {
             return Err(SparseError::Shape {
                 detail: format!(
-                    "rhs length {} / solution length {} != {}",
+                    "rhs length {} / solution length {} != {n}",
                     b.len(),
                     x.len(),
-                    self.n
                 ),
             });
         }
-        ws.ensure(self.n);
-        ws.w.copy_from_slice(b);
-        // Split borrow: forward/backward sweeps need w and y separately.
-        let (w, y) = (&mut ws.w, &mut ws.y);
-        self.solve_into(w, y);
-        self.q.scatter_into(y, x);
-        Ok(())
-    }
-
-    /// Low-allocation solve: `w` must contain the right-hand side on entry
-    /// (it is destroyed), `y` receives the solution in *factor* ordering.
-    /// Use [`LuFactors::solve`] unless profiling says otherwise; note the
-    /// final column-permutation scatter is skipped here, so `y` is only
-    /// meaningful after [`Permutation::scatter`] with
-    /// [`LuFactors::column_permutation`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` or `y` have length different from `n`.
-    pub fn solve_into(&self, w: &mut [f64], y: &mut [f64]) {
-        assert_eq!(w.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        // Forward: y = L⁻¹ P w.
-        for j in 0..self.n {
-            let t = w[self.p[j]];
-            y[j] = t;
+        ws.ensure(n);
+        let y = &mut ws.y;
+        for (yj, &row) in y.iter_mut().zip(&env.p) {
+            *yj = b[row];
+        }
+        // Forward: y = L⁻¹ P b.
+        for j in 0..n {
+            let t = y[j];
             if t != 0.0 {
-                for k in self.l_colptr[j]..self.l_colptr[j + 1] {
-                    w[self.l_rows[k]] -= self.l_vals[k] * t;
-                }
+                let l = &self.l_vals[env.l_col(j)];
+                sub_scaled(&mut y[j + 1..j + 1 + l.len()], l, t);
             }
         }
         // Backward: y = U⁻¹ y.
-        for j in (0..self.n).rev() {
+        for j in (0..n).rev() {
             let yj = y[j] / self.u_diag[j];
             y[j] = yj;
             if yj != 0.0 {
-                for k in self.u_colptr[j]..self.u_colptr[j + 1] {
-                    y[self.u_rows[k]] -= self.u_vals[k] * yj;
-                }
+                let u = &self.u_vals[env.u_col(j)];
+                sub_scaled(&mut y[j - u.len()..j], u, yj);
             }
         }
-    }
-
-    /// The column permutation used by the factorisation.
-    pub fn column_permutation(&self) -> &Permutation {
-        &self.q
+        env.q.scatter_into(y, x);
+        Ok(())
     }
 
     /// Solves `A·X = B` for multiple right-hand sides, reusing one scratch
-    /// pair across all columns instead of allocating two working vectors
-    /// per column.
+    /// buffer across all columns instead of allocating one per column.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::Shape`] if any right-hand side has the wrong
     /// length.
     pub fn solve_many(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, SparseError> {
-        let mut ws = SolveWorkspace::with_dimension(self.n);
+        let mut ws = SolveWorkspace::with_dimension(self.n());
         bs.iter()
             .map(|b| {
-                let mut x = vec![0.0f64; self.n];
+                let mut x = vec![0.0f64; self.n()];
                 self.solve_with(&mut ws, b, &mut x)?;
                 Ok(x)
             })
@@ -879,6 +950,60 @@ mod tests {
         assert_eq!(sym.n(), a.nrows());
         assert_eq!(sym.nnz_l(), f.nnz_l());
         assert_eq!(sym.nnz_u(), f.nnz_u());
+        assert!(sym.exact_nnz() >= a.nrows());
+        assert!(sym.exact_nnz() <= sym.nnz_l() + sym.nnz_u());
+    }
+
+    /// An arrow matrix in natural order: column 0 of `L` and row 0 of `U`
+    /// reach the last row and column, so the envelope pads every row in
+    /// between with stored zeros.
+    fn arrow(n: usize, scale: f64) -> CscMatrix {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 4.0 * scale + i as f64 * 0.1);
+        }
+        for i in 1..n - 1 {
+            t.push(i, i + 1, -0.5 * scale);
+        }
+        t.push(n - 1, 0, -scale);
+        t.push(0, n - 1, -0.7);
+        t.to_csc()
+    }
+
+    #[test]
+    fn envelope_padding_holds_zeros_and_solves_exactly() {
+        let a0 = arrow(9, 1.0);
+        let (mut f, sym) = factor_with_symbolic(&a0, ColumnOrdering::Natural).unwrap();
+        assert!(
+            sym.nnz_l() + sym.nnz_u() > sym.exact_nnz(),
+            "the arrow's envelope must pad"
+        );
+        let mut scratch = Vec::new();
+        for scale in [1.0, 0.6, 3.0] {
+            let a = arrow(9, scale);
+            sym.refactor_into_with(&a, &mut f, &mut scratch).unwrap();
+            assert!(scratch.iter().all(|&v| v == 0.0), "scratch left zeroed");
+            let b: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).sin() + 0.2).collect();
+            let x = f.solve(&b).unwrap();
+            assert!(residual_inf(&a, &x, &b) < 1e-12, "scale {scale}");
+            // A fresh pivoting factorisation of the same values solves to
+            // the same answer through its own padded layout.
+            let fresh = factor_with_ordering(&a, ColumnOrdering::Natural).unwrap();
+            let y = fresh.solve(&b).unwrap();
+            for (u, v) in x.iter().zip(&y) {
+                assert!((u - v).abs() < 1e-13, "{u} vs {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_rejects_a_target_of_another_shape() {
+        let (_, sym) = factor_with_symbolic(&arrow(9, 1.0), ColumnOrdering::Natural).unwrap();
+        let mut other = factor(&grid_with_advection(1.0)).unwrap();
+        assert!(matches!(
+            sym.refactor_into(&arrow(9, 2.0), &mut other),
+            Err(SparseError::Shape { .. })
+        ));
     }
 
     #[test]

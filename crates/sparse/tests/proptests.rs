@@ -1,11 +1,280 @@
 //! Property-based tests for the sparse substrate: the LU and iterative
 //! solvers are checked against the dense oracle on randomly generated,
-//! well-conditioned systems with random sparsity.
+//! well-conditioned systems with random sparsity, and the envelope-stored
+//! LU against an index-per-entry oracle bit for bit.
 
 use cmosaic_sparse::{
-    bicgstab, lu, BicgstabOptions, CscMatrix, DenseMatrix, SparseError, TripletMatrix,
+    bicgstab, lu, BicgstabOptions, CscMatrix, DenseMatrix, SolveWorkspace, SparseError,
+    TripletMatrix,
 };
 use proptest::prelude::*;
+
+/// The index-per-entry sparse LU that the envelope layout replaced, kept
+/// as a bit-identity oracle: every stored entry carries its own row index
+/// (`L` in original rows, `U` in pivot steps), and both the triangular
+/// solve and the left-looking refactorisation scatter through it.
+mod index_per_entry {
+    use cmosaic_sparse::lu::ColumnOrdering;
+    use cmosaic_sparse::ordering::{reverse_cuthill_mckee, Permutation};
+    use cmosaic_sparse::{CscMatrix, SparseError};
+
+    const PIVOT_TINY: f64 = 1e-300;
+    const MAX_PIVOT_GROWTH: f64 = 1e8;
+
+    pub struct Lu {
+        n: usize,
+        l_colptr: Vec<usize>,
+        l_rows: Vec<usize>,
+        l_vals: Vec<f64>,
+        u_colptr: Vec<usize>,
+        u_rows: Vec<usize>,
+        u_vals: Vec<f64>,
+        u_diag: Vec<f64>,
+        p: Vec<usize>,
+        q: Permutation,
+    }
+
+    /// Gilbert–Peierls with partial pivoting; panics on a singular column.
+    pub fn factor(a: &CscMatrix, ordering: ColumnOrdering) -> Lu {
+        let n = a.nrows();
+        let q = match ordering {
+            ColumnOrdering::Natural => Permutation::identity(n),
+            ColumnOrdering::Rcm => reverse_cuthill_mckee(a),
+        };
+        let (mut l_colptr, mut l_rows, mut l_vals) = (vec![0], Vec::new(), Vec::new());
+        let (mut u_colptr, mut u_rows, mut u_vals) = (vec![0], Vec::new(), Vec::new());
+        let mut u_diag = vec![0.0; n];
+        let mut p = vec![usize::MAX; n];
+        let mut pinv = vec![usize::MAX; n];
+        let mut x = vec![0.0f64; n];
+        let mut mark = vec![usize::MAX; n];
+        let mut topo: Vec<usize> = Vec::new();
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for jj in 0..n {
+            let col = q.old_of(jj);
+            topo.clear();
+            for (seed, _) in a.col_iter(col) {
+                if mark[seed] == jj {
+                    continue;
+                }
+                mark[seed] = jj;
+                stack.push((seed, 0));
+                while let Some(top) = stack.len().checked_sub(1) {
+                    let (node, cursor) = stack[top];
+                    let piv_col = pinv[node];
+                    let mut next_child = None;
+                    if piv_col != usize::MAX {
+                        let (lo, hi) = (l_colptr[piv_col], l_colptr[piv_col + 1]);
+                        let mut cur = cursor;
+                        while lo + cur < hi {
+                            let child = l_rows[lo + cur];
+                            cur += 1;
+                            if mark[child] != jj {
+                                next_child = Some(child);
+                                break;
+                            }
+                        }
+                        stack[top].1 = cur;
+                    }
+                    match next_child {
+                        Some(child) => {
+                            mark[child] = jj;
+                            stack.push((child, 0));
+                        }
+                        None => {
+                            stack.pop();
+                            topo.push(node);
+                        }
+                    }
+                }
+            }
+            for (r, v) in a.col_iter(col) {
+                x[r] = v;
+            }
+            for &i in topo.iter().rev() {
+                let piv_col = pinv[i];
+                if piv_col == usize::MAX || x[i] == 0.0 {
+                    continue;
+                }
+                let xi = x[i];
+                for k in l_colptr[piv_col]..l_colptr[piv_col + 1] {
+                    x[l_rows[k]] -= l_vals[k] * xi;
+                }
+            }
+            let mut ipiv = usize::MAX;
+            let mut best = 0.0f64;
+            for &i in &topo {
+                if pinv[i] == usize::MAX && x[i].abs() > best {
+                    best = x[i].abs();
+                    ipiv = i;
+                }
+            }
+            assert!(ipiv != usize::MAX && best >= PIVOT_TINY, "singular");
+            let d = x[ipiv];
+            u_diag[jj] = d;
+            pinv[ipiv] = jj;
+            p[jj] = ipiv;
+            for &i in &topo {
+                let piv_col = pinv[i];
+                if i == ipiv {
+                } else if piv_col != usize::MAX && piv_col < jj {
+                    u_rows.push(piv_col);
+                    u_vals.push(x[i]);
+                } else {
+                    l_rows.push(i);
+                    l_vals.push(x[i] / d);
+                }
+                x[i] = 0.0;
+            }
+            l_colptr.push(l_rows.len());
+            u_colptr.push(u_rows.len());
+        }
+        Lu {
+            n,
+            l_colptr,
+            l_rows,
+            l_vals,
+            u_colptr,
+            u_rows,
+            u_vals,
+            u_diag,
+            p,
+            q,
+        }
+    }
+
+    impl Lu {
+        /// Forward then backward substitution, scattering through the
+        /// stored row indices.
+        pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let mut w = b.to_vec();
+            let mut y = vec![0.0; self.n];
+            for j in 0..self.n {
+                let t = w[self.p[j]];
+                y[j] = t;
+                if t != 0.0 {
+                    for k in self.l_colptr[j]..self.l_colptr[j + 1] {
+                        w[self.l_rows[k]] -= self.l_vals[k] * t;
+                    }
+                }
+            }
+            for j in (0..self.n).rev() {
+                let yj = y[j] / self.u_diag[j];
+                y[j] = yj;
+                if yj != 0.0 {
+                    for k in self.u_colptr[j]..self.u_colptr[j + 1] {
+                        y[self.u_rows[k]] -= self.u_vals[k] * yj;
+                    }
+                }
+            }
+            self.q.scatter(&y)
+        }
+
+        /// The left-looking numeric sweep of `a` over this factorisation's
+        /// frozen pattern and pivots, U columns in ascending pivot order,
+        /// with the same pivot guards.
+        pub fn refactor(&self, a: &CscMatrix) -> Result<Lu, SparseError> {
+            let mut u_rows = self.u_rows.clone();
+            for j in 0..self.n {
+                u_rows[self.u_colptr[j]..self.u_colptr[j + 1]].sort_unstable();
+            }
+            let mut f = Lu {
+                n: self.n,
+                l_colptr: self.l_colptr.clone(),
+                l_rows: self.l_rows.clone(),
+                l_vals: vec![0.0; self.l_vals.len()],
+                u_colptr: self.u_colptr.clone(),
+                u_rows,
+                u_vals: vec![0.0; self.u_vals.len()],
+                u_diag: vec![0.0; self.n],
+                p: self.p.clone(),
+                q: self.q.clone(),
+            };
+            let mut x = vec![0.0f64; self.n];
+            for jj in 0..self.n {
+                let col = f.q.old_of(jj);
+                for (r, v) in a.col_iter(col) {
+                    x[r] = v;
+                }
+                for t in f.u_colptr[jj]..f.u_colptr[jj + 1] {
+                    let k = f.u_rows[t];
+                    let xk = x[f.p[k]];
+                    f.u_vals[t] = xk;
+                    x[f.p[k]] = 0.0;
+                    if xk != 0.0 {
+                        for s in f.l_colptr[k]..f.l_colptr[k + 1] {
+                            x[f.l_rows[s]] -= f.l_vals[s] * xk;
+                        }
+                    }
+                }
+                let d = x[f.p[jj]];
+                x[f.p[jj]] = 0.0;
+                let (lo, hi) = (f.l_colptr[jj], f.l_colptr[jj + 1]);
+                let mut colmax = 0.0f64;
+                for &r in &f.l_rows[lo..hi] {
+                    colmax = colmax.max(x[r].abs());
+                }
+                if !d.is_finite() || d.abs() <= PIVOT_TINY {
+                    return Err(SparseError::Singular { column: col });
+                }
+                if colmax > MAX_PIVOT_GROWTH * d.abs() {
+                    return Err(SparseError::UnstablePivot {
+                        column: col,
+                        growth: colmax / d.abs(),
+                    });
+                }
+                f.u_diag[jj] = d;
+                let inv_d = 1.0 / d;
+                for s in lo..hi {
+                    let r = f.l_rows[s];
+                    f.l_vals[s] = x[r] * inv_d;
+                    x[r] = 0.0;
+                }
+            }
+            Ok(f)
+        }
+    }
+}
+
+/// Strategy: a random sparse nonsymmetric matrix of size 2..=40 with about
+/// three off-diagonal entries a row, strictly diagonally dominant by rows
+/// only (so partial pivoting still picks off-diagonal rows), given twice
+/// with independent values over the one pattern, plus a right-hand side.
+/// Sparse enough that the factors' envelopes hold padded rows.
+fn dominant_pattern_pair() -> impl Strategy<Value = (CscMatrix, CscMatrix, Vec<f64>)> {
+    (2usize..=40)
+        .prop_flat_map(|n| {
+            let entries =
+                proptest::collection::vec((0..n, 0..n, -1.0f64..1.0, -1.0f64..1.0), 0..3 * n);
+            let margins = proptest::collection::vec((0.05f64..2.0, 0.05f64..2.0), n..=n);
+            let rhs = proptest::collection::vec(-10.0f64..10.0, n..=n);
+            (Just(n), entries, margins, rhs)
+        })
+        .prop_map(|(n, entries, margins, rhs)| {
+            let build = |pick: fn(&(usize, usize, f64, f64)) -> f64,
+                         margin: fn(&(f64, f64)) -> f64| {
+                let mut t = TripletMatrix::new(n, n);
+                let mut row_abs = vec![0.0f64; n];
+                for e in entries.iter().filter(|e| e.0 != e.1) {
+                    t.push(e.0, e.1, pick(e));
+                    row_abs[e.0] += pick(e).abs();
+                }
+                for (r, (s, m)) in row_abs.iter().zip(&margins).enumerate() {
+                    t.push(r, r, s + margin(m));
+                }
+                t.to_csc()
+            };
+            let a1 = build(|e| e.2, |m| m.0);
+            let a2 = build(|e| e.3, |m| m.1);
+            (a1, a2, rhs)
+        })
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+const ORDERINGS: [lu::ColumnOrdering; 2] = [lu::ColumnOrdering::Natural, lu::ColumnOrdering::Rcm];
 
 /// Strategy: a random square, strictly diagonally dominant sparse matrix of
 /// size 2..=24 with ~25% fill, plus a random right-hand side.
@@ -309,5 +578,55 @@ proptest! {
     #[test]
     fn transpose_is_involutive((a, _b) in dominant_system()) {
         prop_assert_eq!(a.transpose().transpose(), a);
+    }
+
+    /// A pivoting factorisation stored in the envelope solves to exactly
+    /// the bits of the index-per-entry factors and solve.
+    #[test]
+    fn envelope_factor_and_solve_match_index_per_entry_bitwise(
+        (a, _a2, b) in dominant_pattern_pair(),
+    ) {
+        let mut ws = SolveWorkspace::new();
+        let mut x = vec![0.0; a.nrows()];
+        for ordering in ORDERINGS {
+            let f = lu::factor_with_ordering(&a, ordering).unwrap();
+            f.solve_with(&mut ws, &b, &mut x).unwrap();
+            let oracle = index_per_entry::factor(&a, ordering).solve(&b);
+            prop_assert!(bits(&x) == bits(&oracle), "{ordering:?}: {x:?} vs {oracle:?}");
+        }
+    }
+
+    /// The envelope refactorisation — of the analysed matrix itself, then
+    /// of new values on its pattern, into one reused factor object —
+    /// reproduces the index-per-entry left-looking sweep bit for bit,
+    /// guards included.
+    #[test]
+    fn envelope_refactor_matches_index_per_entry_sweep_bitwise(
+        (a, a2, b) in dominant_pattern_pair(),
+    ) {
+        let mut ws = SolveWorkspace::new();
+        let mut scratch = Vec::new();
+        let mut x = vec![0.0; a.nrows()];
+        for ordering in ORDERINGS {
+            let (mut f, sym) = lu::factor_with_symbolic(&a, ordering).unwrap();
+            let pivoted = index_per_entry::factor(&a, ordering);
+            for m in [&a, &a2] {
+                let swept = sym.refactor_into_with(m, &mut f, &mut scratch);
+                prop_assert!(scratch.iter().all(|&v| v == 0.0), "scratch left zeroed");
+                match (swept, pivoted.refactor(m)) {
+                    (Ok(()), Ok(oracle)) => {
+                        f.solve_with(&mut ws, &b, &mut x).unwrap();
+                        let want = oracle.solve(&b);
+                        prop_assert!(bits(&x) == bits(&want), "{ordering:?}: {x:?} vs {want:?}");
+                    }
+                    (Err(e), Err(oracle)) => prop_assert_eq!(e, oracle),
+                    (got, want) => prop_assert!(
+                        false,
+                        "{ordering:?}: envelope {got:?} vs index-per-entry {:?}",
+                        want.err()
+                    ),
+                }
+            }
+        }
     }
 }

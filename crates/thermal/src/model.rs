@@ -2868,6 +2868,38 @@ mod tests {
         assert_eq!(other.solver_stats().adopted_symbolics, 0);
     }
 
+    #[test]
+    fn paper_patterns_store_a_tight_lu_envelope() {
+        // The direct LU stores each factor column as one contiguous row
+        // range; on the four 12×12 paper patterns (2/4 tiers, air/water)
+        // under RCM, the zeros that contiguity pads in stay a small
+        // fraction of the exact fill.
+        let g = GridSpec::new(12, 12).unwrap();
+        for tiers in [2, 4] {
+            for liquid in [false, true] {
+                let stack = if liquid {
+                    presets::liquid_cooled_mpsoc(tiers).unwrap()
+                } else {
+                    presets::air_cooled_mpsoc(tiers).unwrap()
+                };
+                let mut m = ThermalModel::new(&stack, g, ThermalParams::default()).unwrap();
+                if liquid {
+                    m.set_flow_rate(VolumetricFlow::from_ml_per_min(20.0))
+                        .unwrap();
+                }
+                m.step(&uniform_powers(tiers, 20.0, g.cell_count()), 0.25)
+                    .unwrap();
+                let sym = m.skeleton.as_ref().and_then(|s| s.symbolic.as_ref());
+                let sym = sym.expect("the step factorised");
+                let ratio = (sym.nnz_l() + sym.nnz_u()) as f64 / sym.exact_nnz() as f64;
+                assert!(
+                    (1.0..=1.25).contains(&ratio),
+                    "{tiers} tiers, liquid {liquid}: stored/exact = {ratio:.3}"
+                );
+            }
+        }
+    }
+
     fn iterative_params() -> ThermalParams {
         ThermalParams {
             solver: SolverBackend::iterative(),
