@@ -1,31 +1,45 @@
 //! Parallel batch sweep engine: fan a matrix of co-simulation scenarios
-//! across a worker pool, sharing the one-per-pattern thermal symbolic
-//! analysis, with results that are bit-identical at any thread count —
-//! and with every failure contained to its own slot.
+//! across a worker pool, sharing the thermal symbolic analysis of each
+//! operator pattern within a batch and across the batches of one runner,
+//! with results that are bit-identical at any thread count and any cache
+//! warmth — and with every failure contained to its own slot.
 //!
 //! Design-space exploration (the paper's Figs. 6–8, a thermally-aware
 //! floorplanner's inner loop) evaluates the same stack family at many
 //! operating points: the [`Scenario`] matrices a
-//! [`Study`](crate::study::Study) expands. [`BatchRunner`] executes such a
-//! matrix on a `std::thread::scope` pool with a work-stealing index
-//! cursor, and layers three guarantees on top:
+//! [`Study`](crate::study::Study) expands, the candidate designs an
+//! [`Optimizer`](crate::optimize::Optimizer) evaluates batch after batch.
+//! [`BatchRunner`] executes such a matrix on a `std::thread::scope` pool
+//! with a work-stealing index cursor, and layers three guarantees on top:
 //!
-//! * **One full factorisation per pattern.** Scenarios are grouped by
-//!   thermal-operator pattern ([`Scenario::same_operator_pattern`]: stack,
-//!   grid and thermal parameters). The first scenario of each group — the
-//!   *donor*, fixed by scenario order, never by thread scheduling — runs
-//!   first and exports its frozen
-//!   [`SharedAnalysis`]; every other
-//!   scenario of the group adopts it and goes straight to cheap numeric
-//!   refactorisation. Across the whole batch the expensive pivoting
-//!   factorisation runs exactly once per distinct pattern, however many
-//!   scenarios and threads are in play.
+//! * **One full factorisation per pattern per runner.** Scenarios are
+//!   grouped by thermal-operator pattern
+//!   ([`Scenario::same_operator_pattern`]: stack, grid and thermal
+//!   parameters). Before any job starts, the runner looks every group up
+//!   in its bounded LRU of frozen [`SharedAnalysis`] values, keyed by that
+//!   same triple and matched by equality, never by a hash: a cached
+//!   pattern is adopted by every scenario of its group. Otherwise the
+//!   first scenario of the group — the *donor*, fixed by scenario order,
+//!   never by thread scheduling — runs first and exports its frozen
+//!   analysis; every other scenario of the group adopts it and goes
+//!   straight to cheap numeric refactorisation, and the runner keeps the
+//!   analysis for later batches. So the expensive pivoting factorisation
+//!   runs once per distinct pattern for as long as the runner keeps it
+//!   cached, however many scenarios, batches and threads are in play. The
+//!   saving lands on batches whose pattern groups the same runner has
+//!   analysed before: every evaluation of a design search after the
+//!   patterns were first met, every run of a study after the first, every
+//!   served request of a known pattern.
 //! * **Deterministic aggregation.** Results land in slots indexed by
 //!   scenario position; each scenario is itself deterministic, and the
 //!   donor/adopter structure depends only on scenario order — so
 //!   [`BatchRunner::run_scenarios`] returns bit-identical
 //!   [`RunMetrics`] whether it ran on 1 thread or 8 (asserted by the
-//!   tests).
+//!   tests). Reuse is bit-neutral too: a fresh factorisation re-sweeps
+//!   its matrix over the analysis it just captured, so a scenario
+//!   computes the same bits whether it factorised, adopted a donor's
+//!   analysis or a cached one. Only the [`SolverStats`] counters and
+//!   [`BatchRunner::analysis_cache_stats`] see the difference.
 //! * **Fault isolation.** One scenario panicking, diverging or erroring
 //!   never takes the batch down: every attempt runs under
 //!   `catch_unwind`, retryable failures walk a deterministic
@@ -53,12 +67,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use cmosaic_thermal::{SharedAnalysis, SolverStats, ThermalError};
+use cmosaic_thermal::{LruCache, SharedAnalysis, SolverStats, ThermalError};
 
 use crate::metrics::RunMetrics;
 use crate::observe::Observer;
-use crate::scenario::Scenario;
+use crate::scenario::{OperatorPattern, Scenario};
 use crate::CmosaicError;
+
+/// Patterns a runner's analysis cache holds unless
+/// [`BatchRunner::with_analysis_cache`] sizes it otherwise.
+pub const DEFAULT_ANALYSIS_CACHE: usize = 32;
 
 /// Maximum Δt halvings the retry ladder applies to one scenario.
 const MAX_DT_HALVINGS: u32 = 2;
@@ -212,7 +230,8 @@ pub struct ScenarioOutcome {
     /// The run's aggregated metrics.
     pub metrics: RunMetrics,
     /// Thermal solver-path counters: donors show one full factorisation,
-    /// adopters show zero (refactor-only).
+    /// adopters — and every scenario of a pattern the runner had cached —
+    /// show zero (refactor-only).
     pub solver: SolverStats,
     /// What the retry ladder did to get here (clean on the happy path).
     pub recovery: RecoveryRecord,
@@ -274,7 +293,8 @@ impl BatchReport {
 
     /// Total full pivoting factorisations across every successful
     /// scenario — with analysis sharing enabled and no failures this
-    /// equals `pattern_groups`.
+    /// equals the pattern groups the runner's analysis cache missed
+    /// (`pattern_groups` on a fresh runner).
     pub fn total_full_factorizations(&self) -> u64 {
         self.outcomes()
             .iter()
@@ -324,40 +344,86 @@ enum Job {
     /// Run scenario `i` (donor or adopter by group structure).
     Run(usize),
     /// Rebuild and publish the frozen analysis of an already-completed
-    /// donor (resumed runs only): build + initialise reproduces the
+    /// donor (resumed runs whose pattern the runner has not cached):
+    /// build + initialise reproduces the
     /// identical symbolic analysis the donor exported originally, so
     /// pending adopters of a resumed study adopt bit-identically.
     Regen(usize),
 }
 
+/// Cumulative counters of a runner's analysis cache since the runner was
+/// created: one hit or miss per pattern group looked up (groups with
+/// nothing left to run are not looked up). They depend on what the runner
+/// ran before, so they live on the runner and never enter a report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnalysisCacheStats {
+    /// Pattern groups that adopted a cached analysis: zero full
+    /// factorisations for the group.
+    pub hits: u64,
+    /// Pattern groups analysed afresh (their analysis is then cached).
+    pub misses: u64,
+    /// Analyses the LRU dropped to make room for newer ones.
+    pub evictions: u64,
+}
+
+/// A runner's cross-batch analysis cache and its counters (evictions are
+/// the LRU's own).
+#[derive(Debug)]
+struct AnalysisCache {
+    lru: LruCache<OperatorPattern, SharedAnalysis>,
+    stats: AnalysisCacheStats,
+}
+
+impl AnalysisCache {
+    fn new(capacity: usize) -> Self {
+        AnalysisCache {
+            lru: LruCache::new(capacity),
+            stats: AnalysisCacheStats::default(),
+        }
+    }
+}
+
 /// Runs a set of independent co-simulation scenarios across a thread
-/// pool. See the [module docs](self) for the sharing, determinism and
-/// fault-isolation guarantees.
-#[derive(Debug, Clone)]
+/// pool, keeping the frozen analysis of every pattern it factorised for
+/// its later batches. See the [module docs](self) for the sharing,
+/// determinism and fault-isolation guarantees.
+#[derive(Debug)]
 pub struct BatchRunner {
     threads: usize,
     share_analysis: bool,
     job_limit: Option<usize>,
+    analyses: Mutex<AnalysisCache>,
 }
 
 impl BatchRunner {
     /// Creates a runner with `threads` workers (donor scenarios first,
-    /// then everything else, both phases work-stealing). A zero thread
-    /// count is clamped to one worker, so
+    /// then everything else, both phases work-stealing) and an analysis
+    /// cache of [`DEFAULT_ANALYSIS_CACHE`] patterns. A zero thread count
+    /// is clamped to one worker, so
     /// `BatchRunner::new(available_parallelism_hint)` is always safe.
     pub fn new(threads: usize) -> Self {
         BatchRunner {
             threads: threads.max(1),
             share_analysis: true,
             job_limit: None,
+            analyses: Mutex::new(AnalysisCache::new(DEFAULT_ANALYSIS_CACHE)),
         }
     }
 
-    /// Disables cross-scenario symbolic-analysis sharing (every scenario
-    /// pays its own full factorisation). Useful for measuring what the
-    /// sharing buys.
+    /// Disables symbolic-analysis sharing, within a batch and across
+    /// batches: every scenario pays its own full factorisation and the
+    /// analysis cache is neither read nor filled. Useful for measuring
+    /// what the sharing buys.
     pub fn without_shared_analysis(mut self) -> Self {
         self.share_analysis = false;
+        self
+    }
+
+    /// Sizes the cross-batch analysis cache to at most `capacity`
+    /// patterns, least recently used evicted first. Zero disables reuse
+    /// across batches; sharing within a batch stays on.
+    pub fn with_analysis_cache(mut self, capacity: usize) -> Self {
+        self.analyses = Mutex::new(AnalysisCache::new(capacity));
         self
     }
 
@@ -375,6 +441,15 @@ impl BatchRunner {
     /// Worker threads this runner will use.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The analysis cache's cumulative counters.
+    pub fn analysis_cache_stats(&self) -> AnalysisCacheStats {
+        let cache = lock_unpoisoned(&self.analyses);
+        AnalysisCacheStats {
+            evictions: cache.lru.evictions(),
+            ..cache.stats
+        }
     }
 
     /// Executes every scenario and returns the per-slot results in
@@ -402,47 +477,18 @@ impl BatchRunner {
         self.run_scenarios_resumed(scenarios, &[], factory, |_, _| {})
     }
 
-    /// [`run_scenarios_observed`](Self::run_scenarios_observed) with a
-    /// cross-batch analysis cache spliced in: before a pattern group's
-    /// donor runs, `seed(scenario)` is consulted with the group's
-    /// representative; a `Some` analysis is adopted by *every* scenario
-    /// of the group — donor included — so a warm pattern costs zero full
-    /// factorisations in this batch. Fresh analyses donated by unseeded
-    /// groups are returned as `(scenario index, analysis)` pairs for the
-    /// caller to keep (the index is the group representative's, so
-    /// `scenarios[i].pattern_fingerprint()` keys it).
-    ///
-    /// Seeding is bit-neutral: since analysis donation normalises donor
-    /// and adopter onto the same numeric sweep, a scenario's outcome is
-    /// the same bitwise whether its pattern was seeded, donated within
-    /// the batch, or factorised standalone. Only the [`SolverStats`]
-    /// counters observe the difference.
-    pub fn run_scenarios_seeded_observed<O, F, S>(
-        &self,
-        scenarios: &[Scenario],
-        seed: S,
-        factory: F,
-    ) -> (BatchReport, Vec<Option<O>>, Vec<(usize, SharedAnalysis)>)
-    where
-        O: Observer + Send,
-        F: Fn(usize, &Scenario) -> O + Sync,
-        S: Fn(&Scenario) -> Option<SharedAnalysis> + Sync,
-    {
-        self.run_scenarios_engine(scenarios, &[], &seed, factory, |_, _| {})
-    }
-
-    /// The full engine: optionally resumes from prior per-slot results
-    /// (`completed`, index-aligned or empty) and reports each freshly
-    /// finished slot through `record` from inside the worker — the hook
-    /// the study journal appends from, so an interrupted process has
-    /// every finished scenario on disk.
+    /// The engine behind every run flavour: optionally resumes from prior
+    /// per-slot results (`completed`, index-aligned or empty) and reports
+    /// each freshly finished slot through `record` from inside the worker
+    /// — the hook the study journal appends from, so an interrupted
+    /// process has every finished scenario on disk.
     ///
     /// Completed slots are not re-run; their prior results are merged
     /// into the report verbatim. A completed *donor* whose group still
-    /// has pending adopters gets a cheap regeneration job
-    /// ([`Job::Regen`]) when its journaled result shows it had published
-    /// (succeeded without backend demotion), keeping resumed adopters
-    /// bit-identical to the uninterrupted run.
+    /// has pending adopters and whose pattern the cache lacks gets a
+    /// cheap regeneration job ([`Job::Regen`]) when its journaled result
+    /// shows it had published (succeeded without backend demotion),
+    /// keeping resumed adopters bit-identical to the uninterrupted run.
     pub(crate) fn run_scenarios_resumed<O, F, R>(
         &self,
         scenarios: &[Scenario],
@@ -450,27 +496,6 @@ impl BatchRunner {
         factory: F,
         record: R,
     ) -> (BatchReport, Vec<Option<O>>)
-    where
-        O: Observer + Send,
-        F: Fn(usize, &Scenario) -> O + Sync,
-        R: Fn(usize, &Result<ScenarioOutcome, SlotError>) + Sync,
-    {
-        let (report, observers, _) =
-            self.run_scenarios_engine(scenarios, completed, &|_| None, factory, record);
-        (report, observers)
-    }
-
-    /// The innermost engine behind every run flavour: resume merging,
-    /// analysis seeding, per-slot observers and the record hook in one
-    /// place (see the public wrappers for the individual contracts).
-    fn run_scenarios_engine<O, F, R>(
-        &self,
-        scenarios: &[Scenario],
-        completed: &[Option<Result<ScenarioOutcome, SlotError>>],
-        seed: &(dyn Fn(&Scenario) -> Option<SharedAnalysis> + Sync),
-        factory: F,
-        record: R,
-    ) -> (BatchReport, Vec<Option<O>>, Vec<(usize, SharedAnalysis)>)
     where
         O: Observer + Send,
         F: Fn(usize, &Scenario) -> O + Sync,
@@ -518,7 +543,6 @@ impl BatchRunner {
             lock_unpoisoned(&slots)[i] = Some((slot, observer));
         };
 
-        let mut harvested: Vec<(usize, SharedAnalysis)> = Vec::new();
         if self.share_analysis {
             // Donors-first job order plus per-group release: an adopter
             // only ever waits for its *own* group's donor. `published[g]`
@@ -526,34 +550,45 @@ impl BatchRunner {
             // (`Some(None)` for a donor that failed, panicked, demoted
             // its backend, or had nothing to share — adopters proceed
             // unshared instead of waiting forever). A group whose pattern
-            // the `seed` lookup already knows is published before any job
-            // runs, and its donor takes the adopter path like everyone
-            // else.
+            // the runner's cache holds is published before any job runs,
+            // and its donor takes the adopter path like everyone else.
+            // `missed[g]` keeps the cache key of every group looked up in
+            // vain: its donor (or regeneration) publishes a fresh analysis,
+            // which the cache keeps once the batch is over.
             let mut prepublished = vec![None; group_reps.len()];
-            let mut seeded = vec![false; group_reps.len()];
+            let mut missed: Vec<Option<OperatorPattern>> = vec![None; group_reps.len()];
             let mut jobs: Vec<Job> = Vec::new();
+            let mut cache = lock_unpoisoned(&self.analyses);
             for (g, &d) in donors.iter().enumerate() {
-                if !done(d) {
-                    if let Some(analysis) = seed(&scenarios[d]) {
-                        prepublished[g] = Some(Some(analysis));
-                        seeded[g] = true;
-                    }
-                    jobs.push(Job::Run(d));
+                if (0..n).all(|i| group_of[i] != g || done(i)) {
+                    // Nothing of this group runs: nobody needs an analysis.
                     continue;
                 }
-                let pending_adopters = (0..n).any(|i| group_of[i] == g && i != d && !done(i));
-                let had_published = matches!(
-                    completed.get(d).and_then(Option::as_ref),
-                    Some(Ok(o)) if o.recovery.backend_demotions == 0
-                );
-                if pending_adopters && had_published {
-                    jobs.push(Job::Regen(d));
+                let key = scenarios[d].operator_pattern();
+                if let Some(analysis) = cache.lru.get(&key) {
+                    prepublished[g] = Some(Some(analysis.clone()));
+                    cache.stats.hits += 1;
                 } else {
-                    // Nothing to regenerate (the donor never published,
-                    // or nobody is waiting): release the group up front.
-                    prepublished[g] = Some(None);
+                    missed[g] = Some(key);
+                    cache.stats.misses += 1;
+                }
+                if !done(d) {
+                    jobs.push(Job::Run(d));
+                } else if missed[g].is_some() {
+                    let had_published = matches!(
+                        completed.get(d).and_then(Option::as_ref),
+                        Some(Ok(o)) if o.recovery.backend_demotions == 0
+                    );
+                    if had_published {
+                        jobs.push(Job::Regen(d));
+                    } else {
+                        // The donor never published: release the group
+                        // up front, unshared.
+                        prepublished[g] = Some(None);
+                    }
                 }
             }
+            drop(cache);
             jobs.extend(
                 (0..n)
                     .filter(|&i| donors[group_of[i]] != i && !done(i))
@@ -585,7 +620,7 @@ impl BatchRunner {
             self.par_run(&jobs, |job| match *job {
                 Job::Run(i) => {
                     let g = group_of[i];
-                    if donors[g] == i && !seeded[g] {
+                    if donors[g] == i && missed[g].is_some() {
                         let mut publish = PublishOnDrop {
                             g,
                             table: &published,
@@ -638,19 +673,17 @@ impl BatchRunner {
                     drop(publish);
                 }
             });
-            // Hand freshly donated analyses (not the ones the caller
-            // seeded in — it already has those) back for cross-batch
-            // reuse.
+            // Keep the fresh analyses for later batches, in group order
+            // so the LRU's contents depend on scenario order alone.
             let published = published
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
-            harvested.extend(
-                published
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(g, _)| !seeded[*g])
-                    .filter_map(|(g, slot)| slot.flatten().map(|a| (donors[g], a))),
-            );
+            let mut cache = lock_unpoisoned(&self.analyses);
+            for (key, analysis) in missed.into_iter().zip(published) {
+                if let (Some(key), Some(Some(analysis))) = (key, analysis) {
+                    cache.lru.insert(key, analysis);
+                }
+            }
         } else {
             let mut jobs: Vec<Job> = (0..n).filter(|&i| !done(i)).map(Job::Run).collect();
             if let Some(limit) = self.job_limit {
@@ -696,7 +729,6 @@ impl BatchRunner {
                 threads: self.threads,
             },
             observers,
-            harvested,
         )
     }
 
@@ -940,6 +972,139 @@ mod tests {
                 assert_eq!(o.solver.adopted_symbolics, 1, "adopter {idx}");
             }
         }
+    }
+
+    fn two_pattern_batch() -> Vec<Scenario> {
+        let mk = |tiers: usize, seed: u64| {
+            ScenarioSpec::new()
+                .tiers(tiers)
+                .seed(seed)
+                .seconds(2)
+                .grid(tiny_grid())
+                .build()
+                .expect("valid spec")
+        };
+        vec![mk(2, 1), mk(4, 1), mk(2, 2), mk(4, 2)]
+    }
+
+    fn metrics_of(report: &BatchReport) -> Vec<RunMetrics> {
+        report
+            .outcomes()
+            .iter()
+            .map(|o| o.metrics.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_warm_runner_skips_every_full_factorisation_bit_identically() {
+        // The same batch twice on one runner: the second run finds both
+        // patterns cached, pays no pivoting factorisation at all, and its
+        // metrics equal the first run's and a fresh runner's.
+        let scenarios = two_pattern_batch();
+        let fresh = BatchRunner::new(1).run_scenarios(&scenarios);
+        for threads in [1, 8] {
+            let runner = BatchRunner::new(threads);
+            let first = runner.run_scenarios(&scenarios);
+            let second = runner.run_scenarios(&scenarios);
+            assert!(second.all_ok(), "{:?}", second.errors());
+            assert_eq!(first.total_full_factorizations(), 2);
+            assert_eq!(second.total_full_factorizations(), 0);
+            for o in second.outcomes() {
+                assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+            }
+            assert_eq!(metrics_of(&second), metrics_of(&first));
+            assert_eq!(metrics_of(&second), metrics_of(&fresh));
+            assert_eq!(
+                runner.analysis_cache_stats(),
+                AnalysisCacheStats {
+                    hits: 2,
+                    misses: 2,
+                    evictions: 0
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_stack_differing_only_in_values_misses_the_cache() {
+        // Table-1 and wide inter-tier channels have the same layer kinds,
+        // hence the same `PatternSignature`, but they are different
+        // stacks: the wide-channel scenario must not adopt the table-1
+        // analysis, however warm the runner.
+        use cmosaic_floorplan::stack::presets;
+        use cmosaic_floorplan::transform::set_gap_cavity;
+        use cmosaic_floorplan::{CavitySpec, Stack3d};
+        use cmosaic_materials::solids::SolidMaterial;
+        use cmosaic_thermal::{ThermalModel, ThermalParams};
+        let base = presets::liquid_cooled_mpsoc(2).unwrap();
+        let table1 = set_gap_cavity(&base, 0, Some(CavitySpec::table1())).unwrap();
+        let wide_spec = CavitySpec::new(0.1e-3, 0.15e-3, 0.1e-3, SolidMaterial::silicon()).unwrap();
+        let wide = set_gap_cavity(&base, 0, Some(wide_spec)).unwrap();
+        let signature = |s: &Stack3d| {
+            ThermalModel::new(s, tiny_grid(), ThermalParams::default())
+                .unwrap()
+                .pattern_signature()
+        };
+        assert_eq!(signature(&table1), signature(&wide));
+        let mk = |stack: Stack3d| {
+            vec![ScenarioSpec::new()
+                .stack(stack)
+                .seconds(2)
+                .grid(tiny_grid())
+                .build()
+                .unwrap()]
+        };
+        let (table1, wide) = (mk(table1), mk(wide));
+        assert!(!table1[0].same_operator_pattern(&wide[0]));
+
+        let runner = BatchRunner::new(1);
+        runner.run_scenarios(&table1);
+        let warm = runner.run_scenarios(&wide);
+        assert_eq!(warm.total_full_factorizations(), 1);
+        let stats = runner.analysis_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2), "{stats:?}");
+        assert_eq!(warm.slots, BatchRunner::new(1).run_scenarios(&wide).slots);
+    }
+
+    #[test]
+    fn cache_capacity_bounds_reuse_across_batches() {
+        let scenarios = two_pattern_batch();
+        let (two, four) = (&scenarios[..1], &scenarios[1..2]);
+        // Capacity 1, alternating patterns: each batch evicts the other
+        // pattern's analysis, so every batch pays its own factorisation...
+        let runner = BatchRunner::new(1).with_analysis_cache(1);
+        for batch in [two, four, two, four] {
+            assert_eq!(runner.run_scenarios(batch).total_full_factorizations(), 1);
+        }
+        assert_eq!(
+            runner.analysis_cache_stats(),
+            AnalysisCacheStats {
+                hits: 0,
+                misses: 4,
+                evictions: 3
+            }
+        );
+        // ...but the most recent pattern stays.
+        assert_eq!(runner.run_scenarios(four).total_full_factorizations(), 0);
+        assert_eq!(runner.analysis_cache_stats().hits, 1);
+
+        // Capacity 0 always factorises; sharing within a batch stays on.
+        let off = BatchRunner::new(1).with_analysis_cache(0);
+        for _ in 0..2 {
+            assert_eq!(off.run_scenarios(&scenarios).total_full_factorizations(), 2);
+        }
+        let stats = off.analysis_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 4, 0));
+
+        // Without sharing, the cache is neither read nor filled.
+        let unshared = BatchRunner::new(1).without_shared_analysis();
+        for _ in 0..2 {
+            assert_eq!(unshared.run_scenarios(two).total_full_factorizations(), 1);
+        }
+        assert_eq!(
+            unshared.analysis_cache_stats(),
+            AnalysisCacheStats::default()
+        );
     }
 
     #[test]

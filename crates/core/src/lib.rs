@@ -78,10 +78,11 @@
 //!   matrix (e.g. [`experiments::fig6_study`]) across a scoped thread
 //!   pool. Scenarios are grouped by operator pattern; the first of each
 //!   group donates its frozen symbolic LU analysis
-//!   ([`thermal::SharedAnalysis`], `Arc`-shared) to the rest, so the
-//!   expensive pivoting factorisation runs exactly once per (stack, grid)
-//!   pattern across the whole batch. Outcomes are aggregated by scenario
-//!   index and are bit-identical at any thread count.
+//!   ([`thermal::SharedAnalysis`], `Arc`-shared) to the rest, and the
+//!   runner keeps it in a bounded LRU for its later batches, so the
+//!   expensive pivoting factorisation runs once per (stack, grid, thermal
+//!   parameters) pattern per runner. Outcomes are aggregated by scenario
+//!   index and are bit-identical at any thread count and cache warmth.
 //!
 //! # Fault tolerance and resumable studies
 //!
@@ -175,7 +176,8 @@ pub mod sim;
 pub mod study;
 
 pub use batch::{
-    BatchReport, BatchRunner, RecoveryRecord, ScenarioError, ScenarioOutcome, SlotError,
+    AnalysisCacheStats, BatchReport, BatchRunner, RecoveryRecord, ScenarioError, ScenarioOutcome,
+    SlotError,
 };
 pub use checkpoint::StudyJournal;
 pub use fault::{FaultKind, FaultPlan};

@@ -22,8 +22,9 @@
 //!   costs only the epochs up to its first violation;
 //! * an [`Evaluator`]: batches un-cached designs through the
 //!   [`BatchRunner`] (inheriting per-pattern
-//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) donation and
-//!   any-thread-count bit-identity), memoizing every evaluation so
+//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) donation, the
+//!   runner's analysis cache across evaluation batches and strategies,
+//!   and any-thread-count bit-identity), memoizing every evaluation so
 //!   revisits are free;
 //! * [`SearchStrategy`] implementations sharing that evaluator:
 //!   exhaustive [`GridSearch`], the adaptive, seeded

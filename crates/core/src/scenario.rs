@@ -321,9 +321,9 @@ impl Default for ScenarioSpec {
 }
 
 /// Incremental FNV-1a — the one hashing primitive behind spec
-/// fingerprints, operator-pattern fingerprints and the checkpoint
-/// journal's study binding, so every identity in the system derives from
-/// the same bytes-in/u64-out function.
+/// fingerprints and the checkpoint journal's study binding, so every
+/// identity in the system derives from the same bytes-in/u64-out
+/// function.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv1a(u64);
 
@@ -737,6 +737,10 @@ impl ScenarioSpec {
     }
 }
 
+/// What fixes a scenario's thermal-operator pattern: stack, grid and
+/// thermal parameters (see [`Scenario::same_operator_pattern`]).
+pub(crate) type OperatorPattern = (Stack3d, GridSpec, ThermalParams);
+
 /// A validated, fully-resolved scenario: stack built, trace generated,
 /// simulation config frozen. Produced by [`ScenarioSpec::build`].
 #[derive(Debug, Clone, PartialEq)]
@@ -789,20 +793,15 @@ impl Scenario {
             && self.sim_config.thermal == other.sim_config.thermal
     }
 
-    /// FNV-1a fingerprint of exactly the fields
-    /// [`same_operator_pattern`](Self::same_operator_pattern) compares —
-    /// stack, grid and thermal parameters — usable as a map key for
-    /// caches of donated analyses. Equal patterns hash equal; a hash
-    /// collision between different patterns is harmless because adoption
-    /// itself re-checks the operator signature and falls back.
-    pub fn pattern_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.eat(format!("{:?}", self.stack).as_bytes());
-        h.eat(b"\n");
-        h.eat(format!("{:?}", self.sim_config.grid).as_bytes());
-        h.eat(b"\n");
-        h.eat(format!("{:?}", self.sim_config.thermal).as_bytes());
-        h.finish()
+    /// An owned copy of exactly what
+    /// [`same_operator_pattern`](Self::same_operator_pattern) compares,
+    /// matched by equality: the key of a runner's analysis cache.
+    pub(crate) fn operator_pattern(&self) -> OperatorPattern {
+        (
+            self.stack.clone(),
+            self.sim_config.grid,
+            self.sim_config.thermal.clone(),
+        )
     }
 
     /// A copy with the solver demoted one rung down the backend ladder:
@@ -988,22 +987,6 @@ mod tests {
         let a = ScenarioSpec::new().stack(base);
         let b = ScenarioSpec::new().stack(swapped);
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn pattern_fingerprint_matches_same_operator_pattern() {
-        let build = |spec: ScenarioSpec| spec.seconds(2).build().unwrap();
-        let a = build(ScenarioSpec::new());
-        // Same pattern through different seeds/policies: equal hashes.
-        let twin = build(ScenarioSpec::new().seed(99).policy(PolicyKind::LcLb));
-        assert!(a.same_operator_pattern(&twin));
-        assert_eq!(a.pattern_fingerprint(), twin.pattern_fingerprint());
-        // Different grid or stack: different hashes.
-        let other_grid = build(ScenarioSpec::new().grid(GridSpec::new(6, 6).unwrap()));
-        assert!(!a.same_operator_pattern(&other_grid));
-        assert_ne!(a.pattern_fingerprint(), other_grid.pattern_fingerprint());
-        let other_stack = build(ScenarioSpec::new().tiers(4));
-        assert_ne!(a.pattern_fingerprint(), other_stack.pattern_fingerprint());
     }
 
     #[test]

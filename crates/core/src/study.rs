@@ -13,7 +13,8 @@
 //! [`BatchRunner`], inheriting its guarantees:
 //! scenarios sharing a thermal-operator pattern pay **one** full pivoting
 //! factorisation between them (donated
-//! [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis)), the report is
+//! [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis)), and none when the
+//! runner analysed the pattern in an earlier batch; the report is
 //! bit-identical at any thread count, and run-time failures (panics,
 //! divergence, exhausted retry ladders) stay in their own slots
 //! ([`StudyReport::slots`]) instead of discarding the family's healthy
@@ -453,8 +454,9 @@ impl StudyReport {
     }
 
     /// Total full pivoting factorisations across every successful
-    /// scenario — with analysis sharing and no failures this equals
-    /// [`StudyReport::pattern_groups`].
+    /// scenario — with analysis sharing and no failures on a fresh
+    /// runner this equals [`StudyReport::pattern_groups`]; a runner that
+    /// had already analysed a pattern skips its factorisation.
     pub fn total_full_factorizations(&self) -> u64 {
         self.outcomes()
             .iter()
@@ -724,6 +726,38 @@ mod tests {
             baseline.slots(),
             "resumed report is bit-identical to the uninterrupted run"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_warm_runner_resumes_bit_identically() {
+        // A runner that already ran the study holds both patterns, so the
+        // resumed slots adopt its cached analyses instead of regenerating
+        // one; every slot's metrics still equal the cold, uninterrupted
+        // run's.
+        let study = Study::new(tiny_base())
+            .over_tiers([2, 4])
+            .over_seeds([1, 2, 3]);
+        let baseline = study.run(&BatchRunner::new(2)).unwrap();
+        assert!(baseline.all_ok());
+        let runner = BatchRunner::new(2);
+        study.run(&runner).unwrap();
+
+        let path = temp_journal_path("warm-resume");
+        // Both donors and one adopter finish before the "kill".
+        study
+            .run_checkpointed(&BatchRunner::new(2).with_job_limit(3), &path)
+            .unwrap();
+        let (full, resumed) = study.run_checkpointed(&runner, &path).unwrap();
+        assert_eq!(resumed, 3);
+        assert!(full.all_ok());
+        assert_eq!(full.len(), baseline.len());
+        for (i, (warm, cold)) in full.slots().iter().zip(baseline.slots()).enumerate() {
+            let (warm, cold) = (warm.as_ref().unwrap(), cold.as_ref().unwrap());
+            assert_eq!(warm.metrics, cold.metrics, "slot {i}");
+        }
+        let stats = runner.analysis_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2), "{stats:?}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,71 +1,8 @@
-//! Cross-request caches: a small fingerprint-keyed LRU plus the counters
-//! surfaced on the `stats` endpoint.
-//!
-//! Keys are 64-bit FNV-1a fingerprints
-//! ([`ScenarioSpec::fingerprint`](cmosaic::ScenarioSpec::fingerprint) for
-//! results, [`Scenario::pattern_fingerprint`](cmosaic::Scenario) for
-//! analyses). A key collision between *different* values is
-//! astronomically unlikely, and for the analysis cache it is additionally
-//! harmless: adoption re-checks the operator signature and falls back to
-//! a fresh factorisation, so a collision costs one factorisation, never
-//! correctness.
-
-/// A tiny least-recently-used map over `u64` keys. Linear scan over a
-/// `Vec` — capacities here are tens of entries, where a scan beats any
-/// hashed structure and keeps iteration order (MRU first) trivially
-/// deterministic. Capacity 0 disables the cache entirely (every `get`
-/// misses, every `put` is dropped), which is how the benchmarks and
-/// tests model a cold server.
-#[derive(Debug)]
-pub struct Lru<V> {
-    cap: usize,
-    entries: Vec<(u64, V)>,
-}
-
-impl<V> Lru<V> {
-    /// An LRU holding at most `cap` entries.
-    pub fn new(cap: usize) -> Self {
-        Lru {
-            cap,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: u64) -> Option<&V> {
-        let i = self.entries.iter().position(|(k, _)| *k == key)?;
-        let hit = self.entries.remove(i);
-        self.entries.insert(0, hit);
-        Some(&self.entries[0].1)
-    }
-
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when full. Returns `true` when an eviction happened.
-    pub fn put(&mut self, key: u64, value: V) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(i);
-        }
-        self.entries.insert(0, (key, value));
-        if self.entries.len() > self.cap {
-            self.entries.pop();
-            return true;
-        }
-        false
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
+//! The counters surfaced on the `stats` endpoint. The caches themselves
+//! are the workspace's one LRU ([`cmosaic_thermal::LruCache`]): the
+//! scheduler's result cache, keyed by spec
+//! [`fingerprint`](cmosaic::ScenarioSpec::fingerprint), and the batch
+//! runner's analysis cache, keyed by operator pattern.
 
 /// Monotonic counters describing how well the cross-request caches and
 /// the coalescer are doing. All counters are cumulative since server
@@ -77,14 +14,14 @@ pub struct CacheStats {
     pub result_hits: u64,
     /// Scenario results that had to be simulated.
     pub result_misses: u64,
-    /// Pattern groups whose symbolic analysis came from the LRU (zero
-    /// full factorisations for that group).
+    /// Pattern groups whose symbolic analysis came from the runner's
+    /// analysis cache (zero full factorisations for that group).
     pub analysis_hits: u64,
     /// Pattern groups factorised fresh (the analysis was then cached).
     pub analysis_misses: u64,
     /// Evictions from the result LRU.
     pub result_evictions: u64,
-    /// Evictions from the analysis LRU.
+    /// Evictions from the runner's analysis cache.
     pub analysis_evictions: u64,
     /// Requests answered (a coalesced batch counts each of its requests).
     pub requests: u64,
@@ -95,41 +32,4 @@ pub struct CacheStats {
     /// Scenarios deduplicated away inside coalesced batches (same spec
     /// fingerprint requested more than once in one window).
     pub coalesced_duplicates: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut lru = Lru::new(2);
-        assert!(!lru.put(1, "a"));
-        assert!(!lru.put(2, "b"));
-        assert_eq!(lru.get(1), Some(&"a")); // 1 is now MRU
-        assert!(lru.put(3, "c")); // evicts 2
-        assert_eq!(lru.get(2), None);
-        assert_eq!(lru.get(1), Some(&"a"));
-        assert_eq!(lru.get(3), Some(&"c"));
-        assert_eq!(lru.len(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_cache() {
-        let mut lru = Lru::new(0);
-        assert!(!lru.put(1, "a"));
-        assert_eq!(lru.get(1), None);
-        assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn reinserting_a_key_refreshes_in_place() {
-        let mut lru = Lru::new(2);
-        lru.put(1, "a");
-        lru.put(2, "b");
-        lru.put(1, "a2"); // refresh, no eviction
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(1), Some(&"a2"));
-        assert_eq!(lru.get(2), Some(&"b"));
-    }
 }

@@ -8,13 +8,15 @@
 //! * **Coalescing** ([`scheduler`]): requests arriving within a short
 //!   window are merged into one [`BatchRunner`](cmosaic::BatchRunner)
 //!   batch, so one symbolic factorisation serves every in-flight request
-//!   of the same `(stack, grid)` operator pattern.
-//! * **Cross-request caching** ([`cache`]): an LRU keeps donated
-//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) instances keyed
-//!   by pattern fingerprint, and finished per-scenario results keyed by
-//!   the spec's stable [`fingerprint`](cmosaic::ScenarioSpec::fingerprint)
-//!   — a warm pattern costs zero full factorisations, a repeated spec
-//!   costs zero simulation.
+//!   of the same (stack, grid, thermal parameters) operator pattern.
+//! * **Cross-request caching** ([`cache`]): the daemon's one
+//!   [`BatchRunner`](cmosaic::BatchRunner) keeps the donated
+//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) of every pattern
+//!   it factorised, and the scheduler keeps finished per-scenario results
+//!   keyed by the spec's stable
+//!   [`fingerprint`](cmosaic::ScenarioSpec::fingerprint) — a warm pattern
+//!   costs zero full factorisations, a repeated spec costs zero
+//!   simulation.
 //! * **Protocol** ([`protocol`], [`server`]): newline-delimited JSON over
 //!   a unix socket, plus HTTP/1.1 on localhost (`POST /run` streaming
 //!   chunked NDJSON, `GET /stats`, `POST /shutdown`). The JSON itself is
@@ -44,7 +46,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod server;
 
-pub use cache::{CacheStats, Lru};
+pub use cache::CacheStats;
 pub use json::Json;
 pub use protocol::Request;
 pub use scheduler::{Scheduler, SchedulerConfig, StatsSnapshot};

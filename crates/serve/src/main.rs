@@ -21,7 +21,8 @@ OPTIONS:
                            (use port 0 for an ephemeral port)
     --threads <N>          batch worker threads [default: 4]
     --window-ms <N>        request coalescing window in ms [default: 10]
-    --analysis-cache <N>   pattern->analysis LRU capacity [default: 32]
+    --analysis-cache <N>   operator patterns whose analysis the batch runner
+                           keeps across batches [default: 32]
     --result-cache <N>     spec->result LRU capacity [default: 256]
     --help                 print this help
 ";

@@ -9,9 +9,12 @@
 //! resolved against the result LRU (a repeated spec costs nothing), and
 //! the remainder executes as **one** [`BatchRunner`] batch — so one symbolic
 //! factorisation serves every in-flight request of the same operator
-//! pattern, and patterns already in the analysis LRU cost zero full
-//! factorisations (the batch engine adopts the cached analysis via
-//! [`run_scenarios_seeded_observed`](cmosaic::BatchRunner::run_scenarios_seeded_observed)).
+//! pattern. The worker owns a single runner for its whole life, and the
+//! runner keeps the analysis of every pattern it factorised (sized by
+//! [`SchedulerConfig::analysis_cache`]), so patterns an earlier batch
+//! already met cost zero full factorisations; the `stats` endpoint reads
+//! the runner's
+//! [`analysis_cache_stats`](cmosaic::BatchRunner::analysis_cache_stats).
 //!
 //! None of this machinery is observable in the run responses themselves:
 //! analysis donation is bit-neutral in the engine, so a scenario's
@@ -32,9 +35,9 @@ use std::time::{Duration, Instant};
 use cmosaic::batch::{RecoveryRecord, ScenarioError, SlotError};
 use cmosaic::observe::{EpochCtx, Observer};
 use cmosaic::{BatchRunner, Scenario, ScenarioSpec};
-use cmosaic_thermal::{SharedAnalysis, SolverStats};
+use cmosaic_thermal::{LruCache, SolverStats};
 
-use crate::cache::{CacheStats, Lru};
+use crate::cache::CacheStats;
 use crate::json::Json;
 use crate::protocol::slot_json;
 
@@ -47,7 +50,9 @@ pub struct SchedulerConfig {
     /// request of a batch, for more requests to join it. Zero disables
     /// coalescing (every request runs alone).
     pub window: Duration,
-    /// Capacity of the pattern → [`SharedAnalysis`] LRU (0 disables).
+    /// Capacity of the runner's pattern →
+    /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) cache (0
+    /// disables reuse across batches).
     pub analysis_cache: usize,
     /// Capacity of the spec-fingerprint → result LRU (0 disables).
     pub result_cache: usize,
@@ -58,7 +63,7 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             threads: 4,
             window: Duration::from_millis(10),
-            analysis_cache: 32,
+            analysis_cache: cmosaic::batch::DEFAULT_ANALYSIS_CACHE,
             result_cache: 256,
         }
     }
@@ -167,10 +172,9 @@ impl Scheduler {
         let stats_w = Arc::clone(&stats);
         let worker = std::thread::spawn(move || {
             Worker {
-                runner: BatchRunner::new(config.threads),
+                runner: BatchRunner::new(config.threads).with_analysis_cache(config.analysis_cache),
                 window: config.window,
-                analyses: Mutex::new(Lru::new(config.analysis_cache)),
-                results: Lru::new(config.result_cache),
+                results: LruCache::new(config.result_cache),
                 stats: stats_w,
             }
             .run(rx);
@@ -258,8 +262,7 @@ impl Observer for StreamObserver {
 struct Worker {
     runner: BatchRunner,
     window: Duration,
-    analyses: Mutex<Lru<SharedAnalysis>>,
-    results: Lru<CachedResult>,
+    results: LruCache<u64, CachedResult>,
     stats: Arc<Mutex<StatsSnapshot>>,
 }
 
@@ -349,7 +352,7 @@ impl Worker {
         let mut result_hits = 0u64;
         let mut result_misses = 0u64;
         for (j, job) in jobs.iter().enumerate() {
-            if let Some(entry) = self.results.get(job.fingerprint) {
+            if let Some(entry) = self.results.get(&job.fingerprint) {
                 result_hits += 1;
                 let entry = entry.clone();
                 // Replay the captured stream to this batch's subscribers.
@@ -384,20 +387,19 @@ impl Worker {
                         slot,
                         epochs: Arc::new(Vec::new()),
                     };
-                    self.put_result(job.fingerprint, entry.clone());
+                    self.results.insert(job.fingerprint, entry.clone());
                     resolved.insert(job.fingerprint, entry);
                 }
             }
         }
 
-        // 3. Execute the misses as one shared batch, seeding pattern
-        //    groups from the analysis LRU.
+        // 3. Execute the misses as one shared batch; the runner adopts
+        //    the analyses of patterns it already knows.
         let mut summary = BatchSummary {
             requests: submissions.len() as u64,
             unique_scenarios: jobs.len() as u64,
             ..BatchSummary::default()
         };
-        let mut analysis_hits = 0u64;
         let mut solver_sum = SolverStats::default();
         if !to_run.is_empty() {
             let scenarios: Vec<Scenario> = to_run.iter().map(|(_, s)| s.clone()).collect();
@@ -409,36 +411,13 @@ impl Worker {
                 .map(|(j, _)| Arc::new(jobs[*j].subs.clone()))
                 .collect();
             let fps: Vec<u64> = to_run.iter().map(|(j, _)| jobs[*j].fingerprint).collect();
-            let seed_hits = Mutex::new(0u64);
-            let (report, _observers, fresh) = self.runner.run_scenarios_seeded_observed(
-                &scenarios,
-                |s: &Scenario| {
-                    let got = lock_unpoisoned(&self.analyses)
-                        .get(s.pattern_fingerprint())
-                        .cloned();
-                    if got.is_some() {
-                        *lock_unpoisoned(&seed_hits) += 1;
-                    }
-                    got
-                },
-                |i, _s| StreamObserver {
-                    fingerprint: fps[i],
-                    log: Arc::clone(&logs[i]),
-                    subs: Arc::clone(&subs[i]),
-                },
-            );
-            analysis_hits = seed_hits
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Keep freshly donated analyses for future batches.
-            let mut evictions = 0u64;
-            for (rep, analysis) in fresh {
-                if lock_unpoisoned(&self.analyses)
-                    .put(scenarios[rep].pattern_fingerprint(), analysis)
-                {
-                    evictions += 1;
-                }
-            }
+            let (report, _observers) =
+                self.runner
+                    .run_scenarios_observed(&scenarios, |i, _s| StreamObserver {
+                        fingerprint: fps[i],
+                        log: Arc::clone(&logs[i]),
+                        subs: Arc::clone(&subs[i]),
+                    });
             summary.pattern_groups = report.pattern_groups as u64;
             summary.full_factorizations = report.total_full_factorizations();
             for outcome in report.outcomes() {
@@ -450,18 +429,14 @@ impl Worker {
                 let slot = slot_json(&scenario.label(), fp, &report.slots[run_i]);
                 let epochs = Arc::new(lock_unpoisoned(&logs[run_i]).clone());
                 let entry = CachedResult { slot, epochs };
-                self.put_result(fp, entry.clone());
+                self.results.insert(fp, entry.clone());
                 resolved.insert(fp, entry);
-            }
-            {
-                let mut stats = lock_unpoisoned(&self.stats);
-                stats.cache.analysis_evictions += evictions;
             }
         }
 
         // 4. Publish counters *before* replying, so a client that reads
         //    `stats` right after its `done` event sees this batch.
-        let analysis_misses = summary.pattern_groups.saturating_sub(analysis_hits);
+        let analyses = self.runner.analysis_cache_stats();
         {
             let mut stats = lock_unpoisoned(&self.stats);
             stats.cache.requests += summary.requests;
@@ -470,8 +445,10 @@ impl Worker {
             stats.cache.coalesced_duplicates += duplicates;
             stats.cache.result_hits += result_hits;
             stats.cache.result_misses += result_misses;
-            stats.cache.analysis_hits += analysis_hits;
-            stats.cache.analysis_misses += analysis_misses;
+            stats.cache.result_evictions = self.results.evictions();
+            stats.cache.analysis_hits = analyses.hits;
+            stats.cache.analysis_misses = analyses.misses;
+            stats.cache.analysis_evictions = analyses.evictions;
             accumulate(&mut stats.solver, &solver_sum);
             stats.last_batch = summary;
         }
@@ -489,12 +466,6 @@ impl Worker {
                 })
                 .collect();
             let _ = sub.reply.send(Reply::Done { slots });
-        }
-    }
-
-    fn put_result(&mut self, fp: u64, entry: CachedResult) {
-        if self.results.put(fp, entry) {
-            lock_unpoisoned(&self.stats).cache.result_evictions += 1;
         }
     }
 }

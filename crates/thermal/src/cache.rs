@@ -1,34 +1,37 @@
-//! Bounded least-recently-used cache for factorised operators.
+//! Bounded least-recently-used cache — the workspace's one LRU.
 //!
 //! A run-time controller modulating the pump continuously can visit an
 //! unbounded set of (flow, Δt) operating points; an unbounded map of
 //! factorisations is a slow memory leak. Operators are cheap to rebuild
 //! through the numeric refactorisation path, so a small LRU loses little
-//! on eviction.
+//! on eviction. The same type backs the batch runner's cross-batch
+//! analysis cache (keyed by a whole operator pattern) and the serving
+//! daemon's result cache.
 
 /// A fixed-capacity LRU map over a small number of entries.
 ///
 /// Backed by a `Vec` kept in recency order (most recent last): with the
-/// single-digit capacities used here, linear scans beat any pointer-chasing
-/// scheme.
+/// capacities used here (single digits to a few hundred), linear scans
+/// beat any pointer-chasing scheme and keep the order trivially
+/// deterministic. Keys only need equality, so a composite key (a stack,
+/// a grid and thermal parameters) matches exactly rather than by hash.
+/// Capacity 0 disables the cache: every lookup misses and every insert
+/// is dropped.
 #[derive(Debug, Clone)]
-pub(crate) struct LruCache<K: Eq + Copy, V> {
+pub struct LruCache<K: PartialEq, V> {
     capacity: usize,
     entries: Vec<(K, V)>,
     evictions: u64,
 }
 
-impl<K: Eq + Copy, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+impl<K: PartialEq, V> LruCache<K, V> {
+    /// Creates a cache holding at most `capacity` entries (0 disables
+    /// it). Storage grows with use, so a capacity taken from outside the
+    /// program allocates nothing up front.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             evictions: 0,
         }
     }
@@ -58,8 +61,11 @@ impl<K: Eq + Copy, V> LruCache<K, V> {
     }
 
     /// Inserts or replaces `k`, evicting the least recently used entry if
-    /// the cache is full.
+    /// the cache is full. A zero-capacity cache drops the entry.
     pub fn insert(&mut self, k: K, v: V) {
+        if self.capacity == 0 {
+            return;
+        }
         if let Some(idx) = self.entries.iter().position(|(key, _)| *key == k) {
             self.entries.remove(idx);
         } else if self.entries.len() == self.capacity {
@@ -72,6 +78,11 @@ impl<K: Eq + Copy, V> LruCache<K, V> {
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// `true` when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// Total evictions since construction.
@@ -114,8 +125,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = LruCache::<u32, ()>::new(0);
+    fn lru_evicts_least_recently_used() {
+        // Recency through `get` alone, with a non-`Copy` key.
+        let mut c = LruCache::new(2);
+        c.insert("one".to_string(), "a");
+        c.insert("two".to_string(), "b");
+        assert_eq!(c.get(&"one".to_string()), Some(&"a")); // now MRU
+        c.insert("three".to_string(), "c"); // evicts "two"
+        assert_eq!(c.get(&"two".to_string()), None);
+        assert_eq!(c.get(&"one".to_string()), Some(&"a"));
+        assert_eq!(c.get(&"three".to_string()), Some(&"c"));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.evictions(), 1);
+    }
+
+    #[test]
+    fn zero_capacity_disables_the_cache() {
+        let mut c = LruCache::new(0);
+        c.insert(1, "a");
+        assert_eq!(c.get(&1), None);
+        assert!(c.is_empty());
+        assert_eq!(c.evictions(), 0, "a dropped insert is not an eviction");
+    }
+
+    #[test]
+    fn reinserting_a_key_refreshes_in_place() {
+        let mut c = LruCache::new(2);
+        c.insert(1, "a");
+        c.insert(2, "b");
+        c.insert(1, "a2"); // refresh, no eviction; 1 is now MRU
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.evictions(), 0);
+        c.insert(3, "c"); // evicts 2, the least recently used
+        assert_eq!(c.get(&1), Some(&"a2"));
+        assert_eq!(c.peek(&2), None);
     }
 }

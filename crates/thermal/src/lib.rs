@@ -146,6 +146,7 @@ pub mod model;
 pub mod params;
 pub mod stencil;
 
+pub use cache::LruCache;
 pub use field::TemperatureField;
 pub use model::{
     CacheStats, PatternSignature, SharedAnalysis, SolverStats, ThermalModel, TwoPhaseSummary,

@@ -8,7 +8,8 @@
 //!   placement space lands on the exhaustive grid's optimum after
 //!   simulating well under half the space;
 //! * the annealing report is bit-identical across the
-//!   `CMOSAIC_TEST_THREADS` sweep and across reruns with the same seed.
+//!   `CMOSAIC_TEST_THREADS` sweep, across reruns with the same seed, and
+//!   on a runner whose analysis cache the grid search already filled.
 
 use std::sync::Arc;
 
@@ -262,6 +263,31 @@ fn annealing_finds_the_grid_optimum_with_a_fraction_of_the_simulations() {
         front[0].design, best.design,
         "cheapest front point is the optimum"
     );
+}
+
+#[test]
+fn annealing_after_the_grid_on_one_runner_reuses_every_analysis() {
+    // The exhaustive grid leaves all six (placement, channel) patterns in
+    // the runner's analysis cache; the annealing run that follows on the
+    // same runner misses none of them and still reports exactly what a
+    // fresh runner reports.
+    let threads = thread_counts()[0];
+    let runner = BatchRunner::new(threads);
+    let optimizer = Optimizer::new(
+        placement_space(),
+        Constraints::peak_below(Celsius(85.0)),
+        &runner,
+    );
+    optimizer.run(&mut GridSearch).expect("grid runs");
+    let before = runner.analysis_cache_stats();
+    assert_eq!(before.misses, 6, "{before:?}");
+    let warm = optimizer
+        .run(&mut SimulatedAnnealing::seeded(SA_SEED).steps(SA_STEPS))
+        .expect("annealing runs");
+    let after = runner.analysis_cache_stats();
+    assert_eq!(after.misses, before.misses, "{after:?}");
+    assert!(after.hits > before.hits, "{after:?}");
+    assert_eq!(warm, anneal(threads));
 }
 
 #[test]
