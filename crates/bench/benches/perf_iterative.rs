@@ -75,6 +75,9 @@ fn allocations() -> u64 {
 }
 
 struct BackendSample {
+    /// Unknowns of the model (cells of every layer, plus the sink node
+    /// when the stack has one).
+    nodes: usize,
     setup_ms: f64,
     warm_solve_ms: f64,
     iterations_per_solve: f64,
@@ -98,7 +101,7 @@ fn sample(
     m.set_flow_rate(VolumetricFlow::from_ml_per_min(32.3))
         .expect("valid flow");
     let t0 = Instant::now();
-    m.steady_state(powers).expect("cold solve");
+    let nodes = m.steady_state(powers).expect("cold solve").raw().len();
     let setup_ms = t0.elapsed().as_secs_f64() * 1e3;
     let before = m.solver_stats();
     let t1 = Instant::now();
@@ -119,6 +122,7 @@ fn sample(
         0.0
     };
     BackendSample {
+        nodes,
         setup_ms,
         warm_solve_ms,
         iterations_per_solve,
@@ -127,8 +131,13 @@ fn sample(
 }
 
 /// Warms up a model under `solver` and measures allocations and
-/// wall-clock per warm transient sub-step.
-fn substep_allocs(solver: SolverBackend, grid: GridSpec, powers: &[Vec<f64>]) -> (f64, f64, u64) {
+/// wall-clock per warm transient sub-step; also returns the workspace
+/// grow count and the model's number of unknowns.
+fn substep_allocs(
+    solver: SolverBackend,
+    grid: GridSpec,
+    powers: &[Vec<f64>],
+) -> (f64, f64, u64, usize) {
     let stack = presets::liquid_cooled_mpsoc(2).expect("preset");
     let params = ThermalParams {
         solver,
@@ -155,6 +164,7 @@ fn substep_allocs(solver: SolverBackend, grid: GridSpec, powers: &[Vec<f64>]) ->
         allocs_per_step,
         substep_ms,
         model.solver_stats().workspace_grows,
+        field.raw().len(),
     )
 }
 
@@ -284,12 +294,14 @@ fn main() {
         vec![30.0 / cells as f64; cells],
         vec![10.0 / cells as f64; cells],
     ];
-    let (ilu_allocs, ilu_substep_ms, ilu_grows) =
+    let (ilu_allocs, ilu_substep_ms, ilu_grows, nodes) =
         substep_allocs(SolverBackend::iterative(), grid, &powers);
-    let (mg_allocs, mg_substep_ms, mg_grows) =
+    let (mg_allocs, mg_substep_ms, mg_grows, _) =
         substep_allocs(SolverBackend::multigrid(), grid, &powers);
 
-    section("warm iterative transient sub-step (48x48 grid, 11521 nodes)");
+    section(&format!(
+        "warm iterative transient sub-step (48x48 grid, {nodes} nodes)"
+    ));
     kv("ILU(0) allocations/sub-step", f(ilu_allocs, 2));
     kv("ILU(0) sub-step (ms)", f(ilu_substep_ms, 2));
     kv("multigrid allocations/sub-step", f(mg_allocs, 2));
@@ -350,7 +362,7 @@ fn main() {
         });
         table.row(&[
             format!("{nres}x{nres}"),
-            format!("{}", cells * 5 + 1),
+            format!("{}", iter.nodes),
             direct
                 .as_ref()
                 .map_or("-".into(), |d| format!("{:.1} ms", d.setup_ms)),

@@ -338,8 +338,8 @@ where
         }
         let beta = (rho_new / rho) * (alpha / omega);
         rho = rho_new;
-        for i in 0..n {
-            ws.p[i] = ws.r[i] + beta * (ws.p[i] - omega * ws.v[i]);
+        for ((p, &r), &v) in ws.p.iter_mut().zip(&ws.r).zip(&ws.v) {
+            *p = r + beta * (*p - omega * v);
         }
         apply_precond(precond.as_deref_mut(), &ws.p, &mut ws.p_hat)?;
         a.matvec_into(&ws.p_hat, &mut ws.v);
@@ -349,8 +349,8 @@ where
             return Err(SparseError::Breakdown { iteration: it });
         }
         alpha = rho / denom;
-        for i in 0..n {
-            ws.s[i] = ws.r[i] - alpha * ws.v[i];
+        for ((s, &r), &v) in ws.s.iter_mut().zip(&ws.r).zip(&ws.v) {
+            *s = r - alpha * v;
         }
         let s_norm = norm2(&ws.s);
         if s_norm / bnorm < options.tolerance {
@@ -379,9 +379,11 @@ where
             return Err(SparseError::Breakdown { iteration: it });
         }
         omega = ts / tt;
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += alpha * ws.p_hat[i] + omega * ws.s_hat[i];
-            ws.r[i] = ws.s[i] - omega * ws.t[i];
+        let hats = ws.p_hat.iter().zip(&ws.s_hat);
+        let rst = ws.r.iter_mut().zip(ws.s.iter().zip(&ws.t));
+        for ((xi, (&ph, &sh)), (r, (&s, &t))) in x.iter_mut().zip(hats).zip(rst) {
+            *xi += alpha * ph + omega * sh;
+            *r = s - omega * t;
         }
         r_norm = norm2(&ws.r);
         if r_norm / bnorm < options.tolerance {

@@ -314,8 +314,8 @@ impl<A: LinearOperator> Multigrid<A> {
         {
             let lev = &mut self.levels[l];
             lev.op.matvec_into(&lev.x, &mut lev.r);
-            for i in 0..lev.r.len() {
-                lev.r[i] = lev.b[i] - lev.r[i];
+            for (r, &b) in lev.r.iter_mut().zip(&lev.b) {
+                *r = b - *r;
             }
         }
         if l + 1 < self.levels.len() {
@@ -375,26 +375,24 @@ fn restrict(fine: GridShape, rf: &[f64], coarse: GridShape, rc: &mut [f64]) {
     debug_assert_eq!(Some(coarse), fine.coarsened());
     debug_assert_eq!(rf.len(), fine.n());
     debug_assert_eq!(rc.len(), coarse.n());
-    let (fnx, fny) = (fine.nx, fine.ny);
-    let (cnx, cny) = (coarse.nx, coarse.ny);
-    let f_cells = fnx * fny;
-    let c_cells = cnx * cny;
-    for z in 0..fine.nz {
-        let fz = z * f_cells;
-        let cz = z * c_cells;
-        for cy in 0..cny {
-            let f0 = fz + (2 * cy) * fnx;
-            let f1 = fz + (2 * cy + 1) * fnx;
-            let c0 = cz + cy * cnx;
-            for cx in 0..cnx {
-                let fx = 2 * cx;
-                rc[c0 + cx] = (rf[f0 + fx] + rf[f0 + fx + 1]) + (rf[f1 + fx] + rf[f1 + fx + 1]);
-            }
+    let (rf, rf_extra) = rf.split_at(fine.cells());
+    let (rc, rc_extra) = rc.split_at_mut(coarse.cells());
+    // Fine rows pair up across the whole stack: coarse row `j` (of any
+    // tier) gathers fine rows `2j` and `2j + 1`.
+    for (crow, pair) in rc
+        .chunks_exact_mut(coarse.nx)
+        .zip(rf.chunks_exact(2 * fine.nx))
+    {
+        let (f0, f1) = pair.split_at(fine.nx);
+        for ((c, a), b) in crow
+            .iter_mut()
+            .zip(f0.chunks_exact(2))
+            .zip(f1.chunks_exact(2))
+        {
+            *c = (a[0] + a[1]) + (b[0] + b[1]);
         }
     }
-    for e in 0..fine.extra {
-        rc[coarse.cells() + e] = rf[fine.cells() + e];
-    }
+    rc_extra.copy_from_slice(rf_extra);
 }
 
 /// Weight pair for cell-centered bilinear interpolation along one axis:
@@ -416,30 +414,52 @@ fn prolong_add(coarse: GridShape, xc: &[f64], fine: GridShape, xf: &mut [f64]) {
     debug_assert_eq!(Some(coarse), fine.coarsened());
     debug_assert_eq!(xc.len(), coarse.n());
     debug_assert_eq!(xf.len(), fine.n());
-    const W_MAIN: f64 = 0.75;
-    const W_SIDE: f64 = 0.25;
-    let (fnx, fny) = (fine.nx, fine.ny);
-    let (cnx, cny) = (coarse.nx, coarse.ny);
-    let f_cells = fnx * fny;
-    let c_cells = cnx * cny;
-    for z in 0..fine.nz {
-        let fz = z * f_cells;
-        let cz = z * c_cells;
-        for fy in 0..fny {
-            let (ym, ys) = axis_neighbors(fy, cny);
-            let row_m = cz + ym * cnx;
-            let row_s = cz + ys * cnx;
-            let frow = fz + fy * fnx;
-            for fx in 0..fnx {
-                let (xm, xs) = axis_neighbors(fx, cnx);
-                let v = W_MAIN * (W_MAIN * xc[row_m + xm] + W_SIDE * xc[row_m + xs])
-                    + W_SIDE * (W_MAIN * xc[row_s + xm] + W_SIDE * xc[row_s + xs]);
-                xf[frow + fx] += v;
-            }
+    let cnx = coarse.nx;
+    let (xc, xc_extra) = xc.split_at(coarse.cells());
+    let (xf, xf_extra) = xf.split_at_mut(fine.cells());
+    for (cplane, fplane) in xc
+        .chunks_exact(cnx * coarse.ny)
+        .zip(xf.chunks_exact_mut(fine.nx * fine.ny))
+    {
+        for (fy, frow) in fplane.chunks_exact_mut(fine.nx).enumerate() {
+            let (ym, ys) = axis_neighbors(fy, coarse.ny);
+            prolong_row(&cplane[ym * cnx..][..cnx], &cplane[ys * cnx..][..cnx], frow);
         }
     }
-    for e in 0..fine.extra {
-        xf[fine.cells() + e] += xc[coarse.cells() + e];
+    for (f, &c) in xf_extra.iter_mut().zip(xc_extra) {
+        *f += c;
+    }
+}
+
+/// Adds one fine row of the bilinear prolongation: `main` is the coarse
+/// row nearest in y (weight 3/4), `side` its clamped y-neighbour (1/4),
+/// and fine cell `i` weighs coarse cells `i/2` and its clamped nearer
+/// x-neighbour the same way ([`axis_neighbors`]).
+fn prolong_row(main: &[f64], side: &[f64], frow: &mut [f64]) {
+    const W_MAIN: f64 = 0.75;
+    const W_SIDE: f64 = 0.25;
+    let interp = |mm: f64, ms: f64, sm: f64, ss: f64| {
+        W_MAIN * (W_MAIN * mm + W_SIDE * ms) + W_SIDE * (W_MAIN * sm + W_SIDE * ss)
+    };
+    let last = main.len() - 1;
+    // The two edge cells clamp their x-neighbour to themselves.
+    frow[0] += interp(main[0], main[0], side[0], side[0]);
+    frow[2 * last + 1] += interp(main[last], main[last], side[last], side[last]);
+    // Even fine cell 2k (k ≥ 1) leans on coarse k − 1, odd fine cell
+    // 2k + 1 (k < last) on coarse k + 1.
+    for ((f, m), s) in frow[2..]
+        .chunks_exact_mut(2)
+        .zip(main.windows(2))
+        .zip(side.windows(2))
+    {
+        f[0] += interp(m[1], m[0], s[1], s[0]);
+    }
+    for ((f, m), s) in frow
+        .chunks_exact_mut(2)
+        .zip(main.windows(2))
+        .zip(side.windows(2))
+    {
+        f[1] += interp(m[0], m[1], s[0], s[1]);
     }
 }
 
@@ -531,6 +551,93 @@ mod tests {
         prolong_add(coarse, &xc, fine, &mut xf);
         for &v in &xf {
             assert!((v - 4.5).abs() < 1e-14, "{v}");
+        }
+    }
+
+    /// Restriction as it was written before the line kernels: indexed
+    /// per coarse cell.
+    fn reference_restrict(fine: GridShape, rf: &[f64], coarse: GridShape, rc: &mut [f64]) {
+        let (fnx, fny) = (fine.nx, fine.ny);
+        let (cnx, cny) = (coarse.nx, coarse.ny);
+        for z in 0..fine.nz {
+            let fz = z * fnx * fny;
+            let cz = z * cnx * cny;
+            for cy in 0..cny {
+                let f0 = fz + (2 * cy) * fnx;
+                let f1 = fz + (2 * cy + 1) * fnx;
+                let c0 = cz + cy * cnx;
+                for cx in 0..cnx {
+                    let fx = 2 * cx;
+                    rc[c0 + cx] = (rf[f0 + fx] + rf[f0 + fx + 1]) + (rf[f1 + fx] + rf[f1 + fx + 1]);
+                }
+            }
+        }
+        for e in 0..fine.extra {
+            rc[coarse.cells() + e] = rf[fine.cells() + e];
+        }
+    }
+
+    /// Prolongation as it was written before the line kernels: indexed
+    /// per fine cell through [`axis_neighbors`].
+    fn reference_prolong_add(coarse: GridShape, xc: &[f64], fine: GridShape, xf: &mut [f64]) {
+        let (fnx, fny) = (fine.nx, fine.ny);
+        let (cnx, cny) = (coarse.nx, coarse.ny);
+        for z in 0..fine.nz {
+            let fz = z * fnx * fny;
+            let cz = z * cnx * cny;
+            for fy in 0..fny {
+                let (ym, ys) = axis_neighbors(fy, cny);
+                let row_m = cz + ym * cnx;
+                let row_s = cz + ys * cnx;
+                for fx in 0..fnx {
+                    let (xm, xs) = axis_neighbors(fx, cnx);
+                    let v = 0.75 * (0.75 * xc[row_m + xm] + 0.25 * xc[row_m + xs])
+                        + 0.25 * (0.75 * xc[row_s + xm] + 0.25 * xc[row_s + xs]);
+                    xf[fz + fy * fnx + fx] += v;
+                }
+            }
+        }
+        for e in 0..fine.extra {
+            xf[fine.cells() + e] += xc[coarse.cells() + e];
+        }
+    }
+
+    #[test]
+    fn grid_transfers_match_the_per_cell_loops_bitwise() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3
+        };
+        // Coarse shapes one cell wide, one cell high, both, and ordinary
+        // ones, with and without trailing lumped nodes.
+        for (nx, ny, nz, extra) in [
+            (2, 2, 1, 0),
+            (2, 6, 2, 1),
+            (6, 2, 3, 2),
+            (2, 2, 4, 1),
+            (4, 4, 1, 0),
+            (8, 6, 3, 2),
+            (10, 4, 2, 1),
+        ] {
+            let fine = GridShape { nx, ny, nz, extra };
+            let coarse = fine.coarsened().expect("even shape");
+            let rf: Vec<f64> = (0..fine.n()).map(|_| draw()).collect();
+            let mut rc = vec![f64::NAN; coarse.n()];
+            let mut expect = vec![f64::NAN; coarse.n()];
+            restrict(fine, &rf, coarse, &mut rc);
+            reference_restrict(fine, &rf, coarse, &mut expect);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rc), bits(&expect), "restrict {fine:?}");
+
+            let xc: Vec<f64> = (0..coarse.n()).map(|_| draw()).collect();
+            let mut xf: Vec<f64> = (0..fine.n()).map(|_| draw()).collect();
+            let mut expect = xf.clone();
+            prolong_add(coarse, &xc, fine, &mut xf);
+            reference_prolong_add(coarse, &xc, fine, &mut expect);
+            assert_eq!(bits(&xf), bits(&expect), "prolong_add {fine:?}");
         }
     }
 

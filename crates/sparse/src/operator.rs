@@ -75,8 +75,8 @@ pub trait LinearOperator {
         scratch: &mut [f64],
     ) {
         self.matvec_into(x, scratch);
-        for i in 0..x.len() {
-            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        for (((xi, &bi), &di), &ai) in x.iter_mut().zip(b).zip(inv_diag).zip(&*scratch) {
+            *xi += omega * di * (bi - ai);
         }
     }
 }

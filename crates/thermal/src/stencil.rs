@@ -10,18 +10,39 @@
 //! # Bit-identity contract
 //!
 //! [`StencilOperator::matvec_into`] and the assembled form returned by
-//! [`StencilOperator::assemble`] produce **bit-identical** products: both
-//! walk the same column-major, row-ascending entry emission (one shared
-//! code path generates the entries), and the assembled CSC preserves that
-//! emission order verbatim, so `CscMatrix::matvec_into` replays the exact
-//! floating-point accumulation sequence of the stencil apply. This is the
-//! [`LinearOperator`] interchangeability contract the iterative solvers
-//! rely on when a solve mixes representations (e.g. a matrix-free fine
-//! level over an assembled direct-LU fallback).
+//! [`StencilOperator::assemble`] produce **bit-identical** products. Both
+//! read one per-layer term list, built once in [`StencilOperator::new`]:
+//! the entries every row of a layer holds, in ascending column order
+//! (wall skip and interface below, y−1, x−1, diagonal, x+1, y+1,
+//! interface and wall skip above, sink).
 //!
-//! A coefficient that is exactly `0.0` is *structurally absent*: neither
-//! the matvec nor the assembled matrix emits it, using the same predicate,
-//! so the two forms always agree on sparsity as well as on bits.
+//! `matvec_into` is a row gather. Each `(layer, y-row)` line of the output
+//! starts at `+0.0` and receives its terms in that order, one contiguous
+//! slice pass per term, so each row adds its products in ascending column
+//! order. `assemble` emits the same terms as triplets;
+//! `CscMatrix::from_triplets` sorts each column by row, which leaves the
+//! assembled arrays exactly as a column-by-column emission would. Its
+//! `CscMatrix::matvec_into` scatters columns in ascending order, so it
+//! delivers every row's products in the same ascending column order,
+//! starting from the same `+0.0`: each output element gets the same
+//! multiplications and additions in the same order (multiply, then add,
+//! never a fused multiply-add).
+//!
+//! The scatter skips a column whose `x` entry is ±0; the gather does not.
+//! That changes no bits. Every coefficient is finite, so a skipped product
+//! is ±0. Adding ±0 to a nonzero, infinite or NaN accumulator returns the
+//! accumulator, and an accumulator that starts at `+0.0` never becomes
+//! `−0.0` (in round-to-nearest a sum is `−0.0` only when both operands
+//! are), so `+0.0 + (±0.0)` stays `+0.0`. (A NaN row is NaN in both forms;
+//! Rust leaves the sign and payload of a NaN result unspecified.)
+//!
+//! This is the [`LinearOperator`] interchangeability contract the
+//! iterative solvers rely on when a solve mixes representations (e.g. a
+//! matrix-free fine level over an assembled direct-LU fallback).
+//!
+//! A coefficient that is exactly `0.0` is *structurally absent*: the term
+//! list omits it, so the two forms agree on sparsity as well as on bits,
+//! and a zero coefficient never meets an infinite or NaN entry of `x`.
 //!
 //! # Layer taxonomy
 //!
@@ -48,6 +69,8 @@
 //! (interfaces, wall skips, per-cell capacitance, sink spreading) scale
 //! ×4, the advection coefficient (∝ channel count × Δy) scales ×2, and
 //! the lumped sink node passes through unchanged.
+
+use std::ops::Range;
 
 use cmosaic_sparse::{CscMatrix, GridShape, LinearOperator};
 
@@ -120,6 +143,60 @@ pub struct StencilSink {
     pub diag_extra: f64,
 }
 
+/// Which column a [`Term::Shift`] of row `r = (z, iy, ix)` reads, with
+/// `nxy = nx·ny`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// `r − k·nxy`: the same cell `k` layers down (`k = 1` across the
+    /// interface, `k = 2` through a cavity's walls).
+    Down(usize),
+    /// `r − nx`, for rows with `iy > 0`.
+    South,
+    /// `r − 1`, for rows with `ix > 0`.
+    West,
+    /// `r + 1`, for rows with `ix + 1 < nx`.
+    East,
+    /// `r + nx`, for rows with `iy + 1 < ny`.
+    North,
+    /// `r + k·nxy`: the same cell `k` layers up.
+    Up(usize),
+}
+
+impl Reach {
+    /// For the line of rows starting at global row `row` (y-row `iy` of
+    /// its layer): the in-line range of rows that have this neighbour, and
+    /// the column the first of them reads. Empty when the line has none.
+    fn span(self, shape: GridShape, row: usize, iy: usize) -> (Range<usize>, usize) {
+        let GridShape { nx, ny, .. } = shape;
+        let nxy = nx * ny;
+        match self {
+            Reach::Down(k) => (0..nx, row - k * nxy),
+            Reach::South if iy > 0 => (0..nx, row - nx),
+            Reach::West => (1..nx, row),
+            Reach::East => (0..nx - 1, row + 1),
+            Reach::North if iy + 1 < ny => (0..nx, row + nx),
+            Reach::South | Reach::North => (0..0, row),
+            Reach::Up(k) => (0..nx, row + k * nxy),
+        }
+    }
+}
+
+/// Upwind chains the cavity Gauss–Seidel sweep advances together per x
+/// step (see `StencilOperator::cavity_sweep`).
+const CHANNELS: usize = 4;
+
+/// One term of every row of a layer: the matrix entry's value and the
+/// column it multiplies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Term {
+    /// `coef·x[col]` with the column given by the [`Reach`].
+    Shift(Reach, f64),
+    /// `diag[r]·x[r]`, from the precomputed diagonal.
+    Diag,
+    /// `coef·x[sink]`: the spreading term of a top-layer row.
+    Sink(f64),
+}
+
 /// Matrix-free structured-grid thermal operator; see the
 /// [module docs](self) for the representation, the bit-identity contract
 /// with [`StencilOperator::assemble`], and the coarsening rules.
@@ -134,10 +211,15 @@ pub struct StencilOperator {
     /// `matvec_into` and `assemble` so the two forms cannot disagree on
     /// the one entry built from many terms.
     diag: Vec<f64>,
+    /// Per-layer term lists in ascending column order, the one
+    /// description of the matrix that `matvec_into` and `assemble` both
+    /// read.
+    terms: Vec<Vec<Term>>,
 }
 
 impl StencilOperator {
-    /// Builds the operator and precomputes its diagonal.
+    /// Builds the operator and precomputes its diagonal and per-layer
+    /// term lists.
     ///
     /// `walls[z]` is the conduction skip *through the walls of cavity
     /// `z`*, coupling layers `z-1` and `z+1` directly; boundary entries
@@ -226,8 +308,10 @@ impl StencilOperator {
             walls,
             sink,
             diag: vec![0.0; shape.n()],
+            terms: Vec::new(),
         };
         op.compute_diagonal();
+        op.terms = op.build_terms();
         op
     }
 
@@ -306,91 +390,52 @@ impl StencilOperator {
         self.sink.as_ref()
     }
 
-    /// Emits the stored entries of cell column `c = (z, iy, ix)` in
-    /// ascending row order — the single code path behind both
-    /// [`Self::matvec_into`] and [`Self::assemble`], which is what makes
-    /// them bit-identical. Zero coefficients are structurally absent.
-    #[inline]
-    fn cell_column(
-        &self,
-        z: usize,
-        iy: usize,
-        ix: usize,
-        c: usize,
-        emit: &mut impl FnMut(usize, f64),
-    ) {
-        let GridShape { nx, ny, nz, .. } = self.shape;
-        let nxy = nx * ny;
-        let layer = &self.layers[z];
-        if z >= 2 {
-            let w = self.walls[z - 1];
-            if w != 0.0 {
-                emit(c - 2 * nxy, -w);
-            }
-        }
-        if z >= 1 {
-            let g = self.interfaces[z - 1].upper;
+    /// The term list of every layer's rows, in ascending column order.
+    /// A coefficient that is exactly zero is structurally absent and gets
+    /// no term.
+    fn build_terms(&self) -> Vec<Vec<Term>> {
+        fn shift(terms: &mut Vec<Term>, reach: Reach, g: f64) {
             if g != 0.0 {
-                emit(c - nxy, -g);
+                terms.push(Term::Shift(reach, -g));
             }
         }
-        if iy > 0 && layer.gy != 0.0 {
-            emit(c - nx, -layer.gy);
-        }
-        if ix > 0 && layer.gx != 0.0 {
-            emit(c - 1, -layer.gx);
-        }
-        emit(c, self.diag[c]);
-        if ix + 1 < nx {
-            // At most one of gx/adv is nonzero (enforced per kind), so
-            // this is the lateral conduction entry on solid layers and
-            // the downstream upwind entry on cavity layers.
-            let g = layer.gx + layer.adv;
-            if g != 0.0 {
-                emit(c + 1, -g);
+        let nz = self.shape.nz;
+        let mut all = Vec::with_capacity(nz);
+        for (z, layer) in self.layers.iter().enumerate() {
+            let mut t = Vec::new();
+            if z >= 2 {
+                shift(&mut t, Reach::Down(2), self.walls[z - 1]);
             }
-        }
-        if iy + 1 < ny && layer.gy != 0.0 {
-            emit(c + nx, -layer.gy);
-        }
-        if z + 1 < nz {
-            let g = self.interfaces[z].lower;
-            if g != 0.0 {
-                emit(c + nxy, -g);
+            if z >= 1 {
+                shift(&mut t, Reach::Down(1), self.interfaces[z - 1].lower);
             }
-        }
-        if z + 2 < nz {
-            let w = self.walls[z + 1];
-            if w != 0.0 {
-                emit(c + 2 * nxy, -w);
+            shift(&mut t, Reach::South, layer.gy);
+            // At most one of gx/adv is nonzero (enforced per kind), so this
+            // is lateral conduction on solid layers and the upwind term on
+            // cavity layers.
+            shift(&mut t, Reach::West, layer.gx + layer.adv);
+            t.push(Term::Diag);
+            shift(&mut t, Reach::East, layer.gx);
+            shift(&mut t, Reach::North, layer.gy);
+            if z + 1 < nz {
+                shift(&mut t, Reach::Up(1), self.interfaces[z].upper);
             }
-        }
-        if z + 1 == nz {
-            if let Some(s) = &self.sink {
-                if s.g_top != 0.0 {
-                    emit(self.shape.cells(), -s.g_top);
-                }
+            if z + 2 < nz {
+                shift(&mut t, Reach::Up(2), self.walls[z + 1]);
             }
-        }
-    }
-
-    /// Emits the sink column (the last column) in ascending row order:
-    /// every top-layer cell row, then the sink diagonal.
-    #[inline]
-    fn sink_column(&self, s: &StencilSink, emit: &mut impl FnMut(usize, f64)) {
-        let cells = self.shape.cells();
-        let nxy = self.shape.nx * self.shape.ny;
-        if s.g_top != 0.0 {
-            for r in (cells - nxy)..cells {
-                emit(r, -s.g_top);
+            match self.sink {
+                Some(s) if z + 1 == nz && s.g_top != 0.0 => t.push(Term::Sink(-s.g_top)),
+                _ => {}
             }
+            all.push(t);
         }
-        emit(cells, self.diag[cells]);
+        all
     }
 
     /// `y = A·x`, fully overwriting `y`, with zero heap allocation —
     /// bit-identical to `assemble().matvec_into(x, y)` (see the
-    /// [module docs](self)).
+    /// [module docs](self)). Each `(layer, y-row)` line of `y` is
+    /// gathered as one contiguous slice pass per term.
     ///
     /// # Panics
     ///
@@ -399,62 +444,154 @@ impl StencilOperator {
         let n = self.shape.n();
         assert_eq!(x.len(), n, "matvec_into: x dimension mismatch");
         assert_eq!(y.len(), n, "matvec_into: y dimension mismatch");
-        y.fill(0.0);
-        let GridShape { nx, ny, nz, .. } = self.shape;
-        let mut c = 0usize;
-        for z in 0..nz {
+        let GridShape { nx, ny, .. } = self.shape;
+        let cells = self.shape.cells();
+        for (z, terms) in self.terms.iter().enumerate() {
             for iy in 0..ny {
-                for ix in 0..nx {
-                    let xc = x[c];
-                    // Mirrors CscMatrix::matvec_into's `xc == 0.0` column
-                    // skip (NaN columns are processed by both).
-                    if xc != 0.0 {
-                        self.cell_column(z, iy, ix, c, &mut |r, v| y[r] += v * xc);
+                let row = (z * ny + iy) * nx;
+                let out = &mut y[row..row + nx];
+                out.fill(0.0);
+                for &term in terms {
+                    match term {
+                        Term::Shift(reach, g) => {
+                            let (ixs, col) = reach.span(self.shape, row, iy);
+                            for (o, &v) in out[ixs].iter_mut().zip(&x[col..]) {
+                                *o += g * v;
+                            }
+                        }
+                        Term::Diag => {
+                            let diag = &self.diag[row..row + nx];
+                            for ((o, &d), &v) in out.iter_mut().zip(diag).zip(&x[row..]) {
+                                *o += d * v;
+                            }
+                        }
+                        Term::Sink(g) => {
+                            let p = g * x[cells];
+                            for o in out.iter_mut() {
+                                *o += p;
+                            }
+                        }
                     }
-                    c += 1;
                 }
             }
         }
         if let Some(s) = &self.sink {
-            let xc = x[c];
-            if xc != 0.0 {
-                self.sink_column(s, &mut |r, v| y[r] += v * xc);
+            // The sink row: every top-layer cell column, then the sink's
+            // own diagonal.
+            let mut acc = 0.0;
+            if s.g_top != 0.0 {
+                let g = -s.g_top;
+                for &v in &x[cells - nx * ny..cells] {
+                    acc += g * v;
+                }
             }
+            y[cells] = acc + self.diag[cells] * x[cells];
         }
     }
 
-    /// Assembles the operator into CSC form, preserving the stencil's
-    /// column-major, row-ascending emission order entry for entry — the
-    /// result's `matvec_into` is bit-identical to [`Self::matvec_into`],
-    /// and its pattern is the exact structural sparsity (no explicit
-    /// zeros).
+    /// Assembles the operator into CSC form from the same term list as
+    /// [`Self::matvec_into`]: the result's `matvec_into` is bit-identical
+    /// to the stencil's, and its pattern is the exact structural sparsity
+    /// (no explicit zeros).
     pub fn assemble(&self) -> CscMatrix {
-        let GridShape { nx, ny, nz, .. } = self.shape;
+        let GridShape { nx, ny, .. } = self.shape;
         let n = self.shape.n();
+        let cells = self.shape.cells();
         let mut rows: Vec<usize> = Vec::new();
         let mut cols: Vec<usize> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
-        let mut c = 0usize;
-        for z in 0..nz {
+        let mut emit = |r: usize, c: usize, v: f64| {
+            rows.push(r);
+            cols.push(c);
+            vals.push(v);
+        };
+        for (z, terms) in self.terms.iter().enumerate() {
             for iy in 0..ny {
+                let row = (z * ny + iy) * nx;
                 for ix in 0..nx {
-                    self.cell_column(z, iy, ix, c, &mut |r, v| {
-                        rows.push(r);
-                        cols.push(c);
-                        vals.push(v);
-                    });
-                    c += 1;
+                    for &term in terms {
+                        match term {
+                            Term::Shift(reach, g) => {
+                                let (ixs, col) = reach.span(self.shape, row, iy);
+                                if ixs.contains(&ix) {
+                                    emit(row + ix, col + ix - ixs.start, g);
+                                }
+                            }
+                            Term::Diag => emit(row + ix, row + ix, self.diag[row + ix]),
+                            Term::Sink(g) => emit(row + ix, cells, g),
+                        }
+                    }
                 }
             }
         }
         if let Some(s) = &self.sink {
-            self.sink_column(s, &mut |r, v| {
-                rows.push(r);
-                cols.push(c);
-                vals.push(v);
-            });
+            if s.g_top != 0.0 {
+                for c in cells - nx * ny..cells {
+                    emit(cells, c, -s.g_top);
+                }
+            }
+            emit(cells, cells, self.diag[cells]);
         }
         CscMatrix::from_triplets(n, n, &rows, &cols, &vals)
+    }
+
+    /// The downstream Gauss–Seidel substitution of
+    /// [`LinearOperator::smooth_pass`] over cavity layer `z`: each cell,
+    /// in ascending x along its channel, takes its full row solution
+    /// `x[c] = (b[c] − Σ_offdiag)/diag` given the current vertical
+    /// neighbours. Cavity rows have no lateral conduction, so the
+    /// off-diagonals are the upstream advective neighbour (already updated
+    /// this sweep — the Gauss–Seidel part), the vertical couplings, any
+    /// wall skips and the sink spreading term, added in that order.
+    ///
+    /// Channels (y-rows) are independent chains; [`CHANNELS`] of them
+    /// advance together per x step so their dependent sums overlap. Every
+    /// cell still gets the same sum in the same order.
+    fn cavity_sweep(&self, z: usize, adv: f64, x: &mut [f64], b: &[f64], inv_diag: &[f64]) {
+        let GridShape { nx, ny, nz, .. } = self.shape;
+        let nxy = nx * ny;
+        let sink = self
+            .sink
+            .filter(|_| z + 1 == nz)
+            .map(|s| s.g_top * x[self.shape.cells()]);
+        let (below, rest) = x.split_at_mut(z * nxy);
+        let (plane, above) = rest.split_at_mut(nxy);
+        let wall_lo = (z >= 2 && self.walls[z - 1] != 0.0)
+            .then(|| (self.walls[z - 1], &below[(z - 2) * nxy..(z - 1) * nxy]));
+        let iface_lo = (z >= 1).then(|| (self.interfaces[z - 1].lower, &below[(z - 1) * nxy..]));
+        let iface_hi = (z + 1 < nz).then(|| (self.interfaces[z].upper, &above[..nxy]));
+        let wall_hi = (z + 2 < nz && self.walls[z + 1] != 0.0)
+            .then(|| (self.walls[z + 1], &above[nxy..2 * nxy]));
+        let b = &b[z * nxy..(z + 1) * nxy];
+        let inv = &inv_diag[z * nxy..(z + 1) * nxy];
+        for first in (0..ny).step_by(CHANNELS) {
+            let channels = first..(first + CHANNELS).min(ny);
+            for ix in 0..nx {
+                for iy in channels.clone() {
+                    let c = iy * nx + ix;
+                    let mut s = b[c];
+                    if ix > 0 {
+                        s += adv * plane[c - 1];
+                    }
+                    if let Some((w, v)) = wall_lo {
+                        s += w * v[c];
+                    }
+                    if let Some((g, v)) = iface_lo {
+                        s += g * v[c];
+                    }
+                    if let Some((g, v)) = iface_hi {
+                        s += g * v[c];
+                    }
+                    if let Some((w, v)) = wall_hi {
+                        s += w * v[c];
+                    }
+                    if let Some(p) = sink {
+                        s += p;
+                    }
+                    plane[c] = s * inv[c];
+                }
+            }
+        }
     }
 
     /// Re-discretises the operator on the 2×-coarser in-plane grid, or
@@ -550,56 +687,15 @@ impl LinearOperator for StencilOperator {
         scratch: &mut [f64],
     ) {
         self.matvec_into(x, scratch);
-        for i in 0..x.len() {
-            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        for (((xi, &bi), &di), &ai) in x.iter_mut().zip(b).zip(inv_diag).zip(&*scratch) {
+            *xi += omega * di * (bi - ai);
         }
-        let GridShape { nx, ny, nz, .. } = self.shape;
-        let nxy = nx * ny;
         for (z, layer) in self.layers.iter().enumerate() {
             // Only Cavity layers carry advection (enforced in `new`);
             // Dirichlet rows are identity rows the Jacobi pass already
             // solved exactly.
-            if layer.adv == 0.0 {
-                continue;
-            }
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let c = z * nxy + iy * nx + ix;
-                    // Full row substitution: x[c] = (b[c] − Σ_offdiag)/diag.
-                    // Cavity rows have no lateral conduction, so the
-                    // off-diagonals are the upstream advective neighbour
-                    // (already updated this sweep — the Gauss–Seidel
-                    // part), the vertical couplings, any wall skips and
-                    // the sink spreading term.
-                    let mut s = b[c];
-                    if ix > 0 {
-                        s += layer.adv * x[c - 1];
-                    }
-                    if z >= 2 {
-                        let w = self.walls[z - 1];
-                        if w != 0.0 {
-                            s += w * x[c - 2 * nxy];
-                        }
-                    }
-                    if z >= 1 {
-                        s += self.interfaces[z - 1].lower * x[c - nxy];
-                    }
-                    if z + 1 < nz {
-                        s += self.interfaces[z].upper * x[c + nxy];
-                    }
-                    if z + 2 < nz {
-                        let w = self.walls[z + 1];
-                        if w != 0.0 {
-                            s += w * x[c + 2 * nxy];
-                        }
-                    }
-                    if z + 1 == nz {
-                        if let Some(sk) = &self.sink {
-                            s += sk.g_top * x[self.shape.cells()];
-                        }
-                    }
-                    x[c] = s * inv_diag[c];
-                }
+            if layer.adv != 0.0 {
+                self.cavity_sweep(z, layer.adv, x, b, inv_diag);
             }
         }
     }
@@ -919,6 +1015,254 @@ mod tests {
                 ((yt[c] - ys[c]) - extra * x[c]).abs() <= 1e-12 * transient.max_abs(),
                 "cell {c}"
             );
+        }
+    }
+
+    /// Uniform draw from `0..k`.
+    fn pick(state: &mut u64, k: usize) -> usize {
+        ((lcg(state) + 1.0) * 0.5 * k as f64) as usize % k
+    }
+
+    /// A conductance in (0, 2), or an exact zero one time in four.
+    fn coef(state: &mut u64) -> f64 {
+        if pick(state, 4) == 0 {
+            0.0
+        } else {
+            1.0 + lcg(state)
+        }
+    }
+
+    /// An operator of random shape (nx, ny in 1..=9, nz in 1..=6), random
+    /// layer kinds and random coefficients with exact zeros, wall skips
+    /// on interior layers and a sink half of the time.
+    fn random_operator(state: &mut u64) -> StencilOperator {
+        let nx = 1 + pick(state, 9);
+        let ny = 1 + pick(state, 9);
+        let nz = 1 + pick(state, 6);
+        let with_sink = pick(state, 2) == 1;
+        let layers = (0..nz)
+            .map(|_| match pick(state, 3) {
+                0 => StencilLayer {
+                    kind: StencilLayerKind::Solid,
+                    gx: coef(state),
+                    gy: coef(state),
+                    adv: 0.0,
+                    diag_extra: coef(state),
+                },
+                1 => StencilLayer {
+                    adv: coef(state),
+                    diag_extra: coef(state),
+                    ..cavity(0.0)
+                },
+                _ => dirichlet(),
+            })
+            .collect();
+        let interfaces = (1..nz)
+            .map(|_| StencilInterface {
+                lower: coef(state),
+                upper: coef(state),
+            })
+            .collect();
+        let walls = (0..nz)
+            .map(|z| {
+                if z >= 1 && z + 1 < nz {
+                    coef(state)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let sink = with_sink.then(|| StencilSink {
+            g_top: coef(state),
+            lumped: coef(state),
+            diag_extra: coef(state),
+        });
+        StencilOperator::new(
+            GridShape {
+                nx,
+                ny,
+                nz,
+                extra: usize::from(with_sink),
+            },
+            layers,
+            interfaces,
+            walls,
+            sink,
+        )
+    }
+
+    /// A vector mixing ordinary values with every class of IEEE special
+    /// the products must carry through: ±0, NaN, ±∞, subnormals.
+    fn hostile_vector(n: usize, state: &mut u64) -> Vec<f64> {
+        const SPECIALS: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -2.5e-310,
+            f64::MIN_POSITIVE,
+        ];
+        (0..n)
+            .map(|_| {
+                if pick(state, 3) == 0 {
+                    SPECIALS[pick(state, SPECIALS.len())]
+                } else {
+                    lcg(state) * 1e3
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_operators_match_their_assembled_form_on_ieee_specials() {
+        let mut state = 0x5eed_u64;
+        for case in 0..300 {
+            let op = random_operator(&mut state);
+            let a = op.assemble();
+            let n = op.shape().n();
+            for _ in 0..4 {
+                let x = hostile_vector(n, &mut state);
+                let mut y_stencil = vec![1.0; n];
+                let mut y_csc = vec![-1.0; n];
+                op.matvec_into(&x, &mut y_stencil);
+                a.matvec_into(&x, &mut y_csc);
+                for (i, (s, c)) in y_stencil.iter().zip(&y_csc).enumerate() {
+                    // Rust leaves the sign and payload of a NaN result
+                    // unspecified (an operation on two different NaNs may
+                    // return either), so NaN rows must agree on being
+                    // NaN; every other row agrees bit for bit.
+                    assert!(
+                        s.to_bits() == c.to_bits() || (s.is_nan() && c.is_nan()),
+                        "case {case} {:?}, row {i}: stencil {s:e} != assembled {c:e}",
+                        op.shape()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The smoother as it was written before the line kernels: the
+    /// assembled product, an indexed Jacobi update, and a per-cell
+    /// Gauss–Seidel substitution along each cavity channel.
+    fn reference_smooth(
+        op: &StencilOperator,
+        x: &mut [f64],
+        b: &[f64],
+        inv_diag: &[f64],
+        omega: f64,
+    ) {
+        let mut scratch = vec![0.0; x.len()];
+        op.assemble().matvec_into(x, &mut scratch);
+        for i in 0..x.len() {
+            x[i] += omega * inv_diag[i] * (b[i] - scratch[i]);
+        }
+        let GridShape { nx, ny, nz, .. } = op.shape();
+        let nxy = nx * ny;
+        for (z, layer) in op.layers().iter().enumerate() {
+            if layer.adv == 0.0 {
+                continue;
+            }
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let c = z * nxy + iy * nx + ix;
+                    let mut s = b[c];
+                    if ix > 0 {
+                        s += layer.adv * x[c - 1];
+                    }
+                    if z >= 2 {
+                        let w = op.walls()[z - 1];
+                        if w != 0.0 {
+                            s += w * x[c - 2 * nxy];
+                        }
+                    }
+                    if z >= 1 {
+                        s += op.interfaces()[z - 1].lower * x[c - nxy];
+                    }
+                    if z + 1 < nz {
+                        s += op.interfaces()[z].upper * x[c + nxy];
+                    }
+                    if z + 2 < nz {
+                        let w = op.walls()[z + 1];
+                        if w != 0.0 {
+                            s += w * x[c + 2 * nxy];
+                        }
+                    }
+                    if z + 1 == nz {
+                        if let Some(sk) = op.sink() {
+                            s += sk.g_top * x[op.shape().cells()];
+                        }
+                    }
+                    x[c] = s * inv_diag[c];
+                }
+            }
+        }
+    }
+
+    /// Two advecting cavities, one of them on top under the sink, with
+    /// wall skips through both.
+    fn multi_cavity_stack(nx: usize, ny: usize) -> StencilOperator {
+        StencilOperator::new(
+            GridShape {
+                nx,
+                ny,
+                nz: 5,
+                extra: 1,
+            },
+            vec![
+                solid(1.3, 0.02),
+                cavity(0.7),
+                solid(0.8, 0.01),
+                solid(1.9, 0.0),
+                cavity(1.1),
+            ],
+            vec![
+                StencilInterface::symmetric(0.4),
+                StencilInterface::symmetric(0.35),
+                StencilInterface::symmetric(2.2),
+                StencilInterface::symmetric(0.5),
+            ],
+            vec![0.0, 0.15, 0.0, 0.21, 0.0],
+            Some(StencilSink {
+                g_top: 1.6,
+                lumped: 4.0,
+                diag_extra: 0.3,
+            }),
+        )
+    }
+
+    #[test]
+    fn smooth_pass_matches_the_per_cell_smoother_bitwise() {
+        let mut ops = Vec::new();
+        for (nx, ny) in [(6, 5), (1, 4), (7, 1), (1, 1)] {
+            ops.push(liquid_stack(nx, ny, true));
+            ops.push(dirichlet_stack(nx, ny));
+            ops.push(multi_cavity_stack(nx, ny));
+        }
+        let mut state = 0xc0ffee_u64;
+        ops.extend((0..100).map(|_| random_operator(&mut state)));
+        for (case, op) in ops.iter().enumerate() {
+            let n = op.shape().n();
+            // Zero diagonals (possible in random operators) give infinite
+            // inverses; both smoothers must still agree bit for bit.
+            let inv_diag: Vec<f64> = op.diagonal().iter().map(|d| 1.0 / d).collect();
+            let b = seeded_vector(n, case as u64);
+            let mut x = seeded_vector(n, 1000 + case as u64);
+            let mut expect = x.clone();
+            let mut scratch = vec![0.0; n];
+            for _ in 0..3 {
+                op.smooth_pass(&mut x, &b, &inv_diag, 0.8, &mut scratch);
+                reference_smooth(op, &mut expect, &b, &inv_diag, 0.8);
+                for (i, (u, v)) in x.iter().zip(&expect).enumerate() {
+                    assert_eq!(
+                        u.to_bits(),
+                        v.to_bits(),
+                        "case {case} {:?}, entry {i}: {u:e} vs {v:e}",
+                        op.shape()
+                    );
+                }
+            }
         }
     }
 }
