@@ -23,13 +23,16 @@ pub struct CacheStats {
     pub result_evictions: u64,
     /// Evictions from the runner's analysis cache.
     pub analysis_evictions: u64,
-    /// Requests answered (a coalesced batch counts each of its requests).
+    /// Requests answered: each request of a coalesced batch, plus each
+    /// fully cached request answered at submission.
     pub requests: u64,
     /// Unique scenarios executed or replayed across all requests.
     pub scenarios: u64,
-    /// Coalesced batches executed.
+    /// Coalesced batches executed. A fully cached request is answered at
+    /// submission and forms none.
     pub batches: u64,
-    /// Scenarios deduplicated away inside coalesced batches (same spec
-    /// fingerprint requested more than once in one window).
+    /// Scenarios deduplicated away: a spec fingerprint requested more
+    /// than once in one coalescing window, or more than once in one
+    /// request answered at submission.
     pub coalesced_duplicates: u64,
 }

@@ -5,10 +5,13 @@
 //! operator caches, memoized evaluations — on every invocation. This
 //! crate keeps a process warm and shares that work across callers:
 //!
-//! * **Coalescing** ([`scheduler`]): requests arriving within a short
-//!   window are merged into one [`BatchRunner`](cmosaic::BatchRunner)
-//!   batch, so one symbolic factorisation serves every in-flight request
-//!   of the same (stack, grid, thermal parameters) operator pattern.
+//! * **Coalescing** ([`scheduler`]): a request whose every spec is
+//!   already in the result cache is answered at submission, on the
+//!   caller's thread. Only requests with an uncached spec wait for the
+//!   short coalescing window; those arriving within it are merged into
+//!   one [`BatchRunner`](cmosaic::BatchRunner) batch, so one symbolic
+//!   factorisation serves every in-flight request of the same (stack,
+//!   grid, thermal parameters) operator pattern.
 //! * **Cross-request caching** ([`cache`]): the daemon's one
 //!   [`BatchRunner`](cmosaic::BatchRunner) keeps the donated
 //!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) of every pattern
@@ -25,7 +28,9 @@
 //! # Determinism contract
 //!
 //! An identical request yields a bit-identical `done` payload regardless
-//! of batching, concurrency, coalescing-window timing, or cache warmth.
+//! of batching, concurrency, coalescing-window timing, or cache warmth —
+//! whether it is answered at submission or by a batch, since a cached
+//! entry is exactly what the batch path would replay.
 //! This leans on a property of the engine underneath: analysis donation
 //! is bit-neutral (donor and adopter normalise onto the same numeric
 //! sweep), so every scenario outcome is a pure bitwise function of its

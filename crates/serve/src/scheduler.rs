@@ -1,16 +1,22 @@
-//! The coalescing scheduler: merges concurrent requests into shared
-//! batches and owns the cross-request caches.
+//! The coalescing scheduler: answers fully cached requests at
+//! submission, merges the rest into shared batches, and owns the
+//! cross-request caches.
 //!
-//! A single worker thread drains a submission queue. When a request
-//! arrives it opens a *coalescing window*; every request arriving within
-//! the window joins the same batch. The batch's scenarios are
-//! deduplicated by spec [`fingerprint`](cmosaic::ScenarioSpec::fingerprint)
-//! (two requests asking for the same scenario share one simulation),
-//! resolved against the result LRU (a repeated spec costs nothing), and
-//! the remainder executes as **one** [`BatchRunner`] batch — so one symbolic
-//! factorisation serves every in-flight request of the same operator
-//! pattern. The worker owns a single runner for its whole life, and the
-//! runner keeps the analysis of every pattern it factorised (sized by
+//! [`Scheduler::submit`] fingerprints each spec once (the spec's
+//! [`fingerprint`](cmosaic::ScenarioSpec::fingerprint)). When every
+//! fingerprint is in the result LRU, the request is answered on the
+//! caller's thread — cached epoch replays, then `done` — and never
+//! reaches the worker: there is nothing left to merge, so it waits for no
+//! window. Every other request goes to a single worker thread draining a
+//! submission queue. A request arriving there opens a *coalescing
+//! window*; every request arriving within the window joins the same
+//! batch. The batch's scenarios are deduplicated by fingerprint (two
+//! requests asking for the same scenario share one simulation), resolved
+//! against the result LRU, and the remainder executes as **one**
+//! [`BatchRunner`] batch — so one symbolic factorisation serves every
+//! in-flight request of the same operator pattern. The worker owns a
+//! single runner for its whole life, and the runner keeps the analysis of
+//! every pattern it factorised (sized by
 //! [`SchedulerConfig::analysis_cache`]), so patterns an earlier batch
 //! already met cost zero full factorisations; the `stats` endpoint reads
 //! the runner's
@@ -22,8 +28,9 @@
 //! bitwise function of its spec, whatever the batching, window timing or
 //! cache warmth did. Per-epoch streams are captured alongside the result
 //! (including the epochs of retried attempts, which the deterministic
-//! retry ladder replays identically), so a warm cache hit streams the
-//! same per-slot event sequence a cold run streamed live.
+//! retry ladder replays identically), so a cache hit — answered at
+//! submission or inside a batch — streams the same per-slot event
+//! sequence a cold run streamed live.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,8 +54,9 @@ pub struct SchedulerConfig {
     /// Worker threads of the shared [`BatchRunner`].
     pub threads: usize,
     /// Coalescing window: how long the scheduler waits, after the first
-    /// request of a batch, for more requests to join it. Zero disables
-    /// coalescing (every request runs alone).
+    /// request of a batch, for more requests to join it. Only requests
+    /// with an uncached spec wait; a fully cached one is answered at
+    /// submission. Zero disables coalescing (every request runs alone).
     pub window: Duration,
     /// Capacity of the runner's pattern →
     /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) cache (0
@@ -115,7 +123,8 @@ pub struct StatsSnapshot {
     pub cache: CacheStats,
     /// Solver counters summed over every executed scenario.
     pub solver: SolverStats,
-    /// Shape of the most recent coalesced batch.
+    /// Shape of the most recent coalesced batch (requests answered at
+    /// submission form none).
     pub last_batch: BatchSummary,
 }
 
@@ -136,6 +145,8 @@ pub struct BatchSummary {
 
 struct Submission {
     specs: Vec<ScenarioSpec>,
+    /// `specs[i].fingerprint()`, computed once by [`Scheduler::submit`].
+    fingerprints: Vec<u64>,
     stream: bool,
     reply: Sender<Reply>,
 }
@@ -153,6 +164,25 @@ struct CachedResult {
     epochs: Arc<Vec<EpochSnap>>,
 }
 
+/// Sends a cached scenario's captured epoch stream to every subscriber:
+/// the same events, in the same order, the cold run streamed live. Both
+/// a request answered at submission and a batch's cache hit replay
+/// through here.
+fn replay(fingerprint: u64, epochs: &[EpochSnap], subs: &[Sender<Reply>]) {
+    for sub in subs {
+        for snap in epochs {
+            let _ = sub.send(Reply::Epoch {
+                fingerprint,
+                snap: snap.clone(),
+            });
+        }
+    }
+}
+
+/// The spec-fingerprint → result LRU, shared by the submitting threads
+/// (which answer fully cached requests) and the worker (which fills it).
+type ResultCache = Arc<Mutex<LruCache<u64, CachedResult>>>;
+
 /// The coalescing scheduler. Create with [`Scheduler::start`], feed with
 /// [`Scheduler::submit`], stop with [`Scheduler::shutdown`] (drains
 /// everything already accepted).
@@ -160,6 +190,7 @@ pub struct Scheduler {
     tx: Sender<Msg>,
     worker: Mutex<Option<JoinHandle<()>>>,
     accepting: Arc<AtomicBool>,
+    results: ResultCache,
     stats: Arc<Mutex<StatsSnapshot>>,
 }
 
@@ -168,21 +199,20 @@ impl Scheduler {
     pub fn start(config: SchedulerConfig) -> Scheduler {
         let (tx, rx) = mpsc::channel();
         let accepting = Arc::new(AtomicBool::new(true));
+        let results = Arc::new(Mutex::new(LruCache::new(config.result_cache)));
         let stats = Arc::new(Mutex::new(StatsSnapshot::default()));
-        let stats_w = Arc::clone(&stats);
-        let worker = std::thread::spawn(move || {
-            Worker {
-                runner: BatchRunner::new(config.threads).with_analysis_cache(config.analysis_cache),
-                window: config.window,
-                results: LruCache::new(config.result_cache),
-                stats: stats_w,
-            }
-            .run(rx);
-        });
+        let worker = Worker {
+            runner: BatchRunner::new(config.threads).with_analysis_cache(config.analysis_cache),
+            window: config.window,
+            results: Arc::clone(&results),
+            stats: Arc::clone(&stats),
+        };
+        let worker = std::thread::spawn(move || worker.run(rx));
         Scheduler {
             tx,
             worker: Mutex::new(Some(worker)),
             accepting,
+            results,
             stats,
         }
     }
@@ -190,18 +220,63 @@ impl Scheduler {
     /// Submits one request's scenarios. Returns the reply channel, or
     /// `None` when the scheduler is shutting down (the caller should
     /// answer with a refusal). `stream` opts into per-epoch events.
+    ///
+    /// A request whose every spec is in the result cache is answered
+    /// before this returns (the channel already holds its replies);
+    /// any other waits for the coalescing window and its batch.
     pub fn submit(&self, specs: Vec<ScenarioSpec>, stream: bool) -> Option<Receiver<Reply>> {
         if !self.accepting.load(Ordering::SeqCst) {
             return None;
         }
+        let fingerprints: Vec<u64> = specs.iter().map(ScenarioSpec::fingerprint).collect();
         let (reply, rx) = mpsc::channel();
-        let sub = Submission {
-            specs,
-            stream,
-            reply,
-        };
-        self.tx.send(Msg::Submit(sub)).ok()?;
+        if !self.answer_cached(&fingerprints, stream, &reply) {
+            let sub = Submission {
+                specs,
+                fingerprints,
+                stream,
+                reply,
+            };
+            self.tx.send(Msg::Submit(sub)).ok()?;
+        }
         Some(rx)
+    }
+
+    /// Answers a request on the caller's thread when every fingerprint
+    /// hits the result cache: replays (if `stream`) and `done`, exactly
+    /// what a batch would send for it. Returns `false`, having sent
+    /// nothing, when any spec misses.
+    fn answer_cached(&self, fingerprints: &[u64], stream: bool, reply: &Sender<Reply>) -> bool {
+        let mut slots = Vec::with_capacity(fingerprints.len());
+        // Each unique spec's captured stream, in first-request order.
+        let mut unique: Vec<(u64, Arc<Vec<EpochSnap>>)> = Vec::new();
+        {
+            let mut results = lock_unpoisoned(&self.results);
+            for &fp in fingerprints {
+                let Some(entry) = results.get(&fp) else {
+                    return false;
+                };
+                slots.push(entry.slot.clone());
+                if unique.iter().all(|(seen, _)| *seen != fp) {
+                    unique.push((fp, Arc::clone(&entry.epochs)));
+                }
+            }
+        }
+        let hits = unique.len() as u64;
+        {
+            let mut stats = lock_unpoisoned(&self.stats);
+            stats.cache.requests += 1;
+            stats.cache.scenarios += hits;
+            stats.cache.result_hits += hits;
+            stats.cache.coalesced_duplicates += fingerprints.len() as u64 - hits;
+        }
+        if stream {
+            for (fp, epochs) in &unique {
+                replay(*fp, epochs, std::slice::from_ref(reply));
+            }
+        }
+        let _ = reply.send(Reply::Done { slots });
+        true
     }
 
     /// Current counters.
@@ -262,7 +337,7 @@ impl Observer for StreamObserver {
 struct Worker {
     runner: BatchRunner,
     window: Duration,
-    results: LruCache<u64, CachedResult>,
+    results: ResultCache,
     stats: Arc<Mutex<StatsSnapshot>>,
 }
 
@@ -323,8 +398,7 @@ impl Worker {
         let mut jobs: Vec<UniqueJob> = Vec::new();
         for sub in &submissions {
             let mut seen_here: HashSet<u64> = HashSet::new();
-            for spec in &sub.specs {
-                let fp = spec.fingerprint();
+            for (spec, &fp) in sub.specs.iter().zip(&sub.fingerprints) {
                 let j = *index_of.entry(fp).or_insert_with(|| {
                     jobs.push(UniqueJob {
                         fingerprint: fp,
@@ -346,28 +420,26 @@ impl Worker {
             .sum::<u64>()
             .saturating_sub(jobs.len() as u64);
 
-        // 2. Resolve against the result cache; build the rest.
+        // 2. Resolve against the result cache (replaying hits to this
+        //    batch's subscribers); build the rest.
         let mut resolved: HashMap<u64, CachedResult> = HashMap::new();
-        let mut to_run: Vec<(usize, Scenario)> = Vec::new();
-        let mut result_hits = 0u64;
-        let mut result_misses = 0u64;
-        for (j, job) in jobs.iter().enumerate() {
-            if let Some(entry) = self.results.get(&job.fingerprint) {
-                result_hits += 1;
-                let entry = entry.clone();
-                // Replay the captured stream to this batch's subscribers.
-                for sub in &job.subs {
-                    for snap in entry.epochs.iter() {
-                        let _ = sub.send(Reply::Epoch {
-                            fingerprint: job.fingerprint,
-                            snap: snap.clone(),
-                        });
-                    }
+        {
+            let mut results = lock_unpoisoned(&self.results);
+            for job in &jobs {
+                if let Some(entry) = results.get(&job.fingerprint) {
+                    resolved.insert(job.fingerprint, entry.clone());
                 }
-                resolved.insert(job.fingerprint, entry);
+            }
+        }
+        let result_hits = resolved.len() as u64;
+        let result_misses = jobs.len() as u64 - result_hits;
+        let mut fresh: Vec<(u64, CachedResult)> = Vec::new();
+        let mut to_run: Vec<(usize, Scenario)> = Vec::new();
+        for (j, job) in jobs.iter().enumerate() {
+            if let Some(entry) = resolved.get(&job.fingerprint) {
+                replay(job.fingerprint, &entry.epochs, &job.subs);
                 continue;
             }
-            result_misses += 1;
             match job.spec.build() {
                 Ok(scenario) => to_run.push((j, scenario)),
                 Err(e) => {
@@ -387,8 +459,7 @@ impl Worker {
                         slot,
                         epochs: Arc::new(Vec::new()),
                     };
-                    self.results.insert(job.fingerprint, entry.clone());
-                    resolved.insert(job.fingerprint, entry);
+                    fresh.push((job.fingerprint, entry));
                 }
             }
         }
@@ -423,18 +494,27 @@ impl Worker {
             for outcome in report.outcomes() {
                 accumulate(&mut solver_sum, &outcome.solver);
             }
-            // Serialize, memoize, resolve.
+            // Serialize.
             for (run_i, (j, scenario)) in to_run.iter().enumerate() {
                 let fp = jobs[*j].fingerprint;
                 let slot = slot_json(&scenario.label(), fp, &report.slots[run_i]);
                 let epochs = Arc::new(lock_unpoisoned(&logs[run_i]).clone());
-                let entry = CachedResult { slot, epochs };
-                self.results.insert(fp, entry.clone());
-                resolved.insert(fp, entry);
+                fresh.push((fp, CachedResult { slot, epochs }));
             }
         }
 
-        // 4. Publish counters *before* replying, so a client that reads
+        // 4. Memoize before replying, so a client that repeats its
+        //    request right after `done` is answered from the cache.
+        let result_evictions = {
+            let mut results = lock_unpoisoned(&self.results);
+            for (fp, entry) in &fresh {
+                results.insert(*fp, entry.clone());
+            }
+            results.evictions()
+        };
+        resolved.extend(fresh);
+
+        // 5. Publish counters *before* replying, so a client that reads
         //    `stats` right after its `done` event sees this batch.
         let analyses = self.runner.analysis_cache_stats();
         {
@@ -445,7 +525,7 @@ impl Worker {
             stats.cache.coalesced_duplicates += duplicates;
             stats.cache.result_hits += result_hits;
             stats.cache.result_misses += result_misses;
-            stats.cache.result_evictions = self.results.evictions();
+            stats.cache.result_evictions = result_evictions;
             stats.cache.analysis_hits = analyses.hits;
             stats.cache.analysis_misses = analyses.misses;
             stats.cache.analysis_evictions = analyses.evictions;
@@ -453,14 +533,14 @@ impl Worker {
             stats.last_batch = summary;
         }
 
-        // 5. Answer every submission in its own spec order.
+        // 6. Answer every submission in its own spec order.
         for sub in &submissions {
             let slots: Vec<Json> = sub
-                .specs
+                .fingerprints
                 .iter()
-                .map(|spec| {
+                .map(|fp| {
                     resolved
-                        .get(&spec.fingerprint())
+                        .get(fp)
                         .map(|e| e.slot.clone())
                         .expect("every fingerprint was resolved")
                 })

@@ -5,7 +5,8 @@
 //! vocabulary. The unix transport is symmetric NDJSON — one request per
 //! line in, one event per line out. The HTTP transport maps the same
 //! operations onto `POST /run` (response streamed as chunked NDJSON),
-//! `GET /stats`, `GET /ping` and `POST /shutdown`.
+//! `GET /stats`, `GET /ping` and `POST /shutdown`. A request body over
+//! 1 MiB is refused with `413 Payload Too Large` before it is read.
 //!
 //! Shutdown is graceful by construction: the `shutdown` operation flips
 //! the accept loops' stop flag, then drains the scheduler — every
@@ -322,6 +323,11 @@ fn stats_event(s: &StatsSnapshot) -> Json {
 
 // ---------------------------------------------------------------- HTTP --
 
+/// Largest request body the HTTP transport reads. A spec object is about
+/// 150 bytes, so this holds thousands of them; a larger `Content-Length`
+/// is refused with `413` before anything is allocated for it.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// The HTTP transport: one request per connection (`Connection: close`).
 fn serve_http(stream: TcpStream, shared: Shared) {
     let mut reader = match stream.try_clone() {
@@ -358,6 +364,12 @@ fn serve_http(stream: TcpStream, shared: Shared) {
                 content_length = value.trim().parse().unwrap_or(0);
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        let detail = format!("request body over {MAX_BODY_BYTES} bytes");
+        let payload = error_event(None, &detail).encode();
+        let _ = write_http_json(&mut writer, "413 Payload Too Large", &payload);
+        return;
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {

@@ -6,11 +6,17 @@
 //! * every served result is bit-identical (at the serialized-slot level)
 //!   to an offline `BatchRunner` run of the same spec, cold or warm, and
 //!   warm cache hits replay the identical per-epoch stream;
+//! * a request whose every spec is cached is answered at submission: it
+//!   forms no batch and no factorisation, counts its hits and repeats,
+//!   and is still refused after shutdown; a partly cached one still
+//!   forms a batch;
 //! * a panicking scenario fails only its own slot while co-batched
 //!   requests complete, and the daemon keeps serving afterwards;
 //! * both transports speak the protocol end to end: NDJSON over a unix
-//!   socket and chunked NDJSON over HTTP/1.1, with graceful shutdown.
+//!   socket and chunked NDJSON over HTTP/1.1, with graceful shutdown,
+//!   and an oversized HTTP body is refused without harming the daemon.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -22,7 +28,7 @@ use cmosaic::{BatchRunner, ScenarioSpec};
 use cmosaic_floorplan::GridSpec;
 use cmosaic_serve::json::Json;
 use cmosaic_serve::protocol::slot_json;
-use cmosaic_serve::scheduler::{Reply, Scheduler, SchedulerConfig};
+use cmosaic_serve::scheduler::{EpochSnap, Reply, Scheduler, SchedulerConfig};
 use cmosaic_serve::server::{Server, ServerConfig};
 
 /// All seeds share one `(stack, grid, thermal)` operator pattern.
@@ -61,6 +67,31 @@ fn drain(rx: std::sync::mpsc::Receiver<Reply>) -> (Vec<Reply>, Vec<Json>) {
         }
     }
     panic!("reply channel closed without a done event");
+}
+
+/// Epoch events grouped by fingerprint, each group in arrival order: the
+/// per-slot streams a client sees, whatever the interleaving between
+/// scenarios that ran in parallel.
+fn streams(epochs: &[Reply]) -> BTreeMap<u64, Vec<EpochSnap>> {
+    let mut out: BTreeMap<u64, Vec<EpochSnap>> = BTreeMap::new();
+    for reply in epochs {
+        let Reply::Epoch { fingerprint, snap } = reply else {
+            unreachable!("drain only returns epoch events here");
+        };
+        out.entry(*fingerprint).or_default().push(snap.clone());
+    }
+    out
+}
+
+/// The replies already queued when `submit` returns, which must end with
+/// `done`: proof that the request was answered at submission, without
+/// waiting for the (long) coalescing window.
+fn answered_at_submission(rx: std::sync::mpsc::Receiver<Reply>) -> (Vec<Reply>, Vec<Json>) {
+    let mut replies: Vec<Reply> = rx.try_iter().collect();
+    match replies.pop() {
+        Some(Reply::Done { slots }) => (replies, slots),
+        other => panic!("not answered at submission: last reply {other:?}"),
+    }
 }
 
 #[test]
@@ -122,13 +153,15 @@ fn warm_cache_replays_bit_identical_results_and_epoch_streams() {
     let rx = scheduler.submit(vec![spec(11)], true).unwrap();
     let (warm_epochs, warm) = drain(rx);
 
-    // The warm answer comes from the result cache ...
+    // The warm answer comes from the result cache, with no batch and no
+    // factorisation beyond the cold run's ...
     let stats = scheduler.stats();
     assert_eq!(stats.cache.result_hits, 1, "{stats:?}");
     assert_eq!(stats.cache.result_misses, 1);
+    assert_eq!(stats.cache.batches, 1, "the warm request formed no batch");
     assert_eq!(
-        stats.last_batch.full_factorizations, 0,
-        "warm batch ran nothing"
+        stats.solver.full_factorizations, 1,
+        "the warm request factorised nothing"
     );
     // ... and is indistinguishable from the cold one, epochs included.
     assert_eq!(cold[0].encode(), warm[0].encode());
@@ -154,6 +187,103 @@ fn warm_cache_replays_bit_identical_results_and_epoch_streams() {
     assert_eq!(cold[0].encode(), offline_slot(&spec(11)));
 
     scheduler.shutdown();
+}
+
+#[test]
+fn fully_cached_requests_are_answered_at_submission() {
+    // A long window: a request that reached the worker would wait 400 ms,
+    // so its replies could not be queued when `submit` returns.
+    let scheduler = Scheduler::start(config(400));
+    let specs = || vec![spec(61), spec(62)];
+    let (cold_epochs, cold) = drain(scheduler.submit(specs(), true).unwrap());
+    assert_eq!(cold[0].encode(), offline_slot(&spec(61)));
+    assert_eq!(cold[1].encode(), offline_slot(&spec(62)));
+    let cold_streams = streams(&cold_epochs);
+    assert_eq!(cold_streams.len(), 2, "both specs streamed");
+    let after_cold = scheduler.stats();
+    assert_eq!(after_cold.cache.batches, 1, "{after_cold:?}");
+    assert_eq!(after_cold.solver.full_factorizations, 1);
+
+    for stream in [false, true] {
+        let before = scheduler.stats();
+        let rx = scheduler.submit(specs(), stream).unwrap();
+        let (epochs, warm) = answered_at_submission(rx);
+        let after = scheduler.stats();
+        // No batch, no factorisation, one hit per unique spec.
+        assert_eq!(after.cache.batches, before.cache.batches, "{after:?}");
+        assert_eq!(
+            after.solver.full_factorizations,
+            before.solver.full_factorizations
+        );
+        assert_eq!(after.cache.result_hits, before.cache.result_hits + 2);
+        assert_eq!(after.cache.result_misses, before.cache.result_misses);
+        assert_eq!(after.cache.requests, before.cache.requests + 1);
+        assert_eq!(after.cache.scenarios, before.cache.scenarios + 2);
+        // Byte for byte the cold answer, epoch events included.
+        assert_eq!(warm.len(), cold.len());
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(w.encode(), c.encode());
+        }
+        if stream {
+            assert_eq!(epochs.len(), cold_epochs.len());
+            assert_eq!(streams(&epochs), cold_streams);
+        } else {
+            assert!(epochs.is_empty(), "a plain request gets no epochs");
+        }
+    }
+    scheduler.shutdown();
+}
+
+#[test]
+fn partly_cached_request_still_forms_a_batch() {
+    let scheduler = Scheduler::start(config(400));
+    drain(scheduler.submit(vec![spec(71)], false).unwrap());
+    let before = scheduler.stats();
+    let (_, slots) = drain(scheduler.submit(vec![spec(71), spec(72)], false).unwrap());
+    let after = scheduler.stats();
+    assert_eq!(after.cache.batches, before.cache.batches + 1, "{after:?}");
+    assert_eq!(after.cache.result_hits, before.cache.result_hits + 1);
+    assert_eq!(after.cache.result_misses, before.cache.result_misses + 1);
+    assert_eq!(after.last_batch.requests, 1);
+    assert_eq!(after.last_batch.unique_scenarios, 2);
+    assert_eq!(slots[0].encode(), offline_slot(&spec(71)));
+    assert_eq!(slots[1].encode(), offline_slot(&spec(72)));
+    scheduler.shutdown();
+}
+
+#[test]
+fn fully_cached_repeat_counts_as_a_coalesced_duplicate() {
+    let scheduler = Scheduler::start(config(400));
+    let (cold_epochs, cold) = drain(scheduler.submit(vec![spec(81)], true).unwrap());
+    let before = scheduler.stats();
+    let rx = scheduler.submit(vec![spec(81), spec(81)], true).unwrap();
+    let (epochs, warm) = answered_at_submission(rx);
+    let after = scheduler.stats();
+    assert_eq!(after.cache.batches, before.cache.batches, "{after:?}");
+    assert_eq!(
+        after.cache.coalesced_duplicates,
+        before.cache.coalesced_duplicates + 1
+    );
+    assert_eq!(after.cache.result_hits, before.cache.result_hits + 1);
+    assert_eq!(after.cache.scenarios, before.cache.scenarios + 1);
+    assert_eq!(warm[0].encode(), cold[0].encode());
+    assert_eq!(warm[1].encode(), cold[0].encode());
+    // One replay per unique spec, as a batch subscribes a repeat once.
+    assert_eq!(streams(&epochs), streams(&cold_epochs));
+    scheduler.shutdown();
+}
+
+#[test]
+fn fully_cached_request_is_refused_after_shutdown() {
+    let scheduler = Scheduler::start(config(400));
+    drain(scheduler.submit(vec![spec(91)], false).unwrap());
+    let rx = scheduler.submit(vec![spec(91)], false).unwrap();
+    answered_at_submission(rx);
+    scheduler.shutdown();
+    assert!(
+        scheduler.submit(vec![spec(91)], false).is_none(),
+        "a cached answer must not bypass shutdown"
+    );
 }
 
 #[test]
@@ -418,5 +548,45 @@ fn http_transport_streams_epochs_and_serves_stats() {
             .and_then(Json::as_str),
         Some("bye")
     );
+    server.wait();
+}
+
+#[test]
+fn http_refuses_an_oversized_body_and_keeps_serving() {
+    let server = Server::start(ServerConfig {
+        socket: None,
+        http: Some("127.0.0.1:0".to_string()),
+        scheduler: config(5),
+    })
+    .expect("server starts");
+    let addr = server.http_addr().expect("bound http address");
+
+    let (status, body) = http_roundtrip(
+        addr,
+        "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: 1000000000000\r\n\
+         Connection: close\r\n\r\n",
+    );
+    assert_eq!(status, "HTTP/1.1 413 Payload Too Large");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("event")
+            .and_then(Json::as_str),
+        Some("error")
+    );
+
+    let (status, body) = http_roundtrip(
+        addr,
+        "GET /ping HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("event")
+            .and_then(Json::as_str),
+        Some("pong")
+    );
+    server.shutdown();
     server.wait();
 }
