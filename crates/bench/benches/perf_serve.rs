@@ -7,9 +7,10 @@
 //! 1. *cold burst*: 8 concurrent NDJSON clients fire overlapping
 //!    requests (72 scenario slots, 12 distinct specs, 2 distinct
 //!    operator patterns) at a freshly started daemon over its unix
-//!    socket — wall clock, requests/sec, and the coalescing invariant:
-//!    the whole burst performs exactly one full factorisation per
-//!    distinct *pattern*, not per request;
+//!    socket — wall clock, requests/sec, batches (and how many closed
+//!    early because they filled the runner threads), and the coalescing
+//!    invariant: the whole burst performs exactly one full factorisation
+//!    per distinct *pattern*, not per request, however it is batched;
 //! 2. *warm burst*: the identical burst again — every slot must come out
 //!    of the result cache with zero additional factorisations, and every
 //!    response byte must match the cold run (the determinism contract);
@@ -152,6 +153,10 @@ fn main() {
         f(total_requests as f64 / cold_wall.as_secs_f64(), 1),
     );
     kv("coalesced batches", cold_stats.cache.batches);
+    kv(
+        "batches that filled the threads",
+        cold_stats.cache.batches_full,
+    );
     kv("full factorisations", cold_stats.solver.full_factorizations);
     kv("adopted symbolics", cold_stats.solver.adopted_symbolics);
     kv("result-cache misses", cold_stats.cache.result_misses);
@@ -239,6 +244,11 @@ fn main() {
         json,
         "  \"coalesced_batches\": {},",
         cold_stats.cache.batches
+    );
+    let _ = writeln!(
+        json,
+        "  \"batches_full\": {},",
+        cold_stats.cache.batches_full
     );
     let _ = writeln!(
         json,

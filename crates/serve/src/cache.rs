@@ -31,8 +31,11 @@ pub struct CacheStats {
     /// Coalesced batches executed. A fully cached request is answered at
     /// submission and forms none.
     pub batches: u64,
+    /// Batches dispatched because their runnable scenarios filled every
+    /// runner thread, before the coalescing window ran out.
+    pub batches_full: u64,
     /// Scenarios deduplicated away: a spec fingerprint requested more
-    /// than once in one coalescing window, or more than once in one
-    /// request answered at submission.
+    /// than once in one batch, or more than once in one request answered
+    /// at submission.
     pub coalesced_duplicates: u64,
 }

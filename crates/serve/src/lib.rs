@@ -7,11 +7,12 @@
 //!
 //! * **Coalescing** ([`scheduler`]): a request whose every spec is
 //!   already in the result cache is answered at submission, on the
-//!   caller's thread. Only requests with an uncached spec wait for the
-//!   short coalescing window; those arriving within it are merged into
-//!   one [`BatchRunner`](cmosaic::BatchRunner) batch, so one symbolic
-//!   factorisation serves every in-flight request of the same (stack,
-//!   grid, thermal parameters) operator pattern.
+//!   caller's thread. The others are merged into
+//!   [`BatchRunner`](cmosaic::BatchRunner) batches, so one symbolic
+//!   factorisation serves every request of a batch with the same (stack,
+//!   grid, thermal parameters) operator pattern. A batch waits for more
+//!   requests, at most the short coalescing window, only while its
+//!   uncached specs leave a runner thread idle.
 //! * **Cross-request caching** ([`cache`]): the daemon's one
 //!   [`BatchRunner`](cmosaic::BatchRunner) keeps the donated
 //!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) of every pattern

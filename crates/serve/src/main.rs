@@ -20,9 +20,11 @@ OPTIONS:
     --http <ADDR>          HTTP/1.1 bind address, e.g. 127.0.0.1:8191
                            (use port 0 for an ephemeral port)
     --threads <N>          batch worker threads [default: 4]
-    --window-ms <N>        coalescing window in ms for requests with an
-                           uncached spec; fully cached requests are
-                           answered at submission [default: 10]
+    --window-ms <N>        longest wait in ms for a batch of requests with
+                           uncached specs to fill the batch threads; a batch
+                           that fills them dispatches at once, 0 never waits,
+                           and fully cached requests are answered at
+                           submission [default: 10]
     --analysis-cache <N>   operator patterns whose analysis the batch runner
                            keeps across batches [default: 32]
     --result-cache <N>     spec->result LRU capacity [default: 256]

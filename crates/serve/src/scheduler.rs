@@ -8,18 +8,22 @@
 //! caller's thread — cached epoch replays, then `done` — and never
 //! reaches the worker: there is nothing left to merge, so it waits for no
 //! window. Every other request goes to a single worker thread draining a
-//! submission queue. A request arriving there opens a *coalescing
-//! window*; every request arriving within the window joins the same
-//! batch. The batch's scenarios are deduplicated by fingerprint (two
-//! requests asking for the same scenario share one simulation), resolved
-//! against the result LRU, and the remainder executes as **one**
-//! [`BatchRunner`] batch — so one symbolic factorisation serves every
-//! in-flight request of the same operator pattern. The worker owns a
-//! single runner for its whole life, and the runner keeps the analysis of
-//! every pattern it factorised (sized by
-//! [`SchedulerConfig::analysis_cache`]), so patterns an earlier batch
-//! already met cost zero full factorisations; the `stats` endpoint reads
-//! the runner's
+//! submission queue. A request arriving there opens a batch, which first
+//! takes every submission already queued. Its *runnable* scenarios are
+//! its distinct fingerprints the result LRU cannot answer. While they
+//! number fewer than the runner's threads, the batch waits for more
+//! requests, at most the *coalescing window*; as soon as every thread
+//! has a scenario it dispatches. The batch's scenarios are deduplicated
+//! by fingerprint (two requests asking for the same scenario share one
+//! simulation), resolved against the result LRU, and the remainder
+//! executes as **one** [`BatchRunner`] batch, so one symbolic
+//! factorisation serves every request of the batch with the same
+//! operator pattern. The worker owns a single runner for its whole life,
+//! and the runner keeps the analysis of every pattern it factorised
+//! (sized by [`SchedulerConfig::analysis_cache`]), so patterns an earlier
+//! batch already met cost zero full factorisations; that cache and the
+//! result LRU give later batches the sharing a longer wait would have
+//! bought. The `stats` endpoint reads the runner's
 //! [`analysis_cache_stats`](cmosaic::BatchRunner::analysis_cache_stats).
 //!
 //! None of this machinery is observable in the run responses themselves:
@@ -34,7 +38,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,10 +57,13 @@ use crate::protocol::slot_json;
 pub struct SchedulerConfig {
     /// Worker threads of the shared [`BatchRunner`].
     pub threads: usize,
-    /// Coalescing window: how long the scheduler waits, after the first
-    /// request of a batch, for more requests to join it. Only requests
-    /// with an uncached spec wait; a fully cached one is answered at
-    /// submission. Zero disables coalescing (every request runs alone).
+    /// Coalescing window: the longest a batch waits, after its first
+    /// request, for more requests to join it. A batch waits only while
+    /// its runnable scenarios (distinct specs not in the result cache)
+    /// number fewer than [`threads`](Self::threads), and dispatches as
+    /// soon as they don't. Only requests with an uncached spec wait; a
+    /// fully cached one is answered at submission. Zero never waits: a
+    /// batch takes whatever is already queued.
     pub window: Duration,
     /// Capacity of the runner's pattern →
     /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) cache (0
@@ -145,7 +152,8 @@ pub struct BatchSummary {
 
 struct Submission {
     specs: Vec<ScenarioSpec>,
-    /// `specs[i].fingerprint()`, computed once by [`Scheduler::submit`].
+    /// `specs[i].fingerprint()`, computed once per request (by the
+    /// transport or by [`Scheduler::submit`]).
     fingerprints: Vec<u64>,
     stream: bool,
     reply: Sender<Reply>,
@@ -223,12 +231,25 @@ impl Scheduler {
     ///
     /// A request whose every spec is in the result cache is answered
     /// before this returns (the channel already holds its replies);
-    /// any other waits for the coalescing window and its batch.
+    /// any other joins a batch.
     pub fn submit(&self, specs: Vec<ScenarioSpec>, stream: bool) -> Option<Receiver<Reply>> {
+        let fingerprints = specs.iter().map(ScenarioSpec::fingerprint).collect();
+        self.submit_fingerprinted(specs, fingerprints, stream)
+    }
+
+    /// [`submit`](Self::submit) for a caller that already holds
+    /// `fingerprints[i] == specs[i].fingerprint()`. Crate-private: a
+    /// wrong fingerprint would key a result under another spec.
+    pub(crate) fn submit_fingerprinted(
+        &self,
+        specs: Vec<ScenarioSpec>,
+        fingerprints: Vec<u64>,
+        stream: bool,
+    ) -> Option<Receiver<Reply>> {
+        debug_assert_eq!(specs.len(), fingerprints.len());
         if !self.accepting.load(Ordering::SeqCst) {
             return None;
         }
-        let fingerprints: Vec<u64> = specs.iter().map(ScenarioSpec::fingerprint).collect();
         let (reply, rx) = mpsc::channel();
         if !self.answer_cached(&fingerprints, stream, &reply) {
             let sub = Submission {
@@ -343,34 +364,49 @@ struct Worker {
 
 impl Worker {
     fn run(mut self, rx: Receiver<Msg>) {
-        loop {
+        let mut shutting_down = false;
+        while !shutting_down {
             // Block for the batch opener.
             let first = match rx.recv() {
                 Ok(Msg::Submit(sub)) => sub,
                 Ok(Msg::Shutdown) | Err(_) => break,
             };
-            let mut batch = vec![first];
-            let mut shutting_down = false;
-            // Coalesce: accept joiners until the window closes.
             let deadline = Instant::now() + self.window;
-            while !shutting_down {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok(Msg::Submit(sub)) => batch.push(sub),
-                    Ok(Msg::Shutdown) => shutting_down = true,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
+            let mut runnable = HashSet::new();
+            self.note_runnable(&first, &mut runnable);
+            let mut batch = vec![first];
+            let mut full = false;
+            // Coalesce: take every submission already queued, then wait
+            // for more only while some runner thread would idle.
+            loop {
+                let msg = match rx.try_recv() {
+                    Ok(msg) => msg,
+                    Err(TryRecvError::Empty) => {
+                        if runnable.len() >= self.runner.threads() {
+                            full = true;
+                            break;
+                        }
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        match rx.recv_timeout(left) {
+                            Ok(msg) => msg,
+                            Err(RecvTimeoutError::Timeout) => break,
+                            Err(RecvTimeoutError::Disconnected) => Msg::Shutdown,
+                        }
+                    }
+                    Err(TryRecvError::Disconnected) => Msg::Shutdown,
+                };
+                match msg {
+                    Msg::Submit(sub) => {
+                        self.note_runnable(&sub, &mut runnable);
+                        batch.push(sub);
+                    }
+                    Msg::Shutdown => {
                         shutting_down = true;
+                        break;
                     }
                 }
             }
-            self.execute(batch);
-            if shutting_down {
-                break;
-            }
+            self.execute(batch, full);
         }
         // Drain: everything already accepted still runs (one final
         // coalesced batch), then the worker exits.
@@ -382,11 +418,26 @@ impl Worker {
             })
             .collect();
         if !leftovers.is_empty() {
-            self.execute(leftovers);
+            self.execute(leftovers, false);
         }
     }
 
-    fn execute(&mut self, submissions: Vec<Submission>) {
+    /// Adds the fingerprints of `sub` that the result cache cannot
+    /// answer to `runnable`, the distinct scenarios the batch will
+    /// simulate. Only this thread fills the cache, so the count holds
+    /// until the batch executes.
+    fn note_runnable(&self, sub: &Submission, runnable: &mut HashSet<u64>) {
+        let results = lock_unpoisoned(&self.results);
+        runnable.extend(
+            sub.fingerprints
+                .iter()
+                .filter(|fp| results.peek(fp).is_none()),
+        );
+    }
+
+    /// Runs one batch; `full` marks a batch dispatched because its
+    /// runnable scenarios filled every runner thread.
+    fn execute(&mut self, submissions: Vec<Submission>, full: bool) {
         // 1. Deduplicate scenarios across the batch by spec fingerprint,
         //    registering each streaming submission once per fingerprint.
         struct UniqueJob {
@@ -522,6 +573,7 @@ impl Worker {
             stats.cache.requests += summary.requests;
             stats.cache.scenarios += jobs.len() as u64;
             stats.cache.batches += 1;
+            stats.cache.batches_full += u64::from(full);
             stats.cache.coalesced_duplicates += duplicates;
             stats.cache.result_hits += result_hits;
             stats.cache.result_misses += result_misses;

@@ -5,8 +5,15 @@
 //! vocabulary. The unix transport is symmetric NDJSON — one request per
 //! line in, one event per line out. The HTTP transport maps the same
 //! operations onto `POST /run` (response streamed as chunked NDJSON),
-//! `GET /stats`, `GET /ping` and `POST /shutdown`. A request body over
-//! 1 MiB is refused with `413 Payload Too Large` before it is read.
+//! `GET /stats`, `GET /ping` and `POST /shutdown`.
+//!
+//! Every line either transport reads is bounded, so no client can make
+//! the daemon buffer without limit. An NDJSON line over 1 MiB gets an
+//! `error` event; an HTTP request line or header line over 8 KiB gets
+//! `431 Request Header Fields Too Large`; either way the connection is
+//! closed without reading the rest. An HTTP request body over 1 MiB is
+//! refused with `413 Payload Too Large` before it is read, and a
+//! `Content-Length` that is not a number with `400 Bad Request`.
 //!
 //! Shutdown is graceful by construction: the `shutdown` operation flips
 //! the accept loops' stop flag, then drains the scheduler — every
@@ -14,15 +21,17 @@
 //! `done` event — before the acknowledgement is written. New submissions
 //! arriving during the drain are refused with an `error` event.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use cmosaic::ScenarioSpec;
 
 use crate::json::{obj, Json};
 use crate::protocol::{done_event, epoch_event, error_event, solver_json, Request};
@@ -173,17 +182,56 @@ where
     }
 }
 
+/// One line read by [`read_bounded_line`].
+enum Line {
+    /// A line without its `\n` or `\r\n` terminator (the stream's last
+    /// line may lack one).
+    Text(String),
+    /// The stream ended before another byte.
+    End,
+    /// The line runs past the bound; what was read of it is dropped.
+    TooLong,
+}
+
+/// Reads one line of at most `max` bytes before its `\n`, holding at
+/// most `max + 1` bytes of it in memory. A line that is not UTF-8 is an
+/// `InvalidData` error, as with [`BufRead::lines`].
+fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<Line> {
+    let mut buf = Vec::new();
+    let n = reader.take(max as u64 + 1).read_until(b'\n', &mut buf)?;
+    if n == 0 {
+        return Ok(Line::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n > max {
+        return Ok(Line::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(Line::Text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// The unix transport: one JSON request per line, events back as lines.
 fn serve_ndjson(stream: UnixStream, shared: Shared) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    loop {
+        let line = match read_bounded_line(&mut reader, MAX_BODY_BYTES) {
+            Ok(Line::Text(line)) => line,
+            Ok(Line::TooLong) => {
+                let detail = format!("request line over {MAX_BODY_BYTES} bytes");
+                let _ = writeln!(writer, "{}", error_event(None, &detail).encode());
+                let _ = writer.flush();
+                break;
+            }
+            Ok(Line::End) | Err(_) => break,
         };
         if line.trim().is_empty() {
             continue;
@@ -237,22 +285,26 @@ fn dispatch_line(
 fn run_request(
     id: Option<&str>,
     stream: bool,
-    specs: Vec<cmosaic::ScenarioSpec>,
+    specs: Vec<ScenarioSpec>,
     shared: &Shared,
     emit: &mut dyn FnMut(&Json) -> io::Result<()>,
 ) {
+    let fingerprints: Vec<u64> = specs.iter().map(ScenarioSpec::fingerprint).collect();
     // A spec may occupy several slots of one request; every slot gets
-    // the (identical) epoch events of its fingerprint.
-    let mut slots_of: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for (i, spec) in specs.iter().enumerate() {
-        slots_of.entry(spec.fingerprint()).or_default().push(i);
-    }
-    let rx: Receiver<Reply> = match shared.scheduler.submit(specs, stream) {
-        Some(rx) => rx,
-        None => {
-            let _ = emit(&error_event(id, "server is shutting down"));
-            return;
+    // the (identical) epoch events of its fingerprint. Only a streaming
+    // request receives epoch events.
+    let mut slots_of: HashMap<u64, Vec<usize>> = HashMap::new();
+    if stream {
+        for (i, &fp) in fingerprints.iter().enumerate() {
+            slots_of.entry(fp).or_default().push(i);
         }
+    }
+    let submitted = shared
+        .scheduler
+        .submit_fingerprinted(specs, fingerprints, stream);
+    let Some(rx) = submitted else {
+        let _ = emit(&error_event(id, "server is shutting down"));
+        return;
     };
     for reply in rx {
         match reply {
@@ -299,6 +351,7 @@ fn stats_event(s: &StatsSnapshot) -> Json {
                 ("requests", Json::u64(s.cache.requests)),
                 ("scenarios", Json::u64(s.cache.scenarios)),
                 ("batches", Json::u64(s.cache.batches)),
+                ("batches_full", Json::u64(s.cache.batches_full)),
                 (
                     "coalesced_duplicates",
                     Json::u64(s.cache.coalesced_duplicates),
@@ -323,10 +376,14 @@ fn stats_event(s: &StatsSnapshot) -> Json {
 
 // ---------------------------------------------------------------- HTTP --
 
-/// Largest request body the HTTP transport reads. A spec object is about
-/// 150 bytes, so this holds thousands of them; a larger `Content-Length`
-/// is refused with `413` before anything is allocated for it.
+/// Largest request body the HTTP transport reads, and longest NDJSON
+/// line. A spec object is about 150 bytes, so this holds thousands of
+/// them; a larger `Content-Length` is refused with `413` before anything
+/// is allocated for it.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest HTTP request line or header line the transport reads.
+const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
 
 /// The HTTP transport: one request per connection (`Connection: close`).
 fn serve_http(stream: TcpStream, shared: Shared) {
@@ -336,10 +393,9 @@ fn serve_http(stream: TcpStream, shared: Shared) {
     };
     let mut writer = stream;
 
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    let Some(request_line) = http_head_line(&mut reader, &mut writer) else {
         return;
-    }
+    };
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -347,24 +403,26 @@ fn serve_http(stream: TcpStream, shared: Shared) {
     };
 
     // Headers: we only care about Content-Length.
-    let mut content_length = 0usize;
+    let mut content_length = Some(0usize);
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(_) => return,
-        }
+        let Some(line) = http_head_line(&mut reader, &mut writer) else {
+            return;
+        };
         let line = line.trim_end();
         if line.is_empty() {
             break;
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = value.trim().parse().ok();
             }
         }
     }
+    let Some(content_length) = content_length else {
+        let payload = error_event(None, "Content-Length is not a byte count").encode();
+        let _ = write_http_json(&mut writer, "400 Bad Request", &payload);
+        return;
+    };
     if content_length > MAX_BODY_BYTES {
         let detail = format!("request body over {MAX_BODY_BYTES} bytes");
         let payload = error_event(None, &detail).encode();
@@ -397,6 +455,21 @@ fn serve_http(stream: TcpStream, shared: Shared) {
             let payload = error_event(None, "no such endpoint").encode();
             let _ = write_http_json(&mut writer, "404 Not Found", &payload);
         }
+    }
+}
+
+/// Reads the request line or one header line. An overlong line is
+/// answered with `431`; `None` means the connection should close.
+fn http_head_line(reader: &mut impl BufRead, writer: &mut TcpStream) -> Option<String> {
+    match read_bounded_line(reader, MAX_HEADER_LINE_BYTES) {
+        Ok(Line::Text(line)) => Some(line),
+        Ok(Line::TooLong) => {
+            let detail = format!("request or header line over {MAX_HEADER_LINE_BYTES} bytes");
+            let payload = error_event(None, &detail).encode();
+            let _ = write_http_json(writer, "431 Request Header Fields Too Large", &payload);
+            None
+        }
+        Ok(Line::End) | Err(_) => None,
     }
 }
 
@@ -446,12 +519,16 @@ fn write_chunk(writer: &mut TcpStream, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
+/// Writes a whole `application/json` response from one buffer, not one
+/// `write` per format piece. A refusal closes with the client's input
+/// unread, which resets the connection and drops whatever is still
+/// queued to send, so no part of the response may wait behind another.
 fn write_http_json(writer: &mut TcpStream, status: &str, payload: &str) -> io::Result<()> {
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
         payload.len()
-    )?;
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }

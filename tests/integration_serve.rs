@@ -3,6 +3,10 @@
 //! * concurrent overlapping requests coalesce into one batch with exactly
 //!   one full factorisation per distinct operator pattern — not per
 //!   request — asserted via the `stats` counters;
+//! * a batch dispatches as soon as its runnable specs fill every runner
+//!   thread (`batches_full`) and otherwise closes by the window, and
+//!   same-pattern requests in separate full batches still factorise
+//!   once, all asserted with counters rather than timing;
 //! * every served result is bit-identical (at the serialized-slot level)
 //!   to an offline `BatchRunner` run of the same spec, cold or warm, and
 //!   warm cache hits replay the identical per-epoch stream;
@@ -13,11 +17,13 @@
 //! * a panicking scenario fails only its own slot while co-batched
 //!   requests complete, and the daemon keeps serving afterwards;
 //! * both transports speak the protocol end to end: NDJSON over a unix
-//!   socket and chunked NDJSON over HTTP/1.1, with graceful shutdown,
-//!   and an oversized HTTP body is refused without harming the daemon.
+//!   socket and chunked NDJSON over HTTP/1.1, with graceful shutdown;
+//!   an overlong NDJSON line, an overlong HTTP header line, an oversized
+//!   HTTP body and an unparsable `Content-Length` are refused without
+//!   harming the daemon.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -96,7 +102,12 @@ fn answered_at_submission(rx: std::sync::mpsc::Receiver<Reply>) -> (Vec<Reply>, 
 
 #[test]
 fn coalesced_requests_share_one_factorization_and_match_offline_runs() {
-    let scheduler = Scheduler::start(config(400));
+    // Four runner threads: the three distinct specs never fill them, so
+    // the batch waits out the window and takes all four requests.
+    let scheduler = Scheduler::start(SchedulerConfig {
+        threads: 4,
+        ..config(400)
+    });
     // Four overlapping requests, three distinct specs, one pattern. The
     // fourth request asks for the same spec twice in one request.
     let rx_a = scheduler.submit(vec![spec(1), spec(2)], false).unwrap();
@@ -113,6 +124,7 @@ fn coalesced_requests_share_one_factorization_and_match_offline_runs() {
     // scenarios, 1 pattern group, exactly 1 full factorisation.
     let stats = scheduler.stats();
     assert_eq!(stats.cache.batches, 1, "requests must coalesce: {stats:?}");
+    assert_eq!(stats.cache.batches_full, 0, "closed by the window");
     assert_eq!(stats.cache.requests, 4);
     assert_eq!(stats.cache.scenarios, 3);
     assert_eq!(stats.cache.coalesced_duplicates, 4);
@@ -140,6 +152,79 @@ fn coalesced_requests_share_one_factorization_and_match_offline_runs() {
     assert_eq!(d[0].encode(), o3);
     assert_eq!(d[1].encode(), o3);
 
+    scheduler.shutdown();
+}
+
+#[test]
+fn two_single_spec_requests_fill_two_threads_as_one_full_batch() {
+    // The first request leaves one of the two threads idle, so its batch
+    // waits; the second fills it, and the batch dispatches.
+    let scheduler = Scheduler::start(config(400));
+    let rx_a = scheduler.submit(vec![spec(101)], false).unwrap();
+    let rx_b = scheduler.submit(vec![spec(102)], false).unwrap();
+    let (_, a) = drain(rx_a);
+    let (_, b) = drain(rx_b);
+
+    let stats = scheduler.stats();
+    assert_eq!(stats.cache.batches, 1, "{stats:?}");
+    assert_eq!(stats.cache.batches_full, 1, "{stats:?}");
+    assert_eq!(stats.last_batch.requests, 2);
+    assert_eq!(stats.solver.full_factorizations, 1);
+    assert_eq!(a[0].encode(), offline_slot(&spec(101)));
+    assert_eq!(b[0].encode(), offline_slot(&spec(102)));
+    scheduler.shutdown();
+}
+
+#[test]
+fn a_batch_with_one_runnable_spec_closes_by_the_window() {
+    let scheduler = Scheduler::start(config(400));
+    let (_, warm) = drain(scheduler.submit(vec![spec(111)], false).unwrap());
+    let before = scheduler.stats();
+    assert_eq!(before.cache.batches, 1, "{before:?}");
+    assert_eq!(before.cache.batches_full, 0, "one spec fills one thread");
+
+    // A cached spec and a fresh spec asked twice: two distinct specs, but
+    // only one runnable, so the batch still leaves a thread idle.
+    let rx = scheduler.submit(vec![spec(111), spec(112), spec(112)], false);
+    let (_, slots) = drain(rx.unwrap());
+    let after = scheduler.stats();
+    assert_eq!(after.cache.batches, before.cache.batches + 1, "{after:?}");
+    assert_eq!(after.cache.batches_full, before.cache.batches_full);
+    assert_eq!(after.last_batch.unique_scenarios, 2);
+    assert_eq!(after.cache.result_hits, before.cache.result_hits + 1);
+    assert_eq!(after.cache.result_misses, before.cache.result_misses + 1);
+
+    let (o111, o112) = (offline_slot(&spec(111)), offline_slot(&spec(112)));
+    assert_eq!(warm[0].encode(), o111);
+    assert_eq!(slots[0].encode(), o111);
+    assert_eq!(slots[1].encode(), o112);
+    assert_eq!(slots[2].encode(), o112);
+    scheduler.shutdown();
+}
+
+#[test]
+fn same_pattern_requests_in_separate_full_batches_factorise_once() {
+    let scheduler = Scheduler::start(config(400));
+    let (_, first) = drain(scheduler.submit(vec![spec(121), spec(122)], false).unwrap());
+    let (_, second) = drain(scheduler.submit(vec![spec(123), spec(124)], false).unwrap());
+
+    // Each request fills both threads alone; the second batch adopts the
+    // analysis the runner kept from the first.
+    let stats = scheduler.stats();
+    assert_eq!(stats.cache.batches, 2, "{stats:?}");
+    assert_eq!(stats.cache.batches_full, 2, "{stats:?}");
+    assert_eq!(stats.cache.analysis_misses, 1);
+    assert_eq!(stats.cache.analysis_hits, 1);
+    assert_eq!(
+        stats.solver.full_factorizations, 1,
+        "one full factorisation across both batches: {stats:?}"
+    );
+    assert_eq!(stats.last_batch.full_factorizations, 0);
+
+    assert_eq!(first[0].encode(), offline_slot(&spec(121)));
+    assert_eq!(first[1].encode(), offline_slot(&spec(122)));
+    assert_eq!(second[0].encode(), offline_slot(&spec(123)));
+    assert_eq!(second[1].encode(), offline_slot(&spec(124)));
     scheduler.shutdown();
 }
 
@@ -438,6 +523,69 @@ fn unix_socket_ndjson_round_trip_with_graceful_shutdown() {
     assert!(!path.exists(), "socket file removed on clean shutdown");
 }
 
+/// Everything the daemon sends until it closes the connection. A daemon
+/// refusing a request closes with the client's input unread, so the
+/// close may arrive as a reset after the response.
+fn read_until_closed(stream: &mut impl Read) -> String {
+    let mut out = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("connection not closed: {e}"),
+        }
+    }
+    String::from_utf8(out).expect("UTF-8 response")
+}
+
+#[test]
+fn unix_socket_refuses_an_overlong_line_and_keeps_serving() {
+    let path = socket_path("overlong");
+    let server = Server::start(ServerConfig {
+        socket: Some(path.clone()),
+        http: None,
+        scheduler: config(5),
+    })
+    .expect("server starts");
+
+    // 2 MiB without a newline: the daemon answers once the line passes
+    // its 1 MiB bound and closes, so the rest of this write may fail.
+    let mut stream = UnixStream::connect(&path).expect("client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let _ = stream.write_all(&vec![b'x'; 2 << 20]);
+    let answer = read_until_closed(&mut stream);
+    let lines: Vec<&str> = answer.lines().collect();
+    assert_eq!(lines.len(), 1, "one event, then the close: {answer:?}");
+    assert_eq!(
+        Json::parse(lines[0])
+            .expect("error event is valid JSON")
+            .get("event")
+            .and_then(Json::as_str),
+        Some("error")
+    );
+
+    let mut stream = UnixStream::connect(&path).expect("client reconnects");
+    send_line(&mut stream, r#"{"op":"ping"}"#);
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("pong line");
+    assert_eq!(
+        Json::parse(line.trim())
+            .unwrap()
+            .get("event")
+            .and_then(Json::as_str),
+        Some("pong")
+    );
+    server.shutdown();
+    server.wait();
+}
+
 /// Minimal HTTP client: one request, returns (status line, body with
 /// chunked framing stripped when present).
 fn http_roundtrip(addr: std::net::SocketAddr, request: &str) -> (String, String) {
@@ -587,6 +735,66 @@ fn http_refuses_an_oversized_body_and_keeps_serving() {
             .and_then(Json::as_str),
         Some("pong")
     );
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn http_refuses_an_overlong_header_line_and_a_bad_content_length() {
+    let server = Server::start(ServerConfig {
+        socket: None,
+        http: Some("127.0.0.1:0".to_string()),
+        scheduler: config(5),
+    })
+    .expect("server starts");
+    let addr = server.http_addr().expect("bound http address");
+
+    // A 16 KiB header line, twice the bound: refused, connection closed.
+    let mut stream = TcpStream::connect(addr).expect("tcp connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let request = format!(
+        "GET /ping HTTP/1.1\r\nX-Pad: {}\r\nConnection: close\r\n\r\n",
+        "a".repeat(16 << 10)
+    );
+    let _ = stream.write_all(request.as_bytes());
+    let raw = read_until_closed(&mut stream);
+    assert_eq!(
+        raw.lines().next(),
+        Some("HTTP/1.1 431 Request Header Fields Too Large"),
+        "{raw}"
+    );
+    let (_, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+    assert_eq!(
+        Json::parse(body)
+            .unwrap()
+            .get("event")
+            .and_then(Json::as_str),
+        Some("error")
+    );
+
+    // A Content-Length that is not a number is a bad request, not an
+    // empty body.
+    let (status, body) = http_roundtrip(
+        addr,
+        "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: lots\r\n\
+         Connection: close\r\n\r\n",
+    );
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert_eq!(
+        Json::parse(&body)
+            .unwrap()
+            .get("event")
+            .and_then(Json::as_str),
+        Some("error")
+    );
+
+    let (status, _) = http_roundtrip(
+        addr,
+        "GET /ping HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
     server.shutdown();
     server.wait();
 }
