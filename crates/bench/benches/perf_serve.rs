@@ -21,9 +21,25 @@
 //!    subsystem's reason to exist.
 //!
 //! Writes machine-readable results to `BENCH_serve.json` at the repo
-//! root. The factorisation/caching asserts are deterministic and always
-//! enforced; wall-clock numbers are recorded but never gated here (the
-//! nightly job gates the deterministic counters from the JSON record).
+//! root. Its fields are of two kinds:
+//!
+//! * *deterministic* — the burst's shape (`clients`, `requests`,
+//!   `scenario_slots`, `distinct_specs`, `distinct_patterns`) and the
+//!   factorisation counts (`served_full_factorizations`,
+//!   `isolated_full_factorizations`, `amortization_ratio`): the same on
+//!   every run and host, whatever the batching;
+//! * *timing-dependent* — the wall clocks and rates (`cold_wall_ms`,
+//!   `warm_wall_ms`, `*_requests_per_sec`, `solo_ms_per_spec`) and the
+//!   counters that depend on how the cold burst's requests met the worker
+//!   thread: `coalesced_batches`, `batches_full` and `result_cache_hits`
+//!   (a request that reaches the daemon after another batch computed its
+//!   specs is answered from the cache). The cold burst formed 1, 2 or 3
+//!   batches across 36 runs of one build. `host_parallelism` is the
+//!   host's.
+//!
+//! The factorisation/caching asserts below are deterministic and always
+//! enforced; wall-clock numbers are recorded but never gated here. The
+//! nightly job gates only deterministic fields of the JSON record.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};

@@ -23,7 +23,7 @@
 //!   never by thread scheduling — runs first and exports its frozen
 //!   analysis; every other scenario of the group adopts it and goes
 //!   straight to cheap numeric refactorisation, and the runner keeps the
-//!   analysis for later batches. So the expensive pivoting factorisation
+//!   analysis for later batches. So the expensive full factorisation
 //!   runs once per distinct pattern for as long as the runner keeps it
 //!   cached, however many scenarios, batches and threads are in play. The
 //!   saving lands on batches whose pattern groups the same runner has
@@ -35,10 +35,12 @@
 //!   donor/adopter structure depends only on scenario order — so
 //!   [`BatchRunner::run_scenarios`] returns bit-identical
 //!   [`RunMetrics`] whether it ran on 1 thread or 8 (asserted by the
-//!   tests). Reuse is bit-neutral too: a fresh factorisation re-sweeps
-//!   its matrix over the analysis it just captured, so a scenario
-//!   computes the same bits whether it factorised, adopted a donor's
-//!   analysis or a cached one. Only the [`SolverStats`] counters and
+//!   tests). Reuse is bit-neutral too: a fresh analysis
+//!   ([`lu::analyse`](cmosaic_sparse::lu::analyse)) returns the numeric
+//!   refactorisation sweep's values over the analysis it captured, never
+//!   a pivoting factorisation's own, so a scenario computes the same bits
+//!   whether it analysed, adopted a donor's analysis or a cached one.
+//!   Only the [`SolverStats`] counters and
 //!   [`BatchRunner::analysis_cache_stats`] see the difference.
 //! * **Fault isolation.** One scenario panicking, diverging or erroring
 //!   never takes the batch down: every attempt runs under

@@ -80,7 +80,7 @@
 //!   group donates its frozen symbolic LU analysis
 //!   ([`thermal::SharedAnalysis`], `Arc`-shared) to the rest, and the
 //!   runner keeps it in a bounded LRU for its later batches, so the
-//!   expensive pivoting factorisation runs once per (stack, grid, thermal
+//!   expensive full factorisation runs once per (stack, grid, thermal
 //!   parameters) pattern per runner. Outcomes are aggregated by scenario
 //!   index and are bit-identical at any thread count and cache warmth.
 //!

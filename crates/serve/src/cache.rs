@@ -32,7 +32,8 @@ pub struct CacheStats {
     /// submission and forms none.
     pub batches: u64,
     /// Batches dispatched because their runnable scenarios filled every
-    /// runner thread, before the coalescing window ran out.
+    /// runner thread, before the coalescing window ran out. A batch with
+    /// no runnable scenario also dispatches at once but is not counted.
     pub batches_full: u64,
     /// Scenarios deduplicated away: a spec fingerprint requested more
     /// than once in one batch, or more than once in one request answered

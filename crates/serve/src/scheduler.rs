@@ -13,9 +13,11 @@
 //! its distinct fingerprints the result LRU cannot answer. While they
 //! number fewer than the runner's threads, the batch waits for more
 //! requests, at most the *coalescing window*; as soon as every thread
-//! has a scenario it dispatches. The batch's scenarios are deduplicated
-//! by fingerprint (two requests asking for the same scenario share one
-//! simulation), resolved against the result LRU, and the remainder
+//! has a scenario it dispatches, and so does a batch with no runnable
+//! scenario at all (its specs entered the result LRU while it queued
+//! behind the batch that computed them). The batch's scenarios are
+//! deduplicated by fingerprint (two requests asking for the same scenario
+//! share one simulation), resolved against the result LRU, and the remainder
 //! executes as **one** [`BatchRunner`] batch, so one symbolic
 //! factorisation serves every request of the batch with the same
 //! operator pattern. The worker owns a single runner for its whole life,
@@ -60,10 +62,10 @@ pub struct SchedulerConfig {
     /// Coalescing window: the longest a batch waits, after its first
     /// request, for more requests to join it. A batch waits only while
     /// its runnable scenarios (distinct specs not in the result cache)
-    /// number fewer than [`threads`](Self::threads), and dispatches as
-    /// soon as they don't. Only requests with an uncached spec wait; a
-    /// fully cached one is answered at submission. Zero never waits: a
-    /// batch takes whatever is already queued.
+    /// number fewer than [`threads`](Self::threads) but at least one, and
+    /// dispatches as soon as they don't. Only requests with an uncached
+    /// spec wait; a fully cached one is answered at submission. Zero never
+    /// waits: a batch takes whatever is already queued.
     pub window: Duration,
     /// Capacity of the runner's pattern →
     /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) cache (0
@@ -377,13 +379,19 @@ impl Worker {
             let mut batch = vec![first];
             let mut full = false;
             // Coalesce: take every submission already queued, then wait
-            // for more only while some runner thread would idle.
+            // for more only while some runner thread would idle and the
+            // batch has something to simulate; a batch the result cache
+            // answers whole (its specs were cached while it queued)
+            // dispatches at once.
             loop {
                 let msg = match rx.try_recv() {
                     Ok(msg) => msg,
                     Err(TryRecvError::Empty) => {
                         if runnable.len() >= self.runner.threads() {
                             full = true;
+                            break;
+                        }
+                        if runnable.is_empty() {
                             break;
                         }
                         let left = deadline.saturating_duration_since(Instant::now());

@@ -12,7 +12,9 @@
 //! * [`CscMatrix`] — compressed sparse column storage with matrix–vector
 //!   products and structure queries.
 //! * [`LuFactors`] — Gilbert–Peierls left-looking sparse LU with partial
-//!   pivoting ([`lu::factor`]), the workhorse direct solver.
+//!   pivoting ([`lu::factor`]), the workhorse direct solver, and
+//!   [`lu::analyse`], which keeps a dominant diagonal's pivots without the
+//!   pivot search and returns the same analysis.
 //! * [`SymbolicLu`] — the reusable symbolic half of a factorisation,
 //!   enabling cheap numeric refactorisation (below).
 //! * [`ordering`] — reverse Cuthill–McKee bandwidth reduction used as a
@@ -55,12 +57,12 @@
 //! construction; only values change between operating points. Like 3D-ICE,
 //! which links SuperLU precisely to reuse one symbolic analysis across a
 //! transient run (`SamePattern_SameRowPerm`), this crate splits the direct
-//! solver: [`lu::factor_with_symbolic`] performs one full pivoting
-//! factorisation and freezes the column ordering, pivot sequence and
-//! factor layout in a [`SymbolicLu`]; [`LuFactors::refactor`] (or
-//! [`SymbolicLu::refactor_into`] for allocation reuse) then replays only
-//! the numeric sweep — no DFS, no pivot search — for any matrix with the
-//! *identical* pattern.
+//! solver: [`lu::analyse`] (or [`lu::factor_with_symbolic`], which always
+//! searches for pivots) performs one full factorisation and freezes the
+//! column ordering, pivot sequence and factor layout in a [`SymbolicLu`];
+//! [`LuFactors::refactor`] (or [`SymbolicLu::refactor_into`] for
+//! allocation reuse) then replays only the numeric sweep — no DFS, no
+//! pivot search — for any matrix with the *identical* pattern.
 //!
 //! **Factor layout.** Rows are numbered by the step that pivoted them,
 //! and each column of `L` and `U` is stored as one contiguous row range —

@@ -1,13 +1,15 @@
 //! Property-based tests for the sparse substrate: the LU and iterative
 //! solvers are checked against the dense oracle on randomly generated,
-//! well-conditioned systems with random sparsity, and the envelope-stored
-//! LU against an index-per-entry oracle bit for bit.
+//! well-conditioned systems with random sparsity, the envelope-stored
+//! LU against an index-per-entry oracle bit for bit, and `lu::analyse`
+//! against Gilbert–Peierls on both of its routes.
 
 use cmosaic_sparse::{
     bicgstab, lu, BicgstabOptions, CscMatrix, DenseMatrix, SolveWorkspace, SparseError,
     TripletMatrix,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// The index-per-entry sparse LU that the envelope layout replaced, kept
 /// as a bit-identity oracle: every stored entry carries its own row index
@@ -20,6 +22,7 @@ mod index_per_entry {
 
     const PIVOT_TINY: f64 = 1e-300;
     const MAX_PIVOT_GROWTH: f64 = 1e8;
+    const DIAGONAL_MARGIN: f64 = 1.0 / 1_048_576.0;
 
     pub struct Lu {
         n: usize,
@@ -172,8 +175,9 @@ mod index_per_entry {
 
         /// The left-looking numeric sweep of `a` over this factorisation's
         /// frozen pattern and pivots, U columns in ascending pivot order,
-        /// with the same pivot guards.
-        pub fn refactor(&self, a: &CscMatrix) -> Result<Lu, SparseError> {
+        /// with the same pivot guards; with `margin`, also the guard of
+        /// `lu::analyse`'s diagonal route.
+        pub fn refactor(&self, a: &CscMatrix, margin: bool) -> Result<Lu, SparseError> {
             let mut u_rows = self.u_rows.clone();
             for j in 0..self.n {
                 u_rows[self.u_colptr[j]..self.u_colptr[j + 1]].sort_unstable();
@@ -217,7 +221,9 @@ mod index_per_entry {
                 if !d.is_finite() || d.abs() <= PIVOT_TINY {
                     return Err(SparseError::Singular { column: col });
                 }
-                if colmax > MAX_PIVOT_GROWTH * d.abs() {
+                let limit = d.abs() * (1.0 - DIAGONAL_MARGIN);
+                let beaten = margin && !f.l_rows[lo..hi].iter().all(|&r| x[r].abs() < limit);
+                if colmax > MAX_PIVOT_GROWTH * d.abs() || beaten {
                     return Err(SparseError::UnstablePivot {
                         column: col,
                         growth: colmax / d.abs(),
@@ -233,6 +239,14 @@ mod index_per_entry {
             }
             Ok(f)
         }
+    }
+
+    /// Whether `lu::analyse` keeps the diagonal pivots of the nonsingular
+    /// `a`: Gilbert–Peierls pivots on the diagonal, and every pivot of the
+    /// sweep over its pattern beats the entries below it by the margin.
+    pub fn keeps_diagonal_pivots(a: &CscMatrix, ordering: ColumnOrdering) -> bool {
+        let f = factor(a, ordering);
+        (0..f.n).all(|j| f.p[j] == f.q.old_of(j)) && f.refactor(a, true).is_ok()
     }
 }
 
@@ -347,6 +361,98 @@ fn thermal_like_system() -> impl Strategy<Value = (CscMatrix, Vec<f64>)> {
             }
             (t.to_csc(), rhs)
         })
+}
+
+/// Strategy: a matrix from [`dominant_system`] with its rows shuffled, so
+/// partial pivoting has to leave the diagonal wherever a row moved.
+fn shuffled_dominant_matrix() -> impl Strategy<Value = CscMatrix> {
+    dominant_system()
+        .prop_flat_map(|(a, _)| {
+            let n = a.nrows();
+            (Just(a), proptest::collection::vec(0u32..1 << 30, n..=n))
+        })
+        .prop_map(|(a, keys)| {
+            let n = a.nrows();
+            let mut moved_to: Vec<usize> = (0..n).collect();
+            moved_to.sort_by_key(|&r| keys[r]);
+            let mut t = TripletMatrix::new(n, n);
+            for c in 0..n {
+                for (r, v) in a.col_iter(c) {
+                    t.push(moved_to[r], c, v);
+                }
+            }
+            t.to_csc()
+        })
+}
+
+/// `lu::analyse` returns Gilbert–Peierls' analysis (`factor_with_symbolic`)
+/// and the sweep's factors over it, bit for bit, and Gilbert–Peierls'
+/// errors — on thermal-like and row-dominant matrices, most of which keep
+/// their diagonal pivots, on row-shuffled ones that must leave them, and
+/// on ones with a zeroed column. Counts the route of each analysis with
+/// the index-per-entry oracle (`cargo test -- --nocapture` prints them)
+/// and requires both.
+#[test]
+fn analyse_matches_the_pivoting_analysis_on_both_routes() {
+    let mut rng = TestRng::for_test("analyse_matches_the_pivoting_analysis_on_both_routes");
+    let (thermal, pairs) = (thermal_like_system(), dominant_pattern_pair());
+    let shuffled = shuffled_dominant_matrix();
+    let (mut diagonal, mut searched, mut singular) = (0, 0, 0);
+    let cases = 192;
+    for case in 0..cases {
+        let mut a = match case % 3 {
+            0 => thermal.new_value(&mut rng).0,
+            1 => pairs.new_value(&mut rng).0,
+            _ => shuffled.new_value(&mut rng),
+        };
+        if case % 8 == 7 {
+            let zeroed = case % a.ncols();
+            let vals: Vec<f64> = (0..a.ncols())
+                .flat_map(|c| {
+                    a.col_iter(c)
+                        .map(move |(_, v)| if c == zeroed { 0.0 } else { v })
+                })
+                .collect();
+            let slots: Vec<usize> = (0..vals.len()).collect();
+            a.update_values(&slots, &vals);
+        }
+        for ordering in ORDERINGS {
+            let context = format!("case {case}, {ordering:?}");
+            match (
+                lu::analyse(&a, ordering),
+                lu::factor_with_symbolic(&a, ordering),
+            ) {
+                (Ok((f, sym)), Ok((_, pivoted))) => {
+                    assert_eq!(sym, pivoted, "{context}");
+                    let swept = pivoted.refactor(&a).unwrap();
+                    assert_eq!(format!("{f:?}"), format!("{swept:?}"), "{context}");
+                    if index_per_entry::keeps_diagonal_pivots(&a, ordering) {
+                        diagonal += 1;
+                    } else {
+                        searched += 1;
+                    }
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "{context}");
+                    singular += 1;
+                }
+                (got, want) => panic!(
+                    "{context}: analyse {:?} vs factor_with_symbolic {:?}",
+                    got.err(),
+                    want.err()
+                ),
+            }
+        }
+    }
+    eprintln!(
+        "lu::analyse over {} analyses: {diagonal} kept the diagonal pivots, \
+         {searched} searched for pivots, {singular} failed as singular",
+        2 * cases
+    );
+    assert!(
+        diagonal > 0 && searched > 0 && singular > 0,
+        "both routes and the error path must run"
+    );
 }
 
 fn dense_oracle(a: &CscMatrix, b: &[f64]) -> Vec<f64> {
@@ -613,7 +719,7 @@ proptest! {
             for m in [&a, &a2] {
                 let swept = sym.refactor_into_with(m, &mut f, &mut scratch);
                 prop_assert!(scratch.iter().all(|&v| v == 0.0), "scratch left zeroed");
-                match (swept, pivoted.refactor(m)) {
+                match (swept, pivoted.refactor(m, false)) {
                     (Ok(()), Ok(oracle)) => {
                         f.solve_with(&mut ws, &b, &mut x).unwrap();
                         let want = oracle.solve(&b);

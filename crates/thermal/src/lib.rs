@@ -36,9 +36,12 @@
 //! * every operating-point change — a new flow rate, a new transient Δt,
 //!   each sweep of the two-phase fixed-point loop — is an O(nnz) value
 //!   rewrite into the existing CSC operator;
-//! * exactly **one full pivoting factorisation** is performed per model
-//!   (per sparsity pattern: single-phase and two-phase operators differ),
-//!   capturing a `SymbolicLu`; every later operator is produced by numeric
+//! * exactly **one full factorisation** is performed per model (per
+//!   sparsity pattern: single-phase and two-phase operators differ): an
+//!   `lu::analyse` that captures a `SymbolicLu`, keeping the operator's
+//!   diagonal pivots after a margin check instead of searching for pivots
+//!   whenever the check passes, as it does for these diagonally dominant
+//!   operators; every later operator is produced by numeric
 //!   refactorisation over that frozen pattern — the same trick 3D-ICE
 //!   obtains by linking SuperLU. If a refactorisation trips the
 //!   pivot-growth guard (it cannot for these diagonally-dominant
@@ -111,7 +114,7 @@
 //! [`ThermalModel::export_analysis`] snapshots the frozen symbolic
 //! analyses as an `Arc`-shared [`SharedAnalysis`] and
 //! [`ThermalModel::adopt_analysis`] installs them in a fresh model, which
-//! then skips its own full pivoting factorisation entirely (pattern
+//! then skips its own full factorisation entirely (pattern
 //! verified on every refactorisation, with a safe local fallback).
 //!
 //! # Example

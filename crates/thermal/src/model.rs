@@ -184,10 +184,14 @@ fn ensure_len(v: &mut Vec<f64>, n: usize, grows: &mut u64) {
 /// owns (one for the single-phase operator, one for the two-phase operator
 /// if used) with everything else served by `refactorizations`;
 /// `pivot_fallbacks` counts refactorisations that degraded and triggered a
-/// fresh pivoting factorisation.
+/// fresh analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Full pivoting factorisations (symbolic + numeric).
+    /// Full factorisations (symbolic + numeric): each [`lu::analyse`] of
+    /// a fresh pattern, whichever of its two routes (margin-checked
+    /// diagonal pivots or the pivot search) ran, so the count does not
+    /// depend on the route, plus the pivoting factorisation behind a
+    /// multigrid breakdown fallback.
     pub full_factorizations: u64,
     /// Numeric-only refactorisations over a frozen pattern.
     pub refactorizations: u64,
@@ -405,9 +409,15 @@ fn direct_operator(
 
 /// Factorises `a` into `target` over the skeleton's frozen symbolic
 /// analysis: a numeric refactorisation whenever an analysis exists, with
-/// automatic fallback to (and capture of) a fresh pivoting factorisation
-/// on pivot-growth degradation — or on a pattern mismatch of an *adopted*
+/// automatic fallback to (and capture of) a fresh [`lu::analyse`] on
+/// pivot-growth degradation — or on a pattern mismatch of an *adopted*
 /// analysis, which makes adoption always safe.
+///
+/// A fresh analysis keeps the refactorisation sweep's values over the
+/// analysis it captured, not a pivoting factorisation's, so analysis
+/// donation is bit-neutral: a donor's operator is bitwise what any
+/// adopter computes, and every run is a pure function of its inputs
+/// regardless of sharing.
 ///
 /// A free function over the skeleton's fields (rather than a method) so
 /// callers can factorise a matrix held elsewhere — e.g. the CSC snapshot
@@ -450,25 +460,14 @@ fn factorize_pattern_into(
             Err(e) => return Err(e),
         }
     }
-    let (factors, sym) = lu::factor_with_symbolic(a, lu::ColumnOrdering::Rcm)?;
+    let (factors, sym) = lu::analyse(a, lu::ColumnOrdering::Rcm)?;
     stats.full_factorizations += 1;
-    let sym = Arc::new(sym);
-    // Immediately re-sweep the same matrix over the just-captured
-    // analysis and keep *those* values: the pivoting factorisation and
-    // the frozen-pattern sweep accumulate updates in different orders,
-    // so their results can differ in the last ULP. Normalising the fresh
-    // path onto the refactor sweep makes analysis donation bit-neutral —
-    // a donor's operator is bitwise what any adopter computes — so every
-    // run is a pure function of its inputs regardless of sharing. The
-    // sweep cannot degrade (pivot growth is judged against the pivots
-    // just chosen for this very matrix), but if it ever errors, keep the
-    // pivoting factorisation's values as before.
-    let mut swept = sym.allocate_factors();
-    match sym.refactor_into_with(a, &mut swept, scratch) {
-        Ok(()) => *target = Some(swept),
-        Err(_) => *target = Some(factors),
-    }
-    *symbolic = Some(sym);
+    // The analysis sweeps in a column of its own; size the scratch the
+    // refactorisations to come sweep in. `workspace_grows` counts only
+    // the refactorisation path's growth, so this stays uncounted.
+    scratch.resize(a.nrows(), 0.0);
+    *target = Some(factors);
+    *symbolic = Some(Arc::new(sym));
     *adopted = false;
     Ok(())
 }
@@ -2896,6 +2895,58 @@ mod tests {
                     (1.0..=1.25).contains(&ratio),
                     "{tiers} tiers, liquid {liquid}: stored/exact = {ratio:.3}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn paper_patterns_analyse_to_the_pivoting_analysis() {
+        // A fresh pattern's analysis is Gilbert–Peierls' own, steady and
+        // transient, on the four 12×12 paper patterns, and it pivots on the
+        // diagonal: it equals the analysis of the same pattern with a unit
+        // diagonal and negligible off-diagonals. These are the operators
+        // `lu::analyse` serves by its margin-checked route; their smallest
+        // relative pivot margins run from about 4.4e-5 (air-cooled, steady)
+        // to 0.46 (liquid-cooled), against a required 2^-20.
+        let g = GridSpec::new(12, 12).unwrap();
+        for tiers in [2, 4] {
+            for liquid in [false, true] {
+                let stack = if liquid {
+                    presets::liquid_cooled_mpsoc(tiers).unwrap()
+                } else {
+                    presets::air_cooled_mpsoc(tiers).unwrap()
+                };
+                let powers = uniform_powers(tiers, 20.0, g.cell_count());
+                for transient in [false, true] {
+                    let mut m = ThermalModel::new(&stack, g, ThermalParams::default()).unwrap();
+                    if liquid {
+                        m.set_flow_rate(VolumetricFlow::from_ml_per_min(20.0))
+                            .unwrap();
+                    }
+                    if transient {
+                        m.step(&powers, 0.25).unwrap();
+                    } else {
+                        m.steady_state(&powers).unwrap();
+                    }
+                    let skel = m.skeleton.as_ref().expect("the solve assembled");
+                    let (_, pivoted) =
+                        lu::factor_with_symbolic(&skel.csc, lu::ColumnOrdering::Rcm).unwrap();
+                    let (_, analysed) = lu::analyse(&skel.csc, lu::ColumnOrdering::Rcm).unwrap();
+                    let case = format!("{tiers} tiers, liquid {liquid}, transient {transient}");
+                    assert_eq!(analysed, pivoted, "{case}");
+                    let mut dominant = skel.csc.clone();
+                    let values: Vec<f64> = (0..dominant.ncols())
+                        .flat_map(|c| dominant.col_iter(c).map(move |(r, _)| r == c))
+                        .map(|diagonal| if diagonal { 1.0 } else { 1e-9 })
+                        .collect();
+                    let slots: Vec<usize> = (0..values.len()).collect();
+                    dominant.update_values(&slots, &values);
+                    let (_, diagonal) =
+                        lu::factor_with_symbolic(&dominant, lu::ColumnOrdering::Rcm).unwrap();
+                    assert_eq!(analysed, diagonal, "{case}: diagonal pivots");
+                    let kept = skel.symbolic.as_deref().expect("the solve factorised");
+                    assert_eq!(kept, &pivoted, "{case}");
+                }
             }
         }
     }

@@ -4,9 +4,11 @@
 //!   one full factorisation per distinct operator pattern — not per
 //!   request — asserted via the `stats` counters;
 //! * a batch dispatches as soon as its runnable specs fill every runner
-//!   thread (`batches_full`) and otherwise closes by the window, and
-//!   same-pattern requests in separate full batches still factorise
-//!   once, all asserted with counters rather than timing;
+//!   thread (`batches_full`), or at once when it has none, and otherwise
+//!   closes by the window, and same-pattern requests in separate full
+//!   batches still factorise once, all asserted with counters (and, for
+//!   the batch with nothing to simulate, a reply well inside a 60 s
+//!   window);
 //! * every served result is bit-identical (at the serialized-slot level)
 //!   to an offline `BatchRunner` run of the same spec, cold or warm, and
 //!   warm cache hits replay the identical per-epoch stream;
@@ -199,6 +201,37 @@ fn a_batch_with_one_runnable_spec_closes_by_the_window() {
     assert_eq!(slots[0].encode(), o111);
     assert_eq!(slots[1].encode(), o112);
     assert_eq!(slots[2].encode(), o112);
+    scheduler.shutdown();
+}
+
+#[test]
+fn a_batch_with_nothing_to_simulate_dispatches_at_once() {
+    // A window no answer may wait out.
+    let scheduler = Scheduler::start(config(60_000));
+    let long = |seed| spec(seed).seconds(30);
+    // Two runnable specs fill both threads: this batch dispatches at once,
+    // and its first epoch event shows it running.
+    let rx_a = scheduler.submit(vec![long(131), long(132)], true).unwrap();
+    assert!(matches!(rx_a.recv(), Ok(Reply::Epoch { .. })));
+    // Asked for while that batch runs, spec 131 is not cached yet, so the
+    // request goes to the worker; the batch it opens there finds every
+    // spec cached and has nothing to simulate.
+    let rx_b = scheduler.submit(vec![long(131)], false).unwrap();
+    let (_, a) = drain(rx_a);
+    let b = match rx_b.recv_timeout(Duration::from_secs(20)) {
+        Ok(Reply::Done { slots }) => slots,
+        other => panic!("the cached batch waited for its window: {other:?}"),
+    };
+    let stats = scheduler.stats();
+    assert_eq!(stats.cache.batches, 2, "{stats:?}");
+    assert_eq!(stats.cache.batches_full, 1, "only the first batch filled");
+    assert_eq!(stats.cache.result_misses, 2);
+    assert_eq!(stats.cache.result_hits, 1);
+    assert_eq!(stats.last_batch.requests, 1);
+    assert_eq!(stats.last_batch.full_factorizations, 0);
+    assert_eq!(stats.solver.full_factorizations, 1, "{stats:?}");
+    assert_eq!(a[0].encode(), offline_slot(&long(131)));
+    assert_eq!(b[0].encode(), a[0].encode());
     scheduler.shutdown();
 }
 
