@@ -329,8 +329,13 @@ where
     ws.v.fill(0.0);
     ws.p.fill(0.0);
 
+    // The eight inner products and norms of an iteration ride five passes:
+    // each accumulator is the left fold from −0.0 in ascending index that
+    // [`dot`] and [`norm2`] compute, so fusing passes moves no bit. The
+    // next iteration's ρ = r̃·r and ‖r‖² accumulate inside the x/r update.
+    let mut rho_next = dot(&ws.r0, &ws.r);
     for it in 1..=options.max_iterations {
-        let rho_new = dot(&ws.r0, &ws.r);
+        let rho_new = rho_next;
         // ρ → 0 relative to ‖r̃‖·‖r‖: the shadow residual has become
         // orthogonal to the residual.
         if rho_new.abs() <= BREAKDOWN_REL * r0_norm * r_norm {
@@ -343,16 +348,22 @@ where
         }
         apply_precond(precond.as_deref_mut(), &ws.p, &mut ws.p_hat)?;
         a.matvec_into(&ws.p_hat, &mut ws.v);
-        let denom = dot(&ws.r0, &ws.v);
-        let v_norm = norm2(&ws.v);
+        let (mut denom, mut v_sq) = (-0.0, -0.0);
+        for (&r0, &v) in ws.r0.iter().zip(&ws.v) {
+            denom += r0 * v;
+            v_sq += v * v;
+        }
+        let v_norm = v_sq.sqrt();
         if denom.abs() <= BREAKDOWN_REL * r0_norm * v_norm {
             return Err(SparseError::Breakdown { iteration: it });
         }
         alpha = rho / denom;
+        let mut s_sq = -0.0;
         for ((s, &r), &v) in ws.s.iter_mut().zip(&ws.r).zip(&ws.v) {
             *s = r - alpha * v;
+            s_sq += *s * *s;
         }
-        let s_norm = norm2(&ws.s);
+        let s_norm = s_sq.sqrt();
         if s_norm / bnorm < options.tolerance {
             for (xi, &ph) in x.iter_mut().zip(&ws.p_hat) {
                 *xi += alpha * ph;
@@ -366,26 +377,34 @@ where
         apply_precond(precond.as_deref_mut(), &ws.s, &mut ws.s_hat)?;
         let s_hat_norm = norm2(&ws.s_hat);
         a.matvec_into(&ws.s_hat, &mut ws.t);
-        let tt = dot(&ws.t, &ws.t);
+        let (mut tt, mut ts) = (-0.0, -0.0);
+        for (&t, &s) in ws.t.iter().zip(&ws.s) {
+            tt += t * t;
+            ts += t * s;
+        }
         // ‖t‖ ≤ ε·‖A‖·‖ŝ‖: A·ŝ has vanished relative to what the operator
         // scale says it should be — ŝ sits in A's numerical null space.
         if tt.sqrt() <= BREAKDOWN_REL * a_scale * s_hat_norm {
             return Err(SparseError::Breakdown { iteration: it });
         }
-        let ts = dot(&ws.t, &ws.s);
         // t ⊥ s to machine precision makes ω ≈ 0 and the next β divide
         // by round-off.
         if ts.abs() <= BREAKDOWN_REL * tt.sqrt() * s_norm {
             return Err(SparseError::Breakdown { iteration: it });
         }
         omega = ts / tt;
+        let mut r_sq = -0.0;
+        rho_next = -0.0;
         let hats = ws.p_hat.iter().zip(&ws.s_hat);
         let rst = ws.r.iter_mut().zip(ws.s.iter().zip(&ws.t));
-        for ((xi, (&ph, &sh)), (r, (&s, &t))) in x.iter_mut().zip(hats).zip(rst) {
+        for (((xi, (&ph, &sh)), (r, (&s, &t))), &r0) in x.iter_mut().zip(hats).zip(rst).zip(&ws.r0)
+        {
             *xi += alpha * ph + omega * sh;
             *r = s - omega * t;
+            rho_next += r0 * *r;
+            r_sq += *r * *r;
         }
-        r_norm = norm2(&ws.r);
+        r_norm = r_sq.sqrt();
         if r_norm / bnorm < options.tolerance {
             let res = relative_residual_into(a, x, b, bnorm, &mut ws.t);
             return Ok(BicgstabSummary {

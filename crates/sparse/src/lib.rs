@@ -42,10 +42,13 @@
 //! [`LinearOperator::matvec_into`] must fully overwrite its output, be
 //! allocation-free once warm, and — for two representations of the same
 //! matrix to be interchangeable mid-run — produce **bit-identical**
-//! results, which pins the accumulation order (see the trait docs).
+//! results, which pins the accumulation order (see the trait docs). It
+//! must also map a `+0` vector to `+0` in every row, so a multigrid
+//! smoothing pass from a zero iterate can skip the product.
 //! [`Preconditioner::apply_into`] must be a pure function of the residual
 //! (its `&mut self` is scratch, not state), so a preconditioned solve is
-//! reproducible bit-for-bit across repeats. A preconditioner that cannot
+//! reproducible bit-for-bit across repeats; it may hand the result back
+//! in a different allocation of the same length. A preconditioner that cannot
 //! be *built* (singular ILU pivot, singular coarse operator) fails at
 //! construction, never mid-solve; failures mid-solve surface as
 //! [`SparseError::Breakdown`]/[`SparseError::NoConvergence`] and callers
@@ -204,19 +207,32 @@ impl fmt::Display for SparseError {
 
 impl Error for SparseError {}
 
-/// Euclidean norm of a vector.
+/// Euclidean norm of a vector: the square root of the left fold
+/// `((−0 + v₀²) + v₁²) + …` in ascending index order.
+///
+/// The fold's start and order are part of the bits: BiCGSTAB's fused
+/// loops accumulate `‖v‖²`, `‖s‖²` and `‖r‖²` the same way, element by
+/// element, so they return what this function returns. Starting from
+/// `−0.0` (the identity of `+`) is also where `Iterator::sum` starts.
 pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
+    v.iter().fold(-0.0, |acc, x| acc + x * x).sqrt()
 }
 
-/// Dot product of two equal-length vectors.
+/// Dot product of two equal-length vectors: the left fold
+/// `((−0 + a₀·b₀) + a₁·b₁) + …` in ascending index order, each product
+/// rounded before it is added.
+///
+/// As for [`norm2`], the fold is part of the bits, and BiCGSTAB's fused
+/// loops reproduce it for every inner product they carry. Its `−0.0`
+/// start keeps a product's sign where every term is a signed zero:
+/// `dot(&[-0.0], &[1.0])` is `−0.0`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(-0.0, |acc, (x, y)| acc + x * y)
 }
 
 #[cfg(test)]
@@ -227,6 +243,51 @@ mod tests {
     fn norm_and_dot() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert!((dot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn folds_match_iterator_sum_bitwise() {
+        let sum_dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let sum_norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            // Mixed magnitudes, subnormal products included, so any other
+            // summation order would round differently.
+            unit * [1e-160, 1.0, 1e3][(state % 3) as usize]
+        };
+        for len in [0, 1, 2, 3, 7, 64, 257] {
+            for _ in 0..8 {
+                let a: Vec<f64> = (0..len).map(|_| draw()).collect();
+                let b: Vec<f64> = (0..len).map(|_| draw()).collect();
+                assert_eq!(dot(&a, &b).to_bits(), sum_dot(&a, &b).to_bits());
+                assert_eq!(norm2(&a).to_bits(), sum_norm(&a).to_bits());
+            }
+        }
+        // Signed zeros: a fold from +0.0 would return +0.0 for each.
+        let zeros = [-0.0, 0.0];
+        for &x in &zeros {
+            for &y in &[-1.0, -0.0, 0.0, 1.0] {
+                for &w in &zeros {
+                    let (a, b) = ([x, w], [y, 1.0]);
+                    assert_eq!(dot(&a, &b).to_bits(), sum_dot(&a, &b).to_bits());
+                    assert_eq!(
+                        dot(&a[..1], &b[..1]).to_bits(),
+                        sum_dot(&a[..1], &b[..1]).to_bits()
+                    );
+                }
+            }
+        }
+        assert_eq!(dot(&[-0.0], &[1.0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            dot(&[-0.0, -0.0], &[1.0, 2.0]).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        // Squares are never −0.0, so only the empty norm shows the start.
+        assert_eq!(norm2(&[]).to_bits(), sum_norm(&[]).to_bits());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! column-pointer arrays describe the whole layout, shared through an
 //! `Arc` by a [`SymbolicLu`] and every [`LuFactors`] built over it. The
 //! triangular solves and the refactorisation then run every update as one
-//! contiguous `x[a..b] -= v[..]·t`, which the compiler vectorises. Under
+//! contiguous `x[a..b] -= v[..]·t`, which the compiler vectorises (the
+//! refactorisation fuses two such updates into one pass; see below). Under
 //! RCM the thermal operators' factors are banded, so the envelope stores
 //! only a few to a few tens of percent more entries than the exact pattern
 //! ([`SymbolicLu::exact_nnz`] against [`SymbolicLu::nnz_l`] +
@@ -31,16 +32,18 @@
 //!
 //! The padding leaves every result bit-identical to an index-per-entry
 //! layout for finite inputs. Each kernel visits the columns in the same
-//! order as it would over the exact pattern, and every update is a
-//! separate multiply and subtract (`a - l·t`, never a fused multiply-add),
-//! so each exact entry receives the same subtractions in the same order.
-//! A padded slot always holds a zero: a row outside the exact pattern of a
-//! column is never reached by a nonzero update (it would then belong to
-//! the pattern), so it stays `+0`, and an update through a padded slot
-//! subtracts `±0`, which leaves any nonzero value as it was. A zero
-//! multiplier skips its column in both layouts. The only bits the padding
-//! can touch are the sign of an entry that is exactly zero, which no later
-//! step turns into a nonzero difference.
+//! order as it would over the exact pattern, and every update is a separate
+//! multiply and subtract (`a - l·t`, never a fused multiply-add), so each
+//! exact entry receives the same subtractions in the same order; fusing two
+//! columns' updates into one pass interleaves them per entry without
+//! reordering any entry's own subtractions. A padded slot always holds a
+//! zero: a row outside the exact pattern of a column is never reached by a
+//! nonzero update (it would then belong to the pattern), so it stays `+0`,
+//! and an update through a padded slot subtracts `±0`, which leaves any
+//! nonzero value as it was. A zero multiplier skips its column in both
+//! layouts. The only bits the padding can touch are the sign of an entry
+//! that is exactly zero, which no later step turns into a nonzero
+//! difference.
 //!
 //! # Symbolic/numeric split
 //!
@@ -52,11 +55,18 @@
 //! [`LuFactors::refactor`] replays only the numeric sweep over that frozen
 //! layout — the same trick 3D-ICE gets from SuperLU's
 //! `SamePattern_SameRowPerm` path. The sweep is left-looking: column `j`
-//! scatters `A(:,j)` into a dense pivot-space column, then applies
-//! `L(:,k)` for every `k` of its `U` extent in ascending order, which is a
-//! valid elimination order. A refactorisation skips the DFS *and* the
-//! pivot search, so it is valid only while the frozen pivot sequence
-//! remains numerically acceptable; a pivot-growth guard detects
+//! scatters `A(:,j)` into a dense pivot-space column, then applies `L(:,k)`
+//! for every `k` of its `U` extent in ascending order, which is a valid
+//! elimination order. It applies them two per pass over the column: `k`'s
+//! update of row `k + 1` lands first, because it completes `k + 1`'s
+//! multiplier, then each lower row takes `k`'s update and then `k + 1`'s.
+//! Every entry thus receives the subtractions of one column per pass, in
+//! the same order, and a zero multiplier still skips its column; an odd
+//! extent leaves its last column to a pass of its own. The triangular
+//! solves keep one column per pass: they are bound by streaming their
+//! factors, so pairing would not pay there. A refactorisation skips the DFS
+//! *and* the pivot search, so it is valid only while the frozen pivot
+//! sequence remains numerically acceptable; a pivot-growth guard detects
 //! degradation and reports [`SparseError::UnstablePivot`] so callers can
 //! fall back to a fresh pivoting factorisation.
 //!
@@ -177,6 +187,23 @@ fn sub_scaled(dst: &mut [f64], src: &[f64], t: f64) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d -= s * t;
     }
+}
+
+/// `dst -= a·ta`, then `dst -= b·tb`, in one pass over `dst`: each slot
+/// takes `a`'s subtraction before `b`'s, exactly as two
+/// [`sub_scaled`] passes would leave it. `a` and `b` both start at
+/// `dst[0]` and may differ in length.
+#[inline]
+fn sub_scaled_pair(dst: &mut [f64], a: &[f64], ta: f64, b: &[f64], tb: f64) {
+    let both = a.len().min(b.len());
+    let (dst_both, dst_tail) = dst.split_at_mut(both);
+    for ((d, &sa), &sb) in dst_both.iter_mut().zip(&a[..both]).zip(&b[..both]) {
+        *d -= sa * ta;
+        *d -= sb * tb;
+    }
+    // At most one of the tails is nonempty.
+    sub_scaled(dst_tail, &a[both..], ta);
+    sub_scaled(dst_tail, &b[both..], tb);
 }
 
 /// The result of a sparse LU factorisation: `P·A·Q = L·U`.
@@ -714,15 +741,41 @@ impl SymbolicLu {
                 x[self.a_steps[k]] = a_vals[k];
             }
             // Eliminate with the frozen pivot sequence, ascending through
-            // the U extent (a topological order); padded rows hold zero
-            // and skip their column.
+            // the U extent (a topological order), two columns per pass
+            // over `x`; padded rows hold zero and skip their column.
             let u = &mut f.u_vals[env.u_col(jj)];
             let u_first = jj - u.len();
-            for (k, uv) in (u_first..jj).zip(u) {
+            let l_vals = &f.l_vals;
+            let mut pairs = u.chunks_exact_mut(2);
+            for (k, uv) in (u_first..).step_by(2).zip(&mut pairs) {
+                let (lk, lk1) = (&l_vals[env.l_col(k)], &l_vals[env.l_col(k + 1)]);
+                // Column k updates row k + 1 before it is taken...
+                let xk = std::mem::take(&mut x[k]);
+                uv[0] = xk;
+                let lk_below = match lk.split_first() {
+                    Some((&l, below)) if xk != 0.0 => {
+                        x[k + 1] -= l * xk;
+                        below
+                    }
+                    _ => &[],
+                };
+                let xk1 = std::mem::take(&mut x[k + 1]);
+                uv[1] = xk1;
+                // ...and every row below k + 1 takes k's update, then
+                // k + 1's: both columns' remaining rows start at k + 2.
+                let below = &mut x[k + 2..];
+                if xk1 != 0.0 {
+                    sub_scaled_pair(below, lk_below, xk, lk1, xk1);
+                } else {
+                    sub_scaled(below, lk_below, xk);
+                }
+            }
+            if let [uv] = pairs.into_remainder() {
+                let k = jj - 1;
                 let xk = std::mem::take(&mut x[k]);
                 *uv = xk;
                 if xk != 0.0 {
-                    let l = &f.l_vals[env.l_col(k)];
+                    let l = &l_vals[env.l_col(k)];
                     sub_scaled(&mut x[k + 1..k + 1 + l.len()], l, xk);
                 }
             }

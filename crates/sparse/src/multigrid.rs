@@ -2,11 +2,11 @@
 //!
 //! A [`Multigrid`] runs V-cycles over a caller-supplied hierarchy of
 //! [`LinearOperator`] levels living on nested cell-centered grids
-//! ([`GridShape`]): operator-defined smoothing on every level (damped
-//! Jacobi by default, via [`LinearOperator::smooth_pass`]), aggregation
-//! (full-weighting) restriction of the residual, cell-centered bilinear
-//! prolongation of the correction, and a small direct-LU coarse solve
-//! reusing the existing [`SymbolicLu`] machinery. Implemented against the
+//! ([`GridShape`]): damped-Jacobi smoothing on every level, followed by
+//! any relaxation of the operator's own ([`LinearOperator::smooth_pass`]),
+//! aggregation (full-weighting) restriction of the residual, cell-centered
+//! bilinear prolongation of the correction, and a small direct-LU coarse
+//! solve reusing the existing [`SymbolicLu`] machinery. Implemented against the
 //! [`Preconditioner`] trait, so [`crate::bicgstab_into`] accepts it
 //! anywhere an [`crate::Ilu0`] is accepted.
 //!
@@ -26,6 +26,18 @@
 //! construction inputs: repeated applies return bit-identical results,
 //! independent of thread count. This is the contract
 //! [`Preconditioner::apply_into`] requires.
+//!
+//! # Passes from a zero iterate
+//!
+//! Every apply starts level 0 from `+0`, and every descent starts the
+//! coarser level from `+0`. The first pre-smoothing pass of such a level
+//! runs [`LinearOperator::smooth_pass_from_zero`], which skips the
+//! product `A·(+0)` and overwrites the whole iterate, so no buffer is
+//! zeroed beforehand; only a level without pre-smoothing zeroes its
+//! iterate, because its residual reads it. Level 0 reads the caller's
+//! residual in place, and the result leaves by swapping the caller's
+//! buffer with level 0's iterate. Each step leaves every bit as the
+//! zero-filled pass computes it (see the operator contract).
 //!
 //! # Transfer-operator conventions
 //!
@@ -128,6 +140,8 @@ struct MgLevel<A> {
     shape: GridShape,
     inv_diag: Vec<f64>,
     x: Vec<f64>,
+    /// The restricted residual this level solves against; empty on
+    /// level 0, which reads the caller's residual in place.
     b: Vec<f64>,
     r: Vec<f64>,
 }
@@ -215,12 +229,17 @@ impl<A: LinearOperator> Multigrid<A> {
                 }
                 inv_diag.push(1.0 / d);
             }
+            let b = if built.is_empty() {
+                Vec::new()
+            } else {
+                vec![0.0; n]
+            };
             built.push(MgLevel {
                 op,
                 shape,
                 inv_diag,
                 x: vec![0.0; n],
-                b: vec![0.0; n],
+                b,
                 r: vec![0.0; n],
             });
         }
@@ -293,38 +312,50 @@ impl<A: LinearOperator> Multigrid<A> {
         std::mem::take(&mut self.stats)
     }
 
-    /// `sweeps` smoothing passes on level `l`, delegated to the
-    /// operator's [`LinearOperator::smooth_pass`] (damped Jacobi
-    /// `x += ω·D⁻¹·(b − A·x)` unless the operator overrides it).
-    fn smooth(&mut self, l: usize, sweeps: usize) {
+    /// `sweeps` smoothing passes on level `l` against `b`, through the
+    /// operator's [`LinearOperator::smooth_pass`]. With `zero`, the
+    /// iterate is `+0` everywhere whatever its buffer holds: the first
+    /// pass starts from `+0` without the product
+    /// ([`LinearOperator::smooth_pass_from_zero`]), or, with no pass to
+    /// overwrite it, the buffer is zeroed for the residual that reads it.
+    fn smooth(&mut self, l: usize, b: &[f64], sweeps: usize, zero: bool) {
         let omega = self.options.damping;
         let lev = &mut self.levels[l];
-        for _ in 0..sweeps {
-            lev.op
-                .smooth_pass(&mut lev.x, &lev.b, &lev.inv_diag, omega, &mut lev.r);
+        if zero && sweeps == 0 {
+            lev.x.fill(0.0);
+        }
+        for sweep in 0..sweeps {
+            if zero && sweep == 0 {
+                lev.op
+                    .smooth_pass_from_zero(&mut lev.x, b, &lev.inv_diag, omega);
+            } else {
+                lev.op
+                    .smooth_pass(&mut lev.x, b, &lev.inv_diag, omega, &mut lev.r);
+            }
             self.stats.smooth_sweeps += 1;
         }
     }
 
-    /// One V-cycle starting at level `l` (level 0 = finest). Expects
-    /// `levels[l].b` set; refines `levels[l].x` in place.
-    fn v_cycle(&mut self, l: usize) {
-        self.smooth(l, self.options.pre_sweeps);
+    /// One V-cycle starting at level `l` (level 0 = finest) against `b`,
+    /// refining `levels[l].x` in place, or from `+0` when `zero`.
+    fn v_cycle(&mut self, l: usize, b: &[f64], zero: bool) {
+        self.smooth(l, b, self.options.pre_sweeps, zero);
         // Residual r = b − A·x on this level.
         {
             let lev = &mut self.levels[l];
             lev.op.matvec_into(&lev.x, &mut lev.r);
-            for (r, &b) in lev.r.iter_mut().zip(&lev.b) {
+            for (r, &b) in lev.r.iter_mut().zip(b) {
                 *r = b - *r;
             }
         }
         if l + 1 < self.levels.len() {
-            let (fine, rest) = self.levels.split_at_mut(l + 1);
-            let fine = &fine[l];
-            let next = &mut rest[0];
-            restrict(fine.shape, &fine.r, next.shape, &mut next.b);
-            next.x.fill(0.0);
-            self.v_cycle(l + 1);
+            // The coarser level's right-hand side leaves the hierarchy (a
+            // move, not a copy) while its cycle borrows it.
+            let mut bc = std::mem::take(&mut self.levels[l + 1].b);
+            let (fine, rest) = self.levels.split_at(l + 1);
+            restrict(fine[l].shape, &fine[l].r, rest[0].shape, &mut bc);
+            self.v_cycle(l + 1, &bc, true);
+            self.levels[l + 1].b = bc;
             let (fine, rest) = self.levels.split_at_mut(l + 1);
             prolong_add(rest[0].shape, &rest[0].x, fine[l].shape, &mut fine[l].x);
         } else {
@@ -337,7 +368,7 @@ impl<A: LinearOperator> Multigrid<A> {
             let fine = &mut self.levels[l];
             prolong_add(self.coarse_shape, &self.coarse_x, fine.shape, &mut fine.x);
         }
-        self.smooth(l, self.options.post_sweeps);
+        self.smooth(l, b, self.options.post_sweeps, false);
     }
 }
 
@@ -346,6 +377,11 @@ impl<A: LinearOperator> Preconditioner for Multigrid<A> {
         self.levels[0].shape.n()
     }
 
+    /// Runs the configured V-cycles on `r` from a `+0` start and returns
+    /// the result by swapping `z` (resized to `n`) with level 0's
+    /// iterate, so `z` comes back as a different allocation; the caller's
+    /// buffer becomes the next apply's iterate, whose contents never
+    /// matter.
     fn apply_into(&mut self, r: &[f64], z: &mut Vec<f64>) -> Result<(), SparseError> {
         let n = self.n();
         if r.len() != n {
@@ -353,17 +389,15 @@ impl<A: LinearOperator> Preconditioner for Multigrid<A> {
                 detail: format!("multigrid apply: vector length {} != {n}", r.len()),
             });
         }
-        {
-            let fine = &mut self.levels[0];
-            fine.b.copy_from_slice(r);
-            fine.x.fill(0.0);
-        }
-        for _ in 0..self.options.cycles {
-            self.v_cycle(0);
+        for cycle in 0..self.options.cycles {
+            self.v_cycle(0, r, cycle == 0);
             self.stats.cycles += 1;
         }
-        z.clear();
-        z.extend_from_slice(&self.levels[0].x);
+        if self.options.cycles == 0 {
+            self.levels[0].x.fill(0.0);
+        }
+        z.resize(n, 0.0);
+        std::mem::swap(z, &mut self.levels[0].x);
         Ok(())
     }
 }
@@ -467,6 +501,7 @@ fn prolong_row(main: &[f64], side: &[f64], frow: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::bicgstab::{bicgstab_into, BicgstabOptions, IterativeWorkspace};
+    use crate::lu::SolveWorkspace;
     use crate::triplet::TripletMatrix;
 
     /// 2D 5-point Poisson-with-sink operator on an nx×ny grid (single
@@ -638,6 +673,189 @@ mod tests {
             prolong_add(coarse, &xc, fine, &mut xf);
             reference_prolong_add(coarse, &xc, fine, &mut expect);
             assert_eq!(bits(&xf), bits(&expect), "prolong_add {fine:?}");
+        }
+    }
+
+    /// Three smoothed levels over a Poisson problem plus the direct coarse
+    /// level, so a cycle descends twice before its coarse solve.
+    fn three_level(options: MultigridOptions) -> Multigrid<CscMatrix> {
+        let levels = [(16, 8, 0.05), (8, 4, 0.2), (4, 2, 0.8)]
+            .into_iter()
+            .map(|(nx, ny, leak)| poisson(nx, ny, 1.3, 0.7, leak))
+            .collect();
+        let (coarse, _, _) = poisson(2, 1, 1.3, 0.7, 3.2);
+        Multigrid::new(levels, &coarse, None, options).unwrap()
+    }
+
+    /// A residual mixing ordinary values with ±0 and subnormals.
+    fn residual(n: usize, seed: u64) -> Vec<f64> {
+        const SPECIALS: [f64; 4] = [0.0, -0.0, 5e-324, -2.5e-310];
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 20.0;
+                if i % 5 == 0 {
+                    SPECIALS[(state >> 60) as usize % SPECIALS.len()]
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The V-cycle as it was written before its passes from a zero
+    /// iterate: level 0 copies the residual into a right-hand side of its
+    /// own, every iterate is zero-filled before it is smoothed, every
+    /// smoothing pass forms `A·x` and its damped-Jacobi update (the trait
+    /// default then), and the result is copied out.
+    fn reference_apply(mg: &Multigrid<CscMatrix>, r: &[f64]) -> Vec<f64> {
+        let mut bufs: Vec<[Vec<f64>; 3]> = mg
+            .levels
+            .iter()
+            .map(|l| std::array::from_fn(|_| vec![0.0; l.shape.n()]))
+            .collect();
+        bufs[0][1].copy_from_slice(r);
+        let mut coarse = [
+            vec![0.0; mg.coarse_shape.n()],
+            vec![0.0; mg.coarse_shape.n()],
+        ];
+        let mut ws = SolveWorkspace::new();
+        for _ in 0..mg.options.cycles {
+            reference_cycle(mg, &mut bufs, &mut coarse, &mut ws, 0);
+        }
+        bufs[0][0].clone()
+    }
+
+    fn reference_cycle(
+        mg: &Multigrid<CscMatrix>,
+        bufs: &mut [[Vec<f64>; 3]],
+        coarse: &mut [Vec<f64>; 2],
+        ws: &mut SolveWorkspace,
+        l: usize,
+    ) {
+        let lev = &mg.levels[l];
+        let smooth = |[x, b, r]: &mut [Vec<f64>; 3], sweeps: usize| {
+            for _ in 0..sweeps {
+                lev.op.matvec_into(x, r);
+                for (((xi, &bi), &di), &ai) in x.iter_mut().zip(&*b).zip(&lev.inv_diag).zip(&*r) {
+                    *xi += mg.options.damping * di * (bi - ai);
+                }
+            }
+        };
+        smooth(&mut bufs[l], mg.options.pre_sweeps);
+        let [x, b, r] = &mut bufs[l];
+        lev.op.matvec_into(x, r);
+        for (ri, &bi) in r.iter_mut().zip(&*b) {
+            *ri = bi - *ri;
+        }
+        if l + 1 < mg.levels.len() {
+            let (fine, rest) = bufs.split_at_mut(l + 1);
+            let next = &mg.levels[l + 1];
+            restrict(lev.shape, &fine[l][2], next.shape, &mut rest[0][1]);
+            rest[0][0].fill(0.0);
+            reference_cycle(mg, bufs, coarse, ws, l + 1);
+            let (fine, rest) = bufs.split_at_mut(l + 1);
+            prolong_add(next.shape, &rest[0][0], lev.shape, &mut fine[l][0]);
+        } else {
+            let [cx, cb] = coarse;
+            restrict(lev.shape, &bufs[l][2], mg.coarse_shape, cb);
+            mg.coarse_factors.solve_with(ws, cb, cx).unwrap();
+            prolong_add(mg.coarse_shape, cx, lev.shape, &mut bufs[l][0]);
+        }
+        smooth(&mut bufs[l], mg.options.post_sweeps);
+    }
+
+    #[test]
+    fn smoothing_from_zero_matches_a_zero_filled_pass_bitwise() {
+        let mg = three_level(MultigridOptions::default());
+        for (l, lev) in mg.levels.iter().enumerate() {
+            let n = lev.shape.n();
+            for (seed, omega) in [(1, 0.8), (2, 1.0), (3, 0.55)] {
+                let b = residual(n, seed + 10 * l as u64);
+                let mut expect = vec![0.0; n];
+                let mut scratch = vec![f64::NAN; n];
+                lev.op
+                    .smooth_pass(&mut expect, &b, &lev.inv_diag, omega, &mut scratch);
+                // Stale contents, NaN included, must not leak through.
+                let mut x: Vec<f64> = residual(n, 99).iter().map(|v| v / 0.0).collect();
+                lev.op
+                    .smooth_pass_from_zero(&mut x, &b, &lev.inv_diag, omega);
+                assert_eq!(bits(&x), bits(&expect), "level {l}, ω = {omega}");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_matches_the_zero_filled_v_cycle_bitwise() {
+        let variants = [
+            MultigridOptions::default(),
+            // The second cycle starts from a nonzero iterate.
+            MultigridOptions {
+                cycles: 2,
+                ..Default::default()
+            },
+            // Without pre-smoothing the residual reads the zero iterate.
+            MultigridOptions {
+                pre_sweeps: 0,
+                ..Default::default()
+            },
+            MultigridOptions {
+                pre_sweeps: 0,
+                post_sweeps: 2,
+                cycles: 2,
+                ..Default::default()
+            },
+            MultigridOptions {
+                pre_sweeps: 2,
+                post_sweeps: 0,
+                damping: 0.6,
+                cycles: 3,
+            },
+            MultigridOptions {
+                cycles: 0,
+                ..Default::default()
+            },
+        ];
+        for options in variants {
+            let mut mg = three_level(options);
+            let n = Preconditioner::n(&mg);
+            // The caller's buffer arrives empty, short, of length n and
+            // longer, with stale contents; each result has length n.
+            let mut zs = [
+                Vec::new(),
+                vec![f64::NAN; n / 2],
+                vec![f64::NAN; n],
+                vec![-7.0; n + 5],
+            ];
+            for round in 0..2 {
+                for (case, z) in zs.iter_mut().enumerate() {
+                    let r = residual(n, (round * 4 + case) as u64);
+                    mg.apply_into(&r, z).unwrap();
+                    assert_eq!(
+                        bits(z),
+                        bits(&reference_apply(&mg, &r)),
+                        "{options:?}, buffer {case}, round {round}"
+                    );
+                }
+            }
+            // Warm, the caller's buffer and level 0's iterate trade
+            // places on every apply; neither is reallocated.
+            let mut z = Vec::new();
+            let r = residual(n, 7);
+            mg.apply_into(&r, &mut z).unwrap();
+            let warm = [z.as_ptr(), mg.levels[0].x.as_ptr()];
+            for _ in 0..4 {
+                mg.apply_into(&r, &mut z).unwrap();
+                assert!(warm.contains(&z.as_ptr()) && warm.contains(&mg.levels[0].x.as_ptr()));
+                assert_eq!((z.len(), mg.levels[0].x.len()), (n, n));
+            }
         }
     }
 

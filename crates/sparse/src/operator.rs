@@ -19,6 +19,12 @@
 //!   scale-relative breakdown guards; it must equal the maximum absolute
 //!   value over the *stored/emitted* entries (the same fold a CSC form
 //!   would compute over its value array).
+//! * `matvec_into` of a vector that is `+0` in every entry must return
+//!   `+0` in every row. Finite coefficients give this when each row's
+//!   sum starts at `+0` (a sum is `−0` only when both operands are);
+//!   [`CscMatrix`] skips zero columns outright. A smoothing pass from a
+//!   `+0` iterate relies on it to skip the product
+//!   ([`LinearOperator::smooth_pass_from_zero`]).
 //! * [`Preconditioner::apply_into`] takes `&mut self` so implementations
 //!   may use internal scratch (the multigrid level buffers); applying the
 //!   preconditioner twice to the same residual must still produce
@@ -51,16 +57,10 @@ pub trait LinearOperator {
     /// operator scale used by scale-relative breakdown tests.
     fn max_abs(&self) -> f64;
 
-    /// One relaxation pass of the multigrid smoother: by default a damped
-    /// Jacobi update `x ← x + ω·D⁻¹·(b − A·x)`, computing `A·x` into
-    /// `scratch`. `inv_diag` holds the reciprocal operator diagonal.
-    ///
-    /// Implementations may override this with a stronger pass that
-    /// exploits their structure (the thermal stencil chases advection
-    /// chains downstream with a Gauss–Seidel substitution), provided the
-    /// pass remains a deterministic, allocation-free function of `(x, b)`
-    /// that is linear in both — the properties the V-cycle's
-    /// [`Preconditioner`] contract rests on.
+    /// One relaxation pass of the multigrid smoother: the damped Jacobi
+    /// update `x ← x + ω·D⁻¹·(b − A·x)`, computing `A·x` into `scratch`,
+    /// followed by the operator's own [`LinearOperator::relax_after_jacobi`].
+    /// `inv_diag` holds the reciprocal operator diagonal.
     ///
     /// # Panics
     ///
@@ -75,8 +75,61 @@ pub trait LinearOperator {
         scratch: &mut [f64],
     ) {
         self.matvec_into(x, scratch);
-        for (((xi, &bi), &di), &ai) in x.iter_mut().zip(b).zip(inv_diag).zip(&*scratch) {
-            *xi += omega * di * (bi - ai);
+        damped_jacobi(x, b, inv_diag, omega, Some(scratch));
+        self.relax_after_jacobi(x, b, inv_diag);
+    }
+
+    /// [`LinearOperator::smooth_pass`] from the iterate that is `+0` in
+    /// every entry, whatever `x` holds on entry, which it overwrites.
+    ///
+    /// It skips the product: by the [module contract](self) `A·(+0)` is
+    /// `+0` in every row and `b − (+0)` is `b`, so the Jacobi update
+    /// writes `x = +0 + ω·D⁻¹·b` (the `+0` start keeps a `−0` step from
+    /// surviving), and the result equals `x.fill(0.0)` followed by
+    /// `smooth_pass`, bit for bit. The multigrid V-cycle takes this pass
+    /// wherever its iterate starts from zero.
+    ///
+    /// # Panics
+    ///
+    /// As [`LinearOperator::smooth_pass`].
+    fn smooth_pass_from_zero(&self, x: &mut [f64], b: &[f64], inv_diag: &[f64], omega: f64) {
+        damped_jacobi(x, b, inv_diag, omega, None);
+        self.relax_after_jacobi(x, b, inv_diag);
+    }
+
+    /// The operator's own relaxation after the Jacobi update of a
+    /// smoothing pass; none by default.
+    ///
+    /// Operators may exploit their structure here (the thermal stencil
+    /// chases advection chains downstream with a Gauss–Seidel
+    /// substitution), provided the whole pass remains a deterministic,
+    /// allocation-free function of `(x, b)` that is linear in both — the
+    /// properties the V-cycle's [`Preconditioner`] contract rests on.
+    fn relax_after_jacobi(&self, x: &mut [f64], b: &[f64], inv_diag: &[f64]) {
+        let _ = (x, b, inv_diag);
+    }
+}
+
+/// The damped-Jacobi update of a smoothing pass, the one copy every
+/// operator shares: `x ← x + ω·d·(b − a)` given the product `a = A·x`, or,
+/// from a `+0` iterate (`ax` is `None`), `x ← +0 + ω·d·b`.
+fn damped_jacobi(x: &mut [f64], b: &[f64], inv_diag: &[f64], omega: f64, ax: Option<&[f64]>) {
+    assert_eq!(x.len(), b.len(), "smoothing pass: b dimension mismatch");
+    assert_eq!(
+        x.len(),
+        inv_diag.len(),
+        "smoothing pass: diagonal dimension mismatch"
+    );
+    match ax {
+        Some(ax) => {
+            for (((xi, &bi), &di), &ai) in x.iter_mut().zip(b).zip(inv_diag).zip(ax) {
+                *xi += omega * di * (bi - ai);
+            }
+        }
+        None => {
+            for ((xi, &bi), &di) in x.iter_mut().zip(b).zip(inv_diag) {
+                *xi = 0.0 + omega * di * bi;
+            }
         }
     }
 }
@@ -110,8 +163,11 @@ pub trait Preconditioner {
     fn n(&self) -> usize;
 
     /// Applies the preconditioner: `z = M⁻¹·r`, overwriting `z`
-    /// completely (resized to `n`). Once `z` and the internal scratch
-    /// have warmed to this dimension the call performs no heap
+    /// completely (resized to `n`). `z` may come back as a different
+    /// allocation of length `n`: an implementation may hand out a buffer
+    /// of its own and keep the caller's as scratch (the multigrid V-cycle
+    /// returns its finest iterate that way). Once `z` and the internal
+    /// scratch have warmed to this dimension the call performs no heap
     /// allocation.
     ///
     /// # Errors

@@ -241,6 +241,47 @@ mod index_per_entry {
         }
     }
 
+    /// One pivot column's envelope extents and multipliers.
+    pub struct Extent {
+        /// Length of `L(:,j)`'s envelope, rows `j + 1..=l_last`.
+        pub l_len: usize,
+        /// First row of `U(:,j)`'s envelope.
+        pub u_first: usize,
+        /// `U(:,j)`'s entries as (pivot row, multiplier); a row of the
+        /// envelope missing here is a padded slot, whose multiplier is 0.
+        pub u: Vec<(usize, f64)>,
+    }
+
+    impl Extent {
+        pub fn multiplier(&self, k: usize) -> f64 {
+            self.u.iter().find(|e| e.0 == k).map_or(0.0, |e| e.1)
+        }
+    }
+
+    impl Lu {
+        /// Every pivot column's [`Extent`].
+        pub fn extents(&self) -> Vec<Extent> {
+            let mut pinv = vec![0; self.n];
+            for (step, &row) in self.p.iter().enumerate() {
+                pinv[row] = step;
+            }
+            (0..self.n)
+                .map(|j| {
+                    let l_rows = &self.l_rows[self.l_colptr[j]..self.l_colptr[j + 1]];
+                    let l_len = l_rows.iter().map(|&r| pinv[r] - j).max().unwrap_or(0);
+                    let range = self.u_colptr[j]..self.u_colptr[j + 1];
+                    let u: Vec<(usize, f64)> = self.u_rows[range.clone()]
+                        .iter()
+                        .copied()
+                        .zip(self.u_vals[range].iter().copied())
+                        .collect();
+                    let u_first = u.iter().map(|&(k, _)| k).min().unwrap_or(j);
+                    Extent { l_len, u_first, u }
+                })
+                .collect()
+        }
+    }
+
     /// Whether `lu::analyse` keeps the diagonal pivots of the nonsingular
     /// `a`: Gilbert–Peierls pivots on the diagonal, and every pivot of the
     /// sweep over its pattern beats the entries below it by the margin.
@@ -734,5 +775,328 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Edges of the refactorisation sweep's paired column update, counted
+/// over a factorisation's columns: a `U` extent of odd length (one column
+/// left unpaired), a zero multiplier at `k` or at `k + 1` of a pair, and,
+/// with both multipliers nonzero, `L(:,k)` below row `k + 1` shorter or
+/// longer than `L(:,k + 1)`.
+#[derive(Debug, Default)]
+struct PairEdges {
+    odd: usize,
+    zero_k: usize,
+    zero_k1: usize,
+    shorter: usize,
+    longer: usize,
+}
+
+impl PairEdges {
+    fn count(&mut self, f: &index_per_entry::Lu) {
+        let extents = f.extents();
+        for (j, e) in extents.iter().enumerate() {
+            if (j - e.u_first) % 2 == 1 {
+                self.odd += 1;
+            }
+            for k in (e.u_first..j.saturating_sub(1)).step_by(2) {
+                match (e.multiplier(k) != 0.0, e.multiplier(k + 1) != 0.0) {
+                    (false, true) => self.zero_k += 1,
+                    (true, false) => self.zero_k1 += 1,
+                    (true, true) => {
+                        let below_k = extents[k].l_len.saturating_sub(1);
+                        let l_k1 = extents[k + 1].l_len;
+                        self.shorter += usize::from(below_k < l_k1);
+                        self.longer += usize::from(below_k > l_k1);
+                    }
+                    (false, false) => {}
+                }
+            }
+        }
+    }
+}
+
+/// The refactorisation sweep applies pivot columns two per pass; on
+/// random sparse matrices, some with exact zeros written over their
+/// entries, it reproduces the index-per-entry sweep bit for bit, guards
+/// included. Requires every edge of the pairing to occur.
+#[test]
+fn paired_sweep_matches_the_index_per_entry_sweep_on_its_edges() {
+    let mut rng = TestRng::for_test("paired_sweep_matches_the_index_per_entry_sweep_on_its_edges");
+    let (pairs, dominant) = (dominant_pattern_pair(), dominant_system());
+    let mut edges = PairEdges::default();
+    let mut ws = SolveWorkspace::new();
+    let mut scratch = Vec::new();
+    for case in 0..160 {
+        let (a, mut a2, b) = if case % 2 == 0 {
+            pairs.new_value(&mut rng)
+        } else {
+            let (a, b) = dominant.new_value(&mut rng);
+            (a.clone(), a, b)
+        };
+        // Exact zeros over every third off-diagonal entry of the second
+        // matrix: zero multipliers on the pattern, not only in padding.
+        let vals: Vec<f64> = (0..a2.ncols())
+            .flat_map(|c| {
+                a2.col_iter(c)
+                    .enumerate()
+                    .map(move |(i, (r, v))| if r != c && i % 3 == case % 3 { 0.0 } else { v })
+            })
+            .collect();
+        let slots: Vec<usize> = (0..vals.len()).collect();
+        a2.update_values(&slots, &vals);
+        let n = a.nrows();
+        let unit: Vec<f64> = (0..n)
+            .map(|i| if i == case % n { 1.0 } else { 0.0 })
+            .collect();
+        for ordering in ORDERINGS {
+            let context = format!("case {case}, {ordering:?}");
+            let (mut f, sym) = lu::factor_with_symbolic(&a, ordering).unwrap();
+            let pivoted = index_per_entry::factor(&a, ordering);
+            for m in [&a, &a2] {
+                match (
+                    sym.refactor_into_with(m, &mut f, &mut scratch),
+                    pivoted.refactor(m, false),
+                ) {
+                    (Ok(()), Ok(oracle)) => {
+                        edges.count(&oracle);
+                        let mut x = vec![0.0; n];
+                        for rhs in [&b, &unit] {
+                            f.solve_with(&mut ws, rhs, &mut x).unwrap();
+                            assert_eq!(bits(&x), bits(&oracle.solve(rhs)), "{context}");
+                        }
+                    }
+                    (Err(e), Err(oracle)) => assert_eq!(e, oracle, "{context}"),
+                    (got, want) => panic!(
+                        "{context}: envelope {got:?} vs index-per-entry {want:?}",
+                        want = want.err()
+                    ),
+                }
+            }
+        }
+    }
+    eprintln!("paired sweep edges: {edges:?}");
+    let PairEdges {
+        odd,
+        zero_k,
+        zero_k1,
+        shorter,
+        longer,
+    } = edges;
+    assert!(
+        odd > 0 && zero_k > 0 && zero_k1 > 0 && shorter > 0 && longer > 0,
+        "every edge of the pairing must occur: {edges:?}",
+        edges = (odd, zero_k, zero_k1, shorter, longer)
+    );
+}
+
+/// BiCGSTAB as it was written before its reductions rode the vector
+/// updates: each of the eight inner products and norms of an iteration
+/// is a pass of its own, summed by `Iterator::sum`.
+mod unfused {
+    use cmosaic_sparse::{
+        BicgstabOptions, BicgstabSummary, LinearOperator, Preconditioner, SparseError,
+    };
+
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    fn norm2(v: &[f64]) -> f64 {
+        v.iter().map(|x| x * x).sum::<f64>().sqrt()
+    }
+
+    fn residual<A: LinearOperator>(a: &A, x: &[f64], b: &[f64], bnorm: f64) -> f64 {
+        let mut t = vec![0.0; b.len()];
+        a.matvec_into(x, &mut t);
+        let mut sq = 0.0;
+        for (u, v) in t.iter().zip(b) {
+            let d = u - v;
+            sq += d * d;
+        }
+        sq.sqrt() / bnorm
+    }
+
+    fn precondition<M: Preconditioner>(m: &mut Option<&mut M>, r: &[f64], z: &mut Vec<f64>) {
+        match m {
+            Some(m) => m.apply_into(r, z).unwrap(),
+            None => {
+                z.clear();
+                z.extend_from_slice(r);
+            }
+        }
+    }
+
+    pub fn bicgstab_into<A: LinearOperator, M: Preconditioner>(
+        a: &A,
+        b: &[f64],
+        mut precond: Option<&mut M>,
+        options: &BicgstabOptions,
+        x: &mut [f64],
+    ) -> Result<BicgstabSummary, SparseError> {
+        const EPS: f64 = f64::EPSILON;
+        let n = b.len();
+        let done = |iterations, residual| {
+            Ok(BicgstabSummary {
+                iterations,
+                residual,
+            })
+        };
+        let bnorm = norm2(b);
+        if bnorm == 0.0 {
+            x.fill(0.0);
+            return done(0, 0.0);
+        }
+        let a_scale = a.max_abs();
+        let (mut r, mut v, mut p, mut s, mut t) = (
+            vec![0.0; n],
+            vec![0.0; n],
+            vec![0.0; n],
+            vec![0.0; n],
+            vec![0.0; n],
+        );
+        let (mut p_hat, mut s_hat) = (Vec::new(), Vec::new());
+        let (r0, r0_norm, mut r_norm);
+        if options.warm_start {
+            a.matvec_into(x, &mut t);
+            for (ri, (&bi, &ti)) in r.iter_mut().zip(b.iter().zip(&t)) {
+                *ri = bi - ti;
+            }
+            r0 = r.clone();
+            r0_norm = norm2(&r0);
+            r_norm = r0_norm;
+            if r_norm / bnorm < options.tolerance {
+                return done(0, residual(a, x, b, bnorm));
+            }
+        } else {
+            x.fill(0.0);
+            r.copy_from_slice(b);
+            r0 = b.to_vec();
+            r0_norm = bnorm;
+            r_norm = bnorm;
+        }
+        let (mut rho, mut alpha, mut omega) = (1.0f64, 1.0f64, 1.0f64);
+        for it in 1..=options.max_iterations {
+            let rho_new = dot(&r0, &r);
+            if rho_new.abs() <= EPS * r0_norm * r_norm {
+                return Err(SparseError::Breakdown { iteration: it });
+            }
+            let beta = (rho_new / rho) * (alpha / omega);
+            rho = rho_new;
+            for ((p, &r), &v) in p.iter_mut().zip(&r).zip(&v) {
+                *p = r + beta * (*p - omega * v);
+            }
+            precondition(&mut precond, &p, &mut p_hat);
+            a.matvec_into(&p_hat, &mut v);
+            let denom = dot(&r0, &v);
+            let v_norm = norm2(&v);
+            if denom.abs() <= EPS * r0_norm * v_norm {
+                return Err(SparseError::Breakdown { iteration: it });
+            }
+            alpha = rho / denom;
+            for ((s, &r), &v) in s.iter_mut().zip(&r).zip(&v) {
+                *s = r - alpha * v;
+            }
+            let s_norm = norm2(&s);
+            if s_norm / bnorm < options.tolerance {
+                for (xi, &ph) in x.iter_mut().zip(&p_hat) {
+                    *xi += alpha * ph;
+                }
+                return done(it, residual(a, x, b, bnorm));
+            }
+            precondition(&mut precond, &s, &mut s_hat);
+            let s_hat_norm = norm2(&s_hat);
+            a.matvec_into(&s_hat, &mut t);
+            let tt = dot(&t, &t);
+            if tt.sqrt() <= EPS * a_scale * s_hat_norm {
+                return Err(SparseError::Breakdown { iteration: it });
+            }
+            let ts = dot(&t, &s);
+            if ts.abs() <= EPS * tt.sqrt() * s_norm {
+                return Err(SparseError::Breakdown { iteration: it });
+            }
+            omega = ts / tt;
+            for i in 0..n {
+                x[i] += alpha * p_hat[i] + omega * s_hat[i];
+                r[i] = s[i] - omega * t[i];
+            }
+            r_norm = norm2(&r);
+            if r_norm / bnorm < options.tolerance {
+                return done(it, residual(a, x, b, bnorm));
+            }
+        }
+        Err(SparseError::NoConvergence {
+            iterations: options.max_iterations,
+            residual: residual(a, x, b, bnorm),
+        })
+    }
+}
+
+/// Runs the fused solver and the unfused one from the same guess and
+/// requires the same `x` bits, iteration count, residual bits and error.
+fn assert_bicgstab_matches_unfused(a: &CscMatrix, b: &[f64], guess: &[f64], context: &str) {
+    use cmosaic_sparse::{bicgstab_into, Ilu0, IterativeWorkspace};
+    let outcome = |r: Result<cmosaic_sparse::BicgstabSummary, SparseError>| {
+        r.map(|s| (s.iterations, s.residual.to_bits()))
+            .map_err(|e| format!("{e:?}"))
+    };
+    let mut ws = IterativeWorkspace::new();
+    for (warm_start, max_iterations) in [(false, 2000), (true, 2000), (false, 2), (true, 3)] {
+        let options = BicgstabOptions {
+            warm_start,
+            max_iterations,
+            ..Default::default()
+        };
+        // ILU(0) cannot be built over a zero diagonal; such a matrix runs
+        // bare only.
+        let preconditioners = std::iter::once(None).chain(Ilu0::new(a).ok().map(Some));
+        for m in preconditioners {
+            let preconditioned = m.is_some();
+            let (mut m, mut m_ref) = (m.clone(), m);
+            let (mut x, mut x_ref) = (guess.to_vec(), guess.to_vec());
+            let got = bicgstab_into(a, b, m.as_mut(), &options, &mut ws, &mut x);
+            let want = unfused::bicgstab_into(a, b, m_ref.as_mut(), &options, &mut x_ref);
+            let context =
+                format!("{context}, warm {warm_start}, cap {max_iterations}, ILU {preconditioned}");
+            assert_eq!(outcome(got), outcome(want), "{context}");
+            assert_eq!(bits(&x), bits(&x_ref), "{context}");
+        }
+    }
+}
+
+#[test]
+fn bicgstab_breakdown_matches_the_unfused_loop() {
+    // r̃·v = 0 on the first iteration of the bare solve: a swap matrix
+    // maps r = e₀ to v = e₁.
+    let mut t = TripletMatrix::new(2, 2);
+    t.push(0, 1, 1.0);
+    t.push(1, 0, 1.0);
+    let a = t.to_csc();
+    let mut x = vec![0.0; 2];
+    let bare = unfused::bicgstab_into(
+        &a,
+        &[1.0, 0.0],
+        None::<&mut cmosaic_sparse::Ilu0>,
+        &BicgstabOptions::default(),
+        &mut x,
+    );
+    assert_eq!(bare, Err(SparseError::Breakdown { iteration: 1 }));
+    assert_bicgstab_matches_unfused(&a, &[1.0, 0.0], &[0.0, 0.0], "swap matrix");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused BiCGSTAB loop returns the unfused loop's bits, cold and
+    /// warm, with and without a preconditioner, converged or not.
+    #[test]
+    fn bicgstab_into_matches_the_unfused_loop_bitwise(
+        (a, b) in dominant_system(),
+        (t, tb) in thermal_like_system(),
+        guess in proptest::collection::vec(-5.0f64..5.0, 24),
+    ) {
+        assert_bicgstab_matches_unfused(&a, &b, &guess[..a.nrows()], "dominant");
+        let g: Vec<f64> = (0..t.nrows()).map(|i| guess[i % guess.len()]).collect();
+        assert_bicgstab_matches_unfused(&t, &tb, &g, "thermal-like");
     }
 }

@@ -431,13 +431,14 @@ fn factorize_pattern_into(
     stats: &mut SolverStats,
     scratch: &mut Vec<f64>,
 ) -> Result<(), SparseError> {
+    // Both paths below size `scratch` to n (the refactorisation
+    // internally, the fresh analysis for the refactorisations to come);
+    // account for its growth here so `workspace_grows` covers every
+    // persistent buffer, as its documentation promises.
+    if scratch.capacity() < a.nrows() {
+        stats.workspace_grows += 1;
+    }
     if let Some(sym) = &*symbolic {
-        // The refactorisation sizes `scratch` to n internally; account
-        // for the growth here so `workspace_grows` covers every
-        // persistent buffer, as its documentation promises.
-        if scratch.capacity() < sym.n() {
-            stats.workspace_grows += 1;
-        }
         let shapes_fit = target.as_ref().is_some_and(|f| {
             f.n() == sym.n() && f.nnz_l() == sym.nnz_l() && f.nnz_u() == sym.nnz_u()
         });
@@ -463,8 +464,7 @@ fn factorize_pattern_into(
     let (factors, sym) = lu::analyse(a, lu::ColumnOrdering::Rcm)?;
     stats.full_factorizations += 1;
     // The analysis sweeps in a column of its own; size the scratch the
-    // refactorisations to come sweep in. `workspace_grows` counts only
-    // the refactorisation path's growth, so this stays uncounted.
+    // refactorisations to come sweep in.
     scratch.resize(a.nrows(), 0.0);
     *target = Some(factors);
     *symbolic = Some(Arc::new(sym));
@@ -2865,6 +2865,44 @@ mod tests {
         let mut other = ThermalModel::new(&stack, g2, ThermalParams::default()).unwrap();
         assert!(!other.adopt_analysis(&analysis));
         assert_eq!(other.solver_stats().adopted_symbolics, 0);
+    }
+
+    #[test]
+    fn refactorisation_scratch_growth_is_counted_once_on_either_path() {
+        // A fresh model's first analysis and an adopter's first
+        // refactorisation size the same buffers, the refactorisation
+        // scratch included, so their growth counts agree; warm solves on
+        // either path grow nothing.
+        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
+        let g = GridSpec::new(6, 6).unwrap();
+        let powers = uniform_powers(2, 20.0, g.cell_count());
+        let model = |ml: f64| {
+            let mut m = ThermalModel::new(&stack, g, ThermalParams::default()).unwrap();
+            m.set_flow_rate(VolumetricFlow::from_ml_per_min(ml))
+                .unwrap();
+            m
+        };
+        let mut fresh = model(20.0);
+        fresh.steady_state(&powers).unwrap();
+        let mut adopter = model(20.0);
+        assert!(adopter.adopt_analysis(&fresh.export_analysis().unwrap()));
+        adopter.steady_state(&powers).unwrap();
+        let (f, a) = (fresh.solver_stats(), adopter.solver_stats());
+        assert_eq!((f.full_factorizations, f.refactorizations), (1, 0), "{f:?}");
+        assert_eq!((a.full_factorizations, a.refactorizations), (0, 1), "{a:?}");
+        assert!(f.workspace_grows >= 1, "{f:?}");
+        assert_eq!(f.workspace_grows, a.workspace_grows, "{f:?} vs {a:?}");
+        for m in [&mut fresh, &mut adopter] {
+            let warm = m.solver_stats();
+            for ml in [24.0, 28.0, 32.0] {
+                m.set_flow_rate(VolumetricFlow::from_ml_per_min(ml))
+                    .unwrap();
+                m.steady_state(&powers).unwrap();
+            }
+            let s = m.solver_stats();
+            assert_eq!(s.refactorizations, warm.refactorizations + 3, "{s:?}");
+            assert_eq!(s.workspace_grows, warm.workspace_grows, "{s:?}");
+        }
     }
 
     #[test]

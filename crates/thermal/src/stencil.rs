@@ -535,11 +535,11 @@ impl StencilOperator {
         CscMatrix::from_triplets(n, n, &rows, &cols, &vals)
     }
 
-    /// The downstream Gauss–Seidel substitution of
-    /// [`LinearOperator::smooth_pass`] over cavity layer `z`: each cell,
-    /// in ascending x along its channel, takes its full row solution
-    /// `x[c] = (b[c] − Σ_offdiag)/diag` given the current vertical
-    /// neighbours. Cavity rows have no lateral conduction, so the
+    /// The downstream Gauss–Seidel substitution of a smoothing pass
+    /// ([`LinearOperator::relax_after_jacobi`]) over cavity layer `z`:
+    /// each cell, in ascending x along its channel, takes its full row
+    /// solution `x[c] = (b[c] − Σ_offdiag)/diag` given the current
+    /// vertical neighbours. Cavity rows have no lateral conduction, so the
     /// off-diagonals are the upstream advective neighbour (already updated
     /// this sweep — the Gauss–Seidel part), the vertical couplings, any
     /// wall skips and the sink spreading term, added in that order.
@@ -668,28 +668,16 @@ impl LinearOperator for StencilOperator {
         m
     }
 
-    /// Damped Jacobi (the trait default) followed by one downstream
-    /// Gauss–Seidel substitution along each advecting cavity channel, in
-    /// ascending-x order so the substitution solves the upwind advection
-    /// chain *exactly* given the current vertical neighbours. Point
-    /// Jacobi alone moves advective error only one cell upstream per
-    /// sweep, making V-cycle convergence degrade ∝ nx on liquid-cooled
-    /// stacks; the flow-ordered pass restores resolution-independent
-    /// smoothing while remaining a deterministic, allocation-free linear
-    /// function of `(x, b)` (fixed traversal order, no branches on
-    /// values).
-    fn smooth_pass(
-        &self,
-        x: &mut [f64],
-        b: &[f64],
-        inv_diag: &[f64],
-        omega: f64,
-        scratch: &mut [f64],
-    ) {
-        self.matvec_into(x, scratch);
-        for (((xi, &bi), &di), &ai) in x.iter_mut().zip(b).zip(inv_diag).zip(&*scratch) {
-            *xi += omega * di * (bi - ai);
-        }
+    /// One downstream Gauss–Seidel substitution along each advecting
+    /// cavity channel after the damped-Jacobi update, in ascending-x order
+    /// so the substitution solves the upwind advection chain *exactly*
+    /// given the current vertical neighbours. Point Jacobi alone moves
+    /// advective error only one cell upstream per sweep, making V-cycle
+    /// convergence degrade ∝ nx on liquid-cooled stacks; the flow-ordered
+    /// pass restores resolution-independent smoothing while remaining a
+    /// deterministic, allocation-free linear function of `(x, b)` (fixed
+    /// traversal order, no branches on values).
+    fn relax_after_jacobi(&self, x: &mut [f64], b: &[f64], inv_diag: &[f64]) {
         for (z, layer) in self.layers.iter().enumerate() {
             // Only Cavity layers carry advection (enforced in `new`);
             // Dirichlet rows are identity rows the Jacobi pass already
@@ -1136,6 +1124,40 @@ mod tests {
                     assert!(
                         s.to_bits() == c.to_bits() || (s.is_nan() && c.is_nan()),
                         "case {case} {:?}, row {i}: stencil {s:e} != assembled {c:e}",
+                        op.shape()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A smoothing pass from a `+0` iterate skips the product and ignores
+    /// the iterate's stale contents, and still equals a zero-filled
+    /// iterate's full pass bit for bit: on random operators (random
+    /// kinds, exact-zero coefficients) and right-hand sides holding ±0
+    /// and subnormals.
+    #[test]
+    fn smoothing_from_zero_matches_a_zero_filled_pass_bitwise() {
+        let mut state = 0x5e7_2e20_u64;
+        for case in 0..300 {
+            let op = random_operator(&mut state);
+            let n = op.shape().n();
+            let inv_diag: Vec<f64> = op.diagonal().iter().map(|d| 1.0 / d).collect();
+            for _ in 0..3 {
+                let b: Vec<f64> = hostile_vector(n, &mut state)
+                    .into_iter()
+                    .map(|v| if v.is_finite() { v } else { -0.0 })
+                    .collect();
+                let mut expect = vec![0.0; n];
+                op.smooth_pass(&mut expect, &b, &inv_diag, 0.8, &mut vec![0.0; n]);
+                let mut x = hostile_vector(n, &mut state);
+                op.smooth_pass_from_zero(&mut x, &b, &inv_diag, 0.8);
+                for (i, (u, v)) in x.iter().zip(&expect).enumerate() {
+                    // A zero diagonal (random operators have some) makes
+                    // ∞·0 = NaN, whose sign Rust leaves unspecified.
+                    assert!(
+                        u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan()),
+                        "case {case} {:?}, entry {i}: {u:e} vs {v:e}",
                         op.shape()
                     );
                 }
