@@ -8,6 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::time::Instant;
+
 /// Prints a top-level banner naming the reproduced artefact.
 pub fn banner(title: &str) {
     let line = "=".repeat(title.len().max(40));
@@ -95,6 +97,34 @@ pub fn strict_timing() -> bool {
     std::env::var_os("CMOSAIC_BENCH_RELAX").is_none()
 }
 
+/// Times `kernels` in eight interleaved rounds and returns each kernel's
+/// fastest round, in seconds per call, in kernel order.
+///
+/// Every round runs each kernel in turn: one untimed warm-up call, then
+/// `reps` timed calls. Interleaving puts every kernel through the same
+/// stretch of host load, so a ratio of two results compares them on one
+/// host at one time; keeping the fastest round drops the rounds that a
+/// neighbour's load or a frequency dip slowed. A single timed pass has
+/// neither guard.
+pub fn fastest_of_batches<const K: usize>(
+    reps: usize,
+    mut kernels: [&mut dyn FnMut(); K],
+) -> [f64; K] {
+    const ROUNDS: usize = 8;
+    let mut best = [f64::INFINITY; K];
+    for _ in 0..ROUNDS {
+        for (kernel, best) in kernels.iter_mut().zip(&mut best) {
+            kernel();
+            let t = Instant::now();
+            for _ in 0..reps {
+                kernel();
+            }
+            *best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +135,21 @@ mod tests {
         t.row(&["1".into(), "2".into()]);
         t.print(); // must not panic
         assert_eq!(f(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn fastest_of_batches_interleaves_warm_and_timed_calls() {
+        let log = std::cell::RefCell::new(String::new());
+        let times = fastest_of_batches(
+            2,
+            [&mut || log.borrow_mut().push('a'), &mut || {
+                log.borrow_mut().push('b')
+            }],
+        );
+        // Each round: one warm-up plus `reps` timed calls per kernel, in
+        // kernel order.
+        assert_eq!(log.into_inner(), "aaabbb".repeat(8));
+        assert!(times.iter().all(|t| t.is_finite() && *t >= 0.0));
     }
 
     #[test]

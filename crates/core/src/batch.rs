@@ -45,9 +45,8 @@
 //! * **Fault isolation.** One scenario panicking, diverging or erroring
 //!   never takes the batch down: every attempt runs under
 //!   `catch_unwind`, retryable failures walk a deterministic
-//!   degradation ladder (stepwise backend demotion multigrid→ILU(0)→
-//!   direct, then up to two Δt halvings — see [`RecoveryRecord`]), and
-//!   the final
+//!   degradation ladder (backend demotion multigrid → direct, then up to
+//!   two Δt halvings — see [`RecoveryRecord`]), and the final
 //!   [`BatchReport`] carries a per-slot `Result` so healthy outcomes
 //!   survive alongside structured [`SlotError`]s. Because the ladder is
 //!   a pure function of the scenario (never of thread scheduling), the
@@ -83,26 +82,21 @@ pub const DEFAULT_ANALYSIS_CACHE: usize = 32;
 /// Maximum Δt halvings the retry ladder applies to one scenario.
 const MAX_DT_HALVINGS: u32 = 2;
 
-/// Maximum backend demotions the retry ladder applies to one scenario —
-/// enough to walk the full multigrid → ILU(0) → direct ladder.
-const MAX_BACKEND_DEMOTIONS: u32 = 2;
-
 /// How hard the retry/degradation ladder worked for one slot.
 ///
 /// A clean run is `attempts: 1` with zero demotions and halvings. The
 /// ladder is deterministic per scenario: after a retryable failure it
-/// first demotes the backend one rung down the solver ladder (multigrid
-/// → ILU(0) at the same operating point → direct LU, each demotion
-/// sticky), then halves the thermal timestep up to two times, re-running
-/// the whole scenario from scratch at each rung. Non-retryable failures
-/// (panics, config errors, dry-out) stop the ladder immediately.
+/// first demotes a multigrid backend to direct LU (sticky), then halves
+/// the thermal timestep up to two times, re-running the whole scenario
+/// from scratch at each rung. Non-retryable failures (panics, config
+/// errors, dry-out) stop the ladder immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryRecord {
     /// Full scenario attempts made (1 = clean first try; 0 only for
     /// slots that were never scheduled).
     pub attempts: u32,
-    /// Backend demotions taken (up to 2: multigrid → ILU(0) → direct;
-    /// ILU(0) starts one rung in, direct starts at the bottom).
+    /// Backend demotions taken (at most 1: multigrid → direct; direct
+    /// starts at the bottom).
     pub backend_demotions: u32,
     /// Thermal-timestep halvings applied (at most two).
     pub dt_halvings: u32,
@@ -799,12 +793,10 @@ where
                 // Retries restart the scenario from scratch; the adopted
                 // analysis belongs to the original configuration only.
                 adopt = None;
-                if recovery.backend_demotions < MAX_BACKEND_DEMOTIONS {
-                    if let Some(demoted) = current.demoted_backend() {
-                        current = demoted;
-                        recovery.backend_demotions += 1;
-                        continue;
-                    }
+                if let Some(demoted) = current.demoted_backend() {
+                    current = demoted;
+                    recovery.backend_demotions += 1;
+                    continue;
                 }
                 if recovery.dt_halvings < MAX_DT_HALVINGS {
                     current = current.halved_dt();
@@ -1186,9 +1178,9 @@ mod tests {
     #[test]
     fn iterative_breakdown_walks_the_stepwise_demotion_ladder() {
         // An injected breakdown fires while the backend is iterative, so
-        // a multigrid scenario must take *two* demotions (mg → ILU(0) →
-        // direct) before it clears, while an ILU(0) scenario takes one —
-        // and neither scenario burns a Δt halving on the way down.
+        // a multigrid scenario clears after its one demotion (mg →
+        // direct) without burning a Δt halving, while a direct scenario
+        // with the same fault plan never sees it.
         let mk = |backend| {
             ScenarioSpec::new()
                 .seconds(2)
@@ -1200,7 +1192,7 @@ mod tests {
         };
         let scenarios = vec![
             mk(cmosaic_thermal::SolverBackend::multigrid()),
-            mk(cmosaic_thermal::SolverBackend::iterative()),
+            mk(cmosaic_thermal::SolverBackend::DirectLu),
         ];
         let report = BatchRunner::new(2).run_scenarios(&scenarios);
         assert!(report.all_ok(), "{:?}", report.errors());
@@ -1208,13 +1200,9 @@ mod tests {
         let mg = &outcomes[0].recovery;
         assert_eq!(
             (mg.attempts, mg.backend_demotions, mg.dt_halvings),
-            (3, 2, 0)
-        );
-        let ilu = &outcomes[1].recovery;
-        assert_eq!(
-            (ilu.attempts, ilu.backend_demotions, ilu.dt_halvings),
             (2, 1, 0)
         );
+        assert!(outcomes[1].recovery.clean(), "{:?}", outcomes[1].recovery);
         // The ladder depends only on the scenario, never on scheduling.
         assert_eq!(
             report.slots,

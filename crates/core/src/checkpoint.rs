@@ -35,15 +35,17 @@ use crate::metrics::RunMetrics;
 use crate::scenario::{Fnv1a, ScenarioSpec};
 use crate::CmosaicError;
 
-const VERSION: u32 = 3;
+/// Journal format version. v4 `ok` lines carry no ILU(0) refresh
+/// counter, and recovery counts follow the one-rung backend ladder (a
+/// multigrid slot that broke down once reads `2 1 0` where v3 read
+/// `3 2 0`), so a v3 journal is refused rather than merged.
+const VERSION: u32 = 4;
 
 /// FNV-1a fingerprint binding a journal to its study: folds the ordered
 /// per-spec [`ScenarioSpec::fingerprint`] values, plus the count, so the
 /// journal key and any per-spec cache key derive from the same identity.
 /// Any change to a scenario — axes, seeds, duration, fault plans —
-/// changes the fingerprint and invalidates old journals. (v3 bumped the
-/// version when the composition moved onto the public per-spec
-/// fingerprints.)
+/// changes the fingerprint and invalidates old journals.
 pub fn fingerprint(specs: &[ScenarioSpec]) -> u64 {
     let mut h = Fnv1a::new();
     h.eat(&(specs.len() as u64).to_le_bytes());
@@ -190,7 +192,7 @@ fn render_slot_line(index: usize, slot: &Result<ScenarioOutcome, SlotError>) -> 
             let m = &o.metrics;
             let s = &o.solver;
             format!(
-                "slot {index} ok {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
+                "slot {index} ok {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
                 render_recovery(&o.recovery),
                 hex_f64(m.hotspot_time_per_core),
                 hex_f64(m.hotspot_time_any),
@@ -211,7 +213,6 @@ fn render_slot_line(index: usize, slot: &Result<ScenarioOutcome, SlotError>) -> 
                 s.iterative_solves,
                 s.iterative_iterations,
                 s.iterative_fallbacks,
-                s.ilu_refreshes,
                 s.mg_cycles,
                 s.mg_smooth_sweeps,
                 s.mg_coarse_solves,
@@ -234,7 +235,9 @@ fn render_slot_line(index: usize, slot: &Result<ScenarioOutcome, SlotError>) -> 
 
 fn parse_slot_line(line: &str) -> Option<(usize, Result<ScenarioOutcome, SlotError>)> {
     let toks: Vec<&str> = line.split(' ').collect();
-    if toks.len() < 4 || toks[0] != "slot" {
+    // Six tokens reach the end of the recovery record; a line torn
+    // before that is dropped like any other torn tail.
+    if toks.len() < 6 || toks[0] != "slot" {
         return None;
     }
     let index: usize = toks[1].parse().ok()?;
@@ -245,7 +248,7 @@ fn parse_slot_line(line: &str) -> Option<(usize, Result<ScenarioOutcome, SlotErr
     };
     match toks[2] {
         "ok" => {
-            if toks.len() != 29 {
+            if toks.len() != 28 {
                 return None;
             }
             let f = |i: usize| parse_hex_f64(toks[i]);
@@ -276,10 +279,10 @@ fn parse_slot_line(line: &str) -> Option<(usize, Result<ScenarioOutcome, SlotErr
                 iterative_solves: u(22)?,
                 iterative_iterations: u(23)?,
                 iterative_fallbacks: u(24)?,
-                ilu_refreshes: u(25)?,
-                mg_cycles: u(26)?,
-                mg_smooth_sweeps: u(27)?,
-                mg_coarse_solves: u(28)?,
+                ilu_refreshes: 0,
+                mg_cycles: u(25)?,
+                mg_smooth_sweeps: u(26)?,
+                mg_coarse_solves: u(27)?,
             };
             Some((
                 index,
@@ -393,6 +396,9 @@ mod tests {
         slots.extend(sample_errors());
         for (i, slot) in slots.iter().enumerate() {
             let line = render_slot_line(i, slot);
+            if slot.is_ok() {
+                assert_eq!(line.split(' ').count(), 28, "{line}");
+            }
             let (index, parsed) = parse_slot_line(line.trim_end()).expect("parses");
             assert_eq!(index, i);
             match (slot, &parsed) {
@@ -446,6 +452,14 @@ mod tests {
             StudyJournal::open(&path, 1, 3),
             Err(CmosaicError::Journal { .. })
         ));
+        // A v3 journal of the same study is refused too: its recovery
+        // counts follow the old two-rung ladder.
+        let v3 = "cmosaic-study-journal v3 fingerprint=0000000000000001 scenarios=2\n";
+        std::fs::write(&path, v3).unwrap();
+        assert!(matches!(
+            StudyJournal::open(&path, 1, 2),
+            Err(CmosaicError::Journal { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -457,12 +471,18 @@ mod tests {
             journal.record(0, &sample_ok(0));
             journal.record(1, &sample_ok(1));
         }
-        // Emulate a kill mid-append: chop the file mid-line.
+        // Emulate a kill mid-append: chop the file mid-line, including
+        // inside the recovery record (after 4 and after 5 tokens).
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 10]).unwrap();
-        let journal = StudyJournal::open(&path, 9, 4).unwrap();
-        assert_eq!(journal.completed_count(), 1, "torn slot 1 is re-run");
-        assert_eq!(journal.completed()[0], Some(sample_ok(0)));
+        let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        // Cutting at the last line's n-th space leaves n tokens.
+        let nth_space = |n: usize| last + text[last..].match_indices(' ').nth(n - 1).unwrap().0;
+        for cut in [text.len() - 10, nth_space(4), nth_space(5)] {
+            std::fs::write(&path, &text[..cut]).unwrap();
+            let journal = StudyJournal::open(&path, 9, 4).unwrap();
+            assert_eq!(journal.completed_count(), 1, "torn slot 1 is re-run");
+            assert_eq!(journal.completed()[0], Some(sample_ok(0)));
+        }
         std::fs::remove_file(&path).ok();
     }
 

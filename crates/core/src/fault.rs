@@ -44,11 +44,8 @@ pub enum FaultKind {
     },
     /// Surface an iterative-solver breakdown at the start of the epoch,
     /// but only while the configured backend is iterative
-    /// ([`SolverBackend::IterativeIlu0`] or [`SolverBackend::IterativeMg`])
-    /// — cleared once the retry ladder's stepwise demotion reaches the
-    /// direct backend. On an ILU(0) scenario that takes one demotion; on a
-    /// multigrid scenario the fault persists through the multigrid→ILU(0)
-    /// rung (still iterative) and exercises the full two-rung ladder.
+    /// ([`SolverBackend::IterativeMg`]) — cleared by the retry ladder's
+    /// one demotion to the direct backend.
     IterativeBreakdown,
 }
 
@@ -118,7 +115,7 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.is_empty());
         assert!(!p.panics_at(0));
-        assert!(!p.breaks_down_at(0, &SolverBackend::iterative()));
+        assert!(!p.breaks_down_at(0, &SolverBackend::multigrid()));
         assert_eq!(p.nan_cell_at(0, 0.25), None);
     }
 
@@ -137,11 +134,10 @@ mod tests {
             );
         assert!(!p.is_empty());
         assert!(p.panics_at(1) && !p.panics_at(2));
-        // Breakdown fires only under an iterative backend (either one).
-        assert!(p.breaks_down_at(2, &SolverBackend::iterative()));
+        // Breakdown fires only under the iterative backend.
         assert!(p.breaks_down_at(2, &SolverBackend::multigrid()));
         assert!(!p.breaks_down_at(2, &SolverBackend::DirectLu));
-        assert!(!p.breaks_down_at(1, &SolverBackend::iterative()));
+        assert!(!p.breaks_down_at(1, &SolverBackend::multigrid()));
         // Plain NaN ignores the timestep; the dt-gated one clears when
         // the step is halved below its bound.
         assert_eq!(p.nan_cell_at(3, 0.5), Some(9));

@@ -33,10 +33,10 @@
 //! backends, seeds, grids or custom stacks, pruned with `retain` and
 //! executed as one batch. The thermal linear solver itself is selectable
 //! per scenario ([`scenario::ScenarioSpec::solver`]): direct sparse LU
-//! (default) or ILU(0)-preconditioned BiCGSTAB with automatic direct
-//! fallback — the iterative backend keeps operator setup O(nnz) on fine
-//! grids where LU fill bites (see `BENCH_iterative.json` for the
-//! measured crossover).
+//! (default), or multigrid-preconditioned BiCGSTAB with automatic direct
+//! fallback for fine grids where LU fill bites (`BENCH_iterative.json`
+//! has the two level on warm solves at 48², direct LU ahead below and
+//! multigrid from 64²).
 //! [`observe::Observer`] hooks ride along: per-epoch callbacks receiving
 //! an [`observe::EpochCtx`] (temperature field, powers, flow, the policy's
 //! action) without forking the simulation loop — built-ins cover peak
@@ -100,9 +100,8 @@
 //!   cascades.
 //! * **A deterministic degradation ladder.** Retryable failures
 //!   (divergence, linear-solver breakdown) re-run the scenario down a
-//!   fixed ladder — stepwise backend demotion (multigrid → ILU(0) →
-//!   direct LU, each rung sticky), then up to two thermal-timestep
-//!   halvings — recorded per slot in
+//!   fixed ladder — backend demotion (multigrid → direct LU, sticky),
+//!   then up to two thermal-timestep halvings — recorded per slot in
 //!   [`batch::RecoveryRecord`]. The ladder depends only on the scenario,
 //!   never on thread scheduling, so reports (including the errors) stay
 //!   bit-identical across thread counts.

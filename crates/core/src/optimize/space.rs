@@ -183,9 +183,9 @@ impl DesignAxis {
     }
 
     /// A thermal solver-backend axis (labels from the backend's
-    /// `Display`: `direct-lu` / `bicgstab-ilu0(tol …, cap …)` /
-    /// `bicgstab-mg(tol …, cap …)`, so two iterative operating points
-    /// stay distinguishable; forwards through [`DesignAxis::over`]).
+    /// `Display`: `direct-lu` / `bicgstab-mg(tol …, cap …)`, so two
+    /// iterative operating points stay distinguishable; forwards through
+    /// [`DesignAxis::over`]).
     pub fn solvers(backends: impl IntoIterator<Item = SolverBackend>) -> Self {
         Self::over("solver", backends, SolverBackend::to_string, |s, b| {
             s.solver(*b)
@@ -499,16 +499,16 @@ mod tests {
         let space = DesignSpace::new(ScenarioSpec::new().policy(PolicyKind::LcLb).seconds(2))
             .with_axis(DesignAxis::solvers([
                 SolverBackend::DirectLu,
-                SolverBackend::iterative(),
+                SolverBackend::IterativeMg {
+                    tolerance: 1e-8,
+                    max_iterations: 500,
+                },
                 SolverBackend::multigrid(),
             ]));
         assert_eq!(space.len(), 3);
         let pts = space.points();
         assert_eq!(space.label_of(&pts[0]), "direct-lu");
-        assert_eq!(
-            space.label_of(&pts[1]),
-            "bicgstab-ilu0(tol 1e-10, cap 2000)"
-        );
+        assert_eq!(space.label_of(&pts[1]), "bicgstab-mg(tol 1e-8, cap 500)");
         assert_eq!(space.label_of(&pts[2]), "bicgstab-mg(tol 1e-10, cap 2000)");
         assert!(!space.spec(&pts[0]).unwrap().solver_backend().is_iterative());
         assert!(space.spec(&pts[1]).unwrap().solver_backend().is_iterative());

@@ -541,7 +541,10 @@ mod tests {
     fn solver_axis_expands_and_splits_pattern_groups() {
         let study = Study::new(tiny_base()).over_solvers([
             SolverBackend::DirectLu,
-            SolverBackend::iterative(),
+            SolverBackend::IterativeMg {
+                tolerance: 1e-11,
+                max_iterations: 500,
+            },
             SolverBackend::multigrid(),
         ]);
         assert_eq!(study.len(), 3);
@@ -550,8 +553,9 @@ mod tests {
         assert!(study.specs()[2].solver_backend().is_iterative());
         let report = study.run(&BatchRunner::new(2)).unwrap();
         assert_eq!(report.len(), 3);
-        // Same stack/grid but different thermal params: three groups, and
-        // only the direct cell pays a full factorisation.
+        // Same stack/grid but different thermal params (two multigrid
+        // operating points among them): three groups, and only the direct
+        // cell pays a full factorisation.
         assert_eq!(report.pattern_groups(), 3);
         let direct = &report.outcomes()[0].solver;
         let iterative = &report.outcomes()[1].solver;

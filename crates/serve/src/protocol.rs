@@ -24,7 +24,7 @@
 //! (`{"nx":..,"ny":..}`), `workload` (`"web-server"`, `"database"`,
 //! `"multimedia"`, `"max-utilization"`), `policy` (`"ac-lb"`,
 //! `"ac-tdvfs-lb"`, `"lc-lb"`, `"lc-fuzzy"`, `"lc-fuzzy-flow-only"`),
-//! `solver` (`"direct"`/`"ilu0"`/`"mg"`), `seconds`, `seed`,
+//! `solver` (`"direct"`/`"mg"`), `seconds`, `seed`,
 //! `thermal_dt`, `control_interval`, `threshold_celsius`,
 //! `sensor_noise` (`{"std":..,"seed":..}`), `flow_ml_per_min`, and
 //! `fault` (`{"panic_at":e}` or `{"nan_at":e,"cell":c}` — the test
@@ -153,9 +153,8 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
             }),
             "solver" => spec.solver(match str_of(val, "solver")?.as_str() {
                 "direct" => SolverBackend::DirectLu,
-                "ilu0" => SolverBackend::iterative(),
                 "mg" => SolverBackend::multigrid(),
-                other => return Err(format!("unknown solver '{other}' (direct|ilu0|mg)")),
+                other => return Err(format!("unknown solver '{other}' (direct|mg)")),
             }),
             "seconds" => spec.seconds(usize_of(val, "seconds")?),
             "seed" => spec.seed(val.as_u64().ok_or("seed must be an integer")?),
@@ -377,6 +376,9 @@ mod tests {
         assert!(Request::parse(&bad).is_err());
         let bad = Json::parse(r#"{"op":"run","specs":[]}"#).unwrap();
         assert!(Request::parse(&bad).is_err());
+        let bad = Json::parse(r#"{"solver":"ilu0"}"#).unwrap();
+        let err = parse_spec(&bad).unwrap_err();
+        assert!(err.contains("unknown solver 'ilu0' (direct|mg)"), "{err}");
     }
 
     #[test]

@@ -621,7 +621,6 @@ fn accumulate(into: &mut SolverStats, from: &SolverStats) {
     into.iterative_solves += from.iterative_solves;
     into.iterative_iterations += from.iterative_iterations;
     into.iterative_fallbacks += from.iterative_fallbacks;
-    into.ilu_refreshes += from.ilu_refreshes;
     into.mg_cycles += from.mg_cycles;
     into.mg_smooth_sweeps += from.mg_smooth_sweeps;
     into.mg_coarse_solves += from.mg_coarse_solves;

@@ -1,18 +1,14 @@
-//! BiCGSTAB iterative solver with optional ILU(0) preconditioning.
+//! BiCGSTAB iterative solver over a caller-owned preconditioner.
 //!
-//! The workhorse alternative to the direct LU for very large steady-state
-//! problems where factor fill would be a burden, and the engine behind the
-//! thermal crate's iterative solver backend. Two entry points:
-//!
-//! * [`bicgstab`] — convenience API: allocates its own scratch and (when
-//!   requested) builds the ILU(0) preconditioner per call.
-//! * [`bicgstab_into`] — hot-path API: caller-owned
-//!   [`IterativeWorkspace`] scratch, caller-owned (and therefore cacheable)
-//!   [`Ilu0`] preconditioner, solution written into a caller-owned slice.
-//!   Once the workspace has warmed to the system dimension a call performs
-//!   **zero heap allocation** — the same contract as
-//!   [`LuFactors::solve_with`](crate::LuFactors::solve_with), observable
-//!   through [`IterativeWorkspace::grows`].
+//! The Krylov half of the thermal crate's multigrid solver backend, for
+//! fine grids where direct-LU fill would be a burden. [`bicgstab_into`]
+//! takes caller-owned [`IterativeWorkspace`] scratch, a caller-owned (and
+//! therefore cacheable) [`Preconditioner`] such as the geometric
+//! [`Multigrid`](crate::Multigrid), and writes the solution into a
+//! caller-owned slice. Once the workspace has warmed to the system
+//! dimension a call performs **zero heap allocation** — the same
+//! contract as [`LuFactors::solve_with`](crate::LuFactors::solve_with),
+//! observable through [`IterativeWorkspace::grows`].
 //!
 //! # Breakdown detection is scale-relative
 //!
@@ -27,8 +23,6 @@
 //! invariant under any uniform rescaling of `A` and `b` that stays inside
 //! the normal floating-point range.
 
-use crate::csc::CscMatrix;
-use crate::ilu::Ilu0;
 use crate::operator::{LinearOperator, Preconditioner};
 use crate::{dot, norm2, SparseError};
 
@@ -44,10 +38,6 @@ pub struct BicgstabOptions {
     pub tolerance: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// Whether [`bicgstab`] should build and apply an ILU(0)
-    /// preconditioner. Ignored by [`bicgstab_into`], whose preconditioner
-    /// is caller-owned.
-    pub use_ilu0: bool,
     /// When set, [`bicgstab_into`] starts from the incoming contents of
     /// `x` instead of the zero guess (`r = b − A·x`), and may return in
     /// zero iterations if the guess already meets the tolerance.
@@ -66,21 +56,9 @@ impl Default for BicgstabOptions {
         BicgstabOptions {
             tolerance: 1e-10,
             max_iterations: 2000,
-            use_ilu0: true,
             warm_start: false,
         }
     }
-}
-
-/// Convergence report from [`bicgstab`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BicgstabOutcome {
-    /// The solution vector.
-    pub x: Vec<f64>,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Final relative residual.
-    pub residual: f64,
 }
 
 /// Convergence report from [`bicgstab_into`] (the solution lands in the
@@ -172,55 +150,13 @@ impl IterativeWorkspace {
     }
 }
 
-/// Solves `A·x = b` by preconditioned BiCGSTAB.
-///
-/// Convenience wrapper over [`bicgstab_into`]: allocates a workspace,
-/// builds the ILU(0) preconditioner when `options.use_ilu0` is set, and
-/// returns the solution by value. Use [`bicgstab_into`] in loops.
-///
-/// # Errors
-///
-/// * [`SparseError::Shape`] — non-square `A` or mismatched `b`.
-/// * [`SparseError::NoConvergence`] — iteration cap reached.
-/// * [`SparseError::Breakdown`] — vanishing inner product (restart with the
-///   direct solver in that case).
-/// * [`SparseError::Singular`] — the ILU(0) preconditioner could not be
-///   built.
-pub fn bicgstab(
-    a: &CscMatrix,
-    b: &[f64],
-    options: &BicgstabOptions,
-) -> Result<BicgstabOutcome, SparseError> {
-    // Validate the shapes before paying for the O(nnz) preconditioner
-    // build (and so a shape problem is reported as Shape, not as a
-    // Singular from factorising a matrix we were never going to solve).
-    if a.nrows() == a.ncols() && b.len() != a.nrows() {
-        return Err(SparseError::Shape {
-            detail: format!("rhs length {} != {}", b.len(), a.nrows()),
-        });
-    }
-    let mut precond = if options.use_ilu0 && a.nrows() == a.ncols() {
-        Some(Ilu0::new(a)?)
-    } else {
-        None
-    };
-    let mut ws = IterativeWorkspace::new();
-    let mut x = vec![0.0f64; a.nrows()];
-    let summary = bicgstab_into(a, b, precond.as_mut(), options, &mut ws, &mut x)?;
-    Ok(BicgstabOutcome {
-        x,
-        iterations: summary.iterations,
-        residual: summary.residual,
-    })
-}
-
 /// Solves `A·x = b` by BiCGSTAB with a caller-owned preconditioner and
 /// workspace, writing the solution into `x`.
 ///
-/// Generic over the [`LinearOperator`] being solved (assembled
-/// [`CscMatrix`] or a matrix-free stencil form) and the
-/// [`Preconditioner`] applied ([`Ilu0`] or
-/// [`Multigrid`](crate::Multigrid)).
+/// Generic over the [`LinearOperator`] being solved (an assembled
+/// [`CscMatrix`](crate::CscMatrix) or a matrix-free stencil form) and the
+/// [`Preconditioner`] applied (such as [`Multigrid`](crate::Multigrid)),
+/// or unpreconditioned when `precond` is `None`.
 ///
 /// By default `x` is fully overwritten — the iteration starts from the
 /// zero guess, so the result is independent of `x`'s incoming contents.
@@ -228,9 +164,8 @@ pub fn bicgstab(
 /// the initial guess instead; see the field docs for the determinism
 /// trade-off.
 ///
-/// `precond` is applied as-is — build it once per operator
-/// ([`Ilu0::new`]) and reuse it across every solve of that operator.
-/// `options.use_ilu0` is ignored here. Once `ws` has warmed to dimension
+/// `precond` is applied as-is — build it once per operator and reuse it
+/// across every solve of that operator. Once `ws` has warmed to dimension
 /// `n` the call performs zero heap allocation
 /// ([`IterativeWorkspace::grows`] stays flat).
 ///
@@ -457,10 +392,59 @@ fn relative_residual_into<A: LinearOperator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csc::CscMatrix;
     use crate::lu;
+    use crate::multigrid::{GridShape, Multigrid, MultigridOptions};
     use crate::triplet::TripletMatrix;
 
+    /// Test-local Jacobi preconditioner `z = D⁻¹·r`: deterministic, and
+    /// enough to exercise the preconditioned branches of the loop.
+    struct Jacobi(Vec<f64>);
+
+    impl Jacobi {
+        fn new(a: &CscMatrix) -> Jacobi {
+            Jacobi(a.diagonal().iter().map(|d| 1.0 / d).collect())
+        }
+    }
+
+    impl Preconditioner for Jacobi {
+        fn n(&self) -> usize {
+            self.0.len()
+        }
+
+        fn apply_into(&mut self, r: &[f64], z: &mut Vec<f64>) -> Result<(), SparseError> {
+            z.clear();
+            z.extend(r.iter().zip(&self.0).map(|(r, d)| r * d));
+            Ok(())
+        }
+    }
+
+    /// A fresh-workspace solve from the zero guess, Jacobi-preconditioned
+    /// or bare.
+    fn solve(
+        a: &CscMatrix,
+        b: &[f64],
+        opts: &BicgstabOptions,
+        jacobi: bool,
+    ) -> Result<(Vec<f64>, BicgstabSummary), SparseError> {
+        let mut m = jacobi.then(|| Jacobi::new(a));
+        let mut x = vec![0.0; a.nrows()];
+        let summary = bicgstab_into(
+            a,
+            b,
+            m.as_mut(),
+            opts,
+            &mut IterativeWorkspace::new(),
+            &mut x,
+        )?;
+        Ok((x, summary))
+    }
+
     fn grid_with_sink_scaled(nx: usize, ny: usize, scale: f64) -> CscMatrix {
+        grid_with_leak_scaled(nx, ny, 0.02, scale)
+    }
+
+    fn grid_with_leak_scaled(nx: usize, ny: usize, leak: f64, scale: f64) -> CscMatrix {
         let n = nx * ny;
         let mut t = TripletMatrix::new(n, n);
         for y in 0..ny {
@@ -472,7 +456,7 @@ mod tests {
                 if y + 1 < ny {
                     t.stamp_conductance(i, i + nx, 0.7 * scale);
                 }
-                t.push(i, i, 0.02 * scale);
+                t.push(i, i, leak * scale);
             }
         }
         t.to_csc()
@@ -488,11 +472,11 @@ mod tests {
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) * 0.1 + 0.5).collect();
         let direct = lu::factor(&a).unwrap().solve(&b).unwrap();
-        let iter = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap();
-        for (u, v) in iter.x.iter().zip(&direct) {
+        let (x, out) = solve(&a, &b, &BicgstabOptions::default(), true).unwrap();
+        for (u, v) in x.iter().zip(&direct) {
             assert!((u - v).abs() < 1e-6, "{u} vs {v}");
         }
-        assert!(iter.residual < 1e-9);
+        assert!(out.residual < 1e-9);
     }
 
     #[test]
@@ -509,8 +493,8 @@ mod tests {
         let a = t.to_csc();
         let b = vec![1.0; n];
         let direct = lu::factor(&a).unwrap().solve(&b).unwrap();
-        let iter = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap();
-        for (u, v) in iter.x.iter().zip(&direct) {
+        let (x, _) = solve(&a, &b, &BicgstabOptions::default(), true).unwrap();
+        for (u, v) in x.iter().zip(&direct) {
             assert!((u - v).abs() < 1e-6);
         }
     }
@@ -519,20 +503,16 @@ mod tests {
     fn unpreconditioned_still_converges_on_small_systems() {
         let a = grid_with_sink(5, 5);
         let b = vec![1.0; a.nrows()];
-        let opts = BicgstabOptions {
-            use_ilu0: false,
-            ..Default::default()
-        };
-        let out = bicgstab(&a, &b, &opts).unwrap();
+        let (_, out) = solve(&a, &b, &BicgstabOptions::default(), false).unwrap();
         assert!(out.residual < 1e-9);
     }
 
     #[test]
     fn zero_rhs_short_circuits() {
         let a = grid_with_sink(4, 4);
-        let out = bicgstab(&a, &[0.0; 16], &BicgstabOptions::default()).unwrap();
+        let (x, out) = solve(&a, &[0.0; 16], &BicgstabOptions::default(), true).unwrap();
         assert_eq!(out.iterations, 0);
-        assert!(out.x.iter().all(|&v| v == 0.0));
+        assert!(x.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -544,73 +524,66 @@ mod tests {
         let opts = BicgstabOptions {
             tolerance: 1e-14,
             max_iterations: 1,
-            use_ilu0: false,
             warm_start: false,
         };
         assert!(matches!(
-            bicgstab(&a, &b, &opts),
+            solve(&a, &b, &opts, false),
             Err(SparseError::NoConvergence { .. })
         ));
     }
 
     #[test]
     fn shape_errors() {
-        let a = CscMatrix::from_triplets(2, 3, &[0], &[0], &[1.0]);
-        assert!(bicgstab(&a, &[1.0, 1.0], &BicgstabOptions::default()).is_err());
-        let sq = CscMatrix::identity(3);
-        assert!(bicgstab(&sq, &[1.0], &BicgstabOptions::default()).is_err());
-        // The _into entry point checks x and the preconditioner dimension
-        // too.
-        let a = grid_with_sink(3, 3);
+        let opts = BicgstabOptions::default();
         let mut ws = IterativeWorkspace::new();
+        let rect = CscMatrix::from_triplets(2, 3, &[0], &[0], &[1.0]);
+        let mut x2 = vec![0.0; 2];
+        assert!(matches!(
+            bicgstab_into(
+                &rect,
+                &[1.0, 1.0],
+                None::<&mut Jacobi>,
+                &opts,
+                &mut ws,
+                &mut x2
+            ),
+            Err(SparseError::Shape { .. })
+        ));
+        // The right-hand side, x and the preconditioner dimension are
+        // checked too.
+        let a = grid_with_sink(3, 3);
         let mut x = vec![0.0; 9];
-        assert!(bicgstab_into(
-            &a,
-            &[1.0; 4],
-            None::<&mut Ilu0>,
-            &BicgstabOptions::default(),
-            &mut ws,
-            &mut x
-        )
-        .is_err());
+        assert!(bicgstab_into(&a, &[1.0; 4], None::<&mut Jacobi>, &opts, &mut ws, &mut x).is_err());
         let mut short = vec![0.0; 4];
         assert!(bicgstab_into(
             &a,
             &[1.0; 9],
-            None::<&mut Ilu0>,
-            &BicgstabOptions::default(),
+            None::<&mut Jacobi>,
+            &opts,
             &mut ws,
             &mut short
         )
         .is_err());
-        let mut wrong_m = Ilu0::new(&grid_with_sink(2, 2)).unwrap();
+        let mut wrong_m = Jacobi::new(&grid_with_sink(2, 2));
         assert!(matches!(
-            bicgstab_into(
-                &a,
-                &[1.0; 9],
-                Some(&mut wrong_m),
-                &BicgstabOptions::default(),
-                &mut ws,
-                &mut x
-            ),
+            bicgstab_into(&a, &[1.0; 9], Some(&mut wrong_m), &opts, &mut ws, &mut x),
             Err(SparseError::Shape { .. })
         ));
     }
 
     #[test]
-    fn into_path_matches_the_allocating_path_bitwise() {
+    fn presized_workspace_and_stale_x_match_a_fresh_solve_bitwise() {
         let a = grid_with_sink(8, 7);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos() + 1.1).collect();
         let opts = BicgstabOptions::default();
-        let fresh = bicgstab(&a, &b, &opts).unwrap();
-        let mut m = Ilu0::new(&a).unwrap();
+        let (fresh, fresh_summary) = solve(&a, &b, &opts, true).unwrap();
+        let mut m = Jacobi::new(&a);
         let mut ws = IterativeWorkspace::with_dimension(n);
         let mut x = vec![7.0; n]; // stale contents must not matter
         let summary = bicgstab_into(&a, &b, Some(&mut m), &opts, &mut ws, &mut x).unwrap();
-        assert_eq!(x, fresh.x, "identical bits through either entry point");
-        assert_eq!(summary.iterations, fresh.iterations);
-        assert_eq!(summary.residual, fresh.residual);
+        assert_eq!(x, fresh, "identical bits from either workspace");
+        assert_eq!(summary, fresh_summary);
         assert_eq!(ws.grows(), 0, "pre-sized workspace never grows");
     }
 
@@ -619,7 +592,7 @@ mod tests {
         let a = grid_with_sink(9, 9);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let mut m = Ilu0::new(&a).unwrap();
+        let mut m = Jacobi::new(&a);
         let opts = BicgstabOptions::default();
         let mut ws = IterativeWorkspace::new();
         let mut x = vec![0.0; n];
@@ -639,7 +612,7 @@ mod tests {
         let a = grid_with_sink(8, 7);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.2).collect();
-        let mut m = Ilu0::new(&a).unwrap();
+        let mut m = Jacobi::new(&a);
         let cold = BicgstabOptions::default();
         let warm = BicgstabOptions {
             warm_start: true,
@@ -659,7 +632,7 @@ mod tests {
         let a = grid_with_sink(8, 7);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos() + 1.1).collect();
-        let mut m = Ilu0::new(&a).unwrap();
+        let mut m = Jacobi::new(&a);
         let opts = BicgstabOptions {
             warm_start: true,
             ..Default::default()
@@ -689,7 +662,15 @@ mod tests {
         // squares inside `norm2` graze the subnormal-flush floor, which
         // caps the *certifiable* accuracy at a few percent — hence the
         // loose tolerance here; the companion test below checks full
-        // accuracy one decade of headroom up.)
+        // accuracy one decade of headroom up.) The preconditioner is a
+        // two-level multigrid over CSC levels, the 5×4 coarse level
+        // re-discretised with the cell-area scaling (leak ×4), as the
+        // thermal backend's is. It takes two iterations: the first passes
+        // every guard, the second the rho and r̃·v guards once more, with
+        // rho shrunk further into the subnormals by the residual. (Jacobi
+        // needs enough iterations for those inner products to lose every
+        // significant bit, a true breakdown at iteration 14, before the
+        // residual reaches 1e-3.)
         let scale = 1e-160;
         let a = grid_with_sink_scaled(10, 8, scale);
         let n = a.nrows();
@@ -700,13 +681,31 @@ mod tests {
             tolerance: 1e-3,
             ..Default::default()
         };
-        let out = bicgstab(&a, &b, &opts).expect("tiny-magnitude system must not break down");
+        let shape = GridShape {
+            nx: 10,
+            ny: 8,
+            nz: 1,
+            extra: 0,
+        };
+        let coarse = grid_with_leak_scaled(5, 4, 0.08, scale);
+        let mut m = Multigrid::new(
+            vec![(a.clone(), shape, a.diagonal())],
+            &coarse,
+            None,
+            MultigridOptions::default(),
+        )
+        .unwrap();
+        let mut x = vec![0.0; n];
+        let mut ws = IterativeWorkspace::new();
+        let summary = bicgstab_into(&a, &b, Some(&mut m), &opts, &mut ws, &mut x)
+            .expect("tiny-magnitude system must not break down");
+        assert!(summary.iterations >= 2, "{summary:?}");
         // x is scale-free (A and b carry the same factor): compare against
         // the unscaled direct solve, loosely (see above).
         let a1 = grid_with_sink_scaled(10, 8, 1.0);
         let b1: Vec<f64> = b.iter().map(|v| v / scale).collect();
         let direct = lu::factor(&a1).unwrap().solve(&b1).unwrap();
-        for (u, v) in out.x.iter().zip(&direct) {
+        for (u, v) in x.iter().zip(&direct) {
             assert!(u.is_finite());
             assert!((u - v).abs() < 0.15 * v.abs().max(1.0), "{u} vs {v}");
         }
@@ -724,31 +723,28 @@ mod tests {
         let b: Vec<f64> = (0..n)
             .map(|i| (((i * 5 % 11) as f64) * 0.2 + 0.4) * scale)
             .collect();
-        let out = bicgstab(&a, &b, &BicgstabOptions::default())
+        let (x, out) = solve(&a, &b, &BicgstabOptions::default(), true)
             .expect("tiny-magnitude system must not break down");
         assert!(out.residual < 1e-9, "residual {}", out.residual);
         let a1 = grid_with_sink_scaled(10, 8, 1.0);
         let b1: Vec<f64> = b.iter().map(|v| v / scale).collect();
         let direct = lu::factor(&a1).unwrap().solve(&b1).unwrap();
-        for (u, v) in out.x.iter().zip(&direct) {
+        for (u, v) in x.iter().zip(&direct) {
             assert!((u - v).abs() < 1e-6, "{u} vs {v}");
         }
     }
 
     #[test]
     fn unpreconditioned_tiny_magnitude_system_also_converges() {
-        // Without the ILU(0) solve to restore magnitudes, the iteration's
+        // Without a preconditioner to restore magnitudes, the iteration's
         // intermediates live at scale² and scale³, so the usable range is
         // narrower — 1e-80 keeps every inner product representable while
         // still sitting far below any plausible absolute threshold.
         let scale = 1e-80;
         let a = grid_with_sink_scaled(5, 5, scale);
         let b: Vec<f64> = (0..a.nrows()).map(|i| (1.0 + i as f64) * scale).collect();
-        let opts = BicgstabOptions {
-            use_ilu0: false,
-            ..Default::default()
-        };
-        let out = bicgstab(&a, &b, &opts).expect("no false breakdown");
+        let (_, out) =
+            solve(&a, &b, &BicgstabOptions::default(), false).expect("no false breakdown");
         assert!(out.residual < 1e-9);
     }
 }

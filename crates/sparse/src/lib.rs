@@ -19,13 +19,12 @@
 //!   enabling cheap numeric refactorisation (below).
 //! * [`ordering`] — reverse Cuthill–McKee bandwidth reduction used as a
 //!   fill-reducing column pre-ordering.
-//! * [`bicgstab`](mod@bicgstab) — BiCGSTAB with an [`ilu::Ilu0`]
-//!   preconditioner: the iterative solver backend for fine grids where
-//!   direct-LU fill is a burden, also used to cross-validate the direct
-//!   solver. Breakdown detection is scale-relative (see the module docs)
-//!   and the [`bicgstab_into`] entry point performs zero heap allocation
-//!   once its [`IterativeWorkspace`] is warm — the iterative counterpart
-//!   of [`LuFactors::solve_with`] + [`SolveWorkspace`].
+//! * [`bicgstab`] — BiCGSTAB with a caller-owned [`Preconditioner`]:
+//!   the Krylov half of the multigrid solver backend for fine grids where
+//!   direct-LU fill is a burden. Breakdown detection is scale-relative
+//!   (see the module docs) and [`bicgstab_into`] performs zero heap
+//!   allocation once its [`IterativeWorkspace`] is warm — the iterative
+//!   counterpart of [`LuFactors::solve_with`] + [`SolveWorkspace`].
 //! * [`operator`] — the [`LinearOperator`] / [`Preconditioner`] traits
 //!   that [`bicgstab_into`] is generic over, so the Krylov loop runs
 //!   unchanged against an assembled [`CscMatrix`] or a matrix-free
@@ -49,7 +48,7 @@
 //! (its `&mut self` is scratch, not state), so a preconditioned solve is
 //! reproducible bit-for-bit across repeats; it may hand the result back
 //! in a different allocation of the same length. A preconditioner that cannot
-//! be *built* (singular ILU pivot, singular coarse operator) fails at
+//! be *built* (a singular multigrid coarse operator) fails at
 //! construction, never mid-solve; failures mid-solve surface as
 //! [`SparseError::Breakdown`]/[`SparseError::NoConvergence`] and callers
 //! (the thermal crate's backend ladder) fall back to the direct solver.
@@ -121,19 +120,15 @@
 pub mod bicgstab;
 pub mod csc;
 pub mod dense;
-pub mod ilu;
 pub mod lu;
 pub mod multigrid;
 pub mod operator;
 pub mod ordering;
 pub mod triplet;
 
-pub use bicgstab::{
-    bicgstab, bicgstab_into, BicgstabOptions, BicgstabOutcome, BicgstabSummary, IterativeWorkspace,
-};
+pub use bicgstab::{bicgstab_into, BicgstabOptions, BicgstabSummary, IterativeWorkspace};
 pub use csc::CscMatrix;
 pub use dense::DenseMatrix;
-pub use ilu::Ilu0;
 pub use lu::{LuFactors, SolveWorkspace, SymbolicLu};
 pub use multigrid::{GridShape, Multigrid, MultigridOptions, MultigridStats};
 pub use operator::{LinearOperator, Preconditioner};

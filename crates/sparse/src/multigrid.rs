@@ -7,8 +7,7 @@
 //! aggregation (full-weighting) restriction of the residual, cell-centered
 //! bilinear prolongation of the correction, and a small direct-LU coarse
 //! solve reusing the existing [`SymbolicLu`] machinery. Implemented against the
-//! [`Preconditioner`] trait, so [`crate::bicgstab_into`] accepts it
-//! anywhere an [`crate::Ilu0`] is accepted.
+//! [`Preconditioner`] trait, which is what [`crate::bicgstab_into`] takes.
 //!
 //! # Why geometric, and who builds the hierarchy
 //!

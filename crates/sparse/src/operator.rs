@@ -3,7 +3,7 @@
 //! [`bicgstab_into`](crate::bicgstab_into) is generic over these two
 //! traits so the same Krylov loop runs against an assembled
 //! [`CscMatrix`] or a matrix-free stencil form (the thermal crate's
-//! `StencilOperator`), and against any preconditioner — [`Ilu0`] or the
+//! `StencilOperator`), and against any preconditioner, such as the
 //! geometric [`Multigrid`](crate::Multigrid).
 //!
 //! # Contracts
@@ -31,7 +31,6 @@
 //!   identical results — the mutation is scratch, not state.
 
 use crate::csc::CscMatrix;
-use crate::ilu::Ilu0;
 use crate::SparseError;
 
 /// A linear operator `A` that can be applied to a dense vector.
@@ -176,16 +175,6 @@ pub trait Preconditioner {
     fn apply_into(&mut self, r: &[f64], z: &mut Vec<f64>) -> Result<(), SparseError>;
 }
 
-impl Preconditioner for Ilu0 {
-    fn n(&self) -> usize {
-        Ilu0::n(self)
-    }
-
-    fn apply_into(&mut self, r: &[f64], z: &mut Vec<f64>) -> Result<(), SparseError> {
-        Ilu0::apply_into(self, r, z)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,20 +202,5 @@ mod tests {
         assert_eq!(LinearOperator::nrows(&a), 3);
         assert_eq!(LinearOperator::ncols(&a), 3);
         assert_eq!(a.max_abs(), 5.0, "largest |entry| regardless of sign");
-    }
-
-    #[test]
-    fn ilu0_precond_impl_delegates_to_apply_into() {
-        let mut t = TripletMatrix::new(3, 3);
-        for i in 0..3 {
-            t.push(i, i, 2.0);
-        }
-        let a = t.to_csc();
-        let mut m = Ilu0::new(&a).unwrap();
-        assert_eq!(Preconditioner::n(&m), 3);
-        let mut z_trait = Vec::new();
-        Preconditioner::apply_into(&mut m, &[2.0, 4.0, 6.0], &mut z_trait).unwrap();
-        let z_inherent = m.apply(&[2.0, 4.0, 6.0]).unwrap();
-        assert_eq!(z_trait, z_inherent);
     }
 }

@@ -61,15 +61,9 @@
 //! [`ThermalParams::solver`] selects how each cached operator is solved:
 //!
 //! * [`SolverBackend::DirectLu`] (default) — the split direct solver
-//!   described above. Fastest at the paper's 12×12-per-layer grids.
-//! * [`SolverBackend::IterativeIlu0`] — ILU(0)-preconditioned BiCGSTAB.
-//!   The preconditioner reuses the operator's own sparsity pattern (zero
-//!   fill), so cost and memory stay O(nnz) as the grid refines — the
-//!   regime where direct-LU fill becomes the bottleneck (see
-//!   `BENCH_iterative.json` for the measured crossover). The symbolic
-//!   ILU(0) analysis is performed once per model; later operating points
-//!   refresh only the factor values
-//!   ([`SolverStats::ilu_refreshes`](crate::SolverStats::ilu_refreshes)).
+//!   described above. Fastest at the paper's 12×12-per-layer grids and,
+//!   per `BENCH_iterative.json`, on warm solves up to 32²; level with
+//!   multigrid at 48².
 //! * [`SolverBackend::IterativeMg`] — BiCGSTAB over the **matrix-free**
 //!   [`StencilOperator`], preconditioned by a geometric multigrid V-cycle
 //!   built by re-discretising the stack physics on 2×-coarser in-plane
@@ -77,26 +71,26 @@
 //!   scalars applied straight from the grid geometry (bit-identical to
 //!   the assembled CSC product — the `LinearOperator` contract), so
 //!   per-operating-point setup cost is independent of nnz, and iteration
-//!   counts stay resolution-independent where ILU(0)'s local error
-//!   reduction degrades with refinement. Only the small coarsest level is
-//!   assembled and LU-factored (reusing a frozen symbolic analysis across
-//!   operating points).
+//!   counts stay resolution-independent as the grid refines. Only the
+//!   small coarsest level is assembled and LU-factored (reusing a frozen
+//!   symbolic analysis across operating points). It wins warm solves
+//!   from 64² up.
 //!
-//! **Fallback contract.** The iterative backends never fail where the
+//! **Fallback contract.** The multigrid backend never fails where the
 //! direct backend would succeed: on BiCGSTAB `Breakdown`/`NoConvergence`
-//! (or an ILU(0) construction failure) the model transparently re-solves
-//! through direct LU — factorising that operator lazily, once — and
-//! counts the event in [`SolverStats::iterative_fallbacks`]. The
-//! multigrid backend additionally falls back at operator *build* when the
-//! grid cannot coarsen (odd in-plane dimensions) or the coarse operator
-//! is singular, counted the same way, so every grid is solvable under
-//! every backend. All backends run through the same persistent workspace,
-//! so the warm path stays allocation-free either way, and each backend is
-//! bit-reproducible across runs and thread counts (the backends agree
-//! with each other to the configured iteration tolerance, not bitwise).
-//! Iterative solves start cold by default; [`ThermalParams::warm_start`]
-//! opts into seeding them from the previous temperature state (fewer
-//! iterations, same tolerance, history-dependent trajectories).
+//! the model transparently re-solves through direct LU — factorising
+//! that operator lazily, once — and counts the event in
+//! [`SolverStats::iterative_fallbacks`]. It also falls back at operator
+//! *build* when the in-plane grid cannot coarsen (odd dimensions) or the
+//! coarse operator is singular, counted the same way, so every grid is
+//! solvable under either backend. Both backends run through the same
+//! persistent workspace, so the warm path stays allocation-free either
+//! way, and each backend is bit-reproducible across runs and thread
+//! counts (the backends agree with each other to the configured
+//! iteration tolerance, not bitwise). Iterative solves start cold by
+//! default; [`ThermalParams::warm_start`] opts into seeding them from the
+//! previous temperature state (fewer iterations, same tolerance,
+//! history-dependent trajectories).
 //!
 //! # Zero-allocation hot path and analysis sharing
 //!

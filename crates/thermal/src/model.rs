@@ -21,7 +21,7 @@ use cmosaic_hydraulics::duct::ChannelGeometry;
 use cmosaic_hydraulics::LiquidProperties;
 use cmosaic_materials::units::{Kelvin, Pressure, VolumetricFlow};
 use cmosaic_sparse::{
-    bicgstab_into, lu, BicgstabOptions, CscMatrix, GridShape, Ilu0, IterativeWorkspace, LuFactors,
+    bicgstab_into, lu, BicgstabOptions, CscMatrix, GridShape, IterativeWorkspace, LuFactors,
     Multigrid, MultigridOptions, SolveWorkspace, SparseError, SymbolicLu, TripletMatrix,
 };
 
@@ -58,15 +58,6 @@ enum LayerModel {
     },
 }
 
-/// The iterative half of a cached operator: the assembled matrix (kept for
-/// matvecs — the direct path only needs its factors) and the ILU(0)
-/// preconditioner built from it.
-#[derive(Debug, Clone)]
-struct IterativeOperator {
-    csc: CscMatrix,
-    ilu: Ilu0,
-}
-
 /// The multigrid half of a cached operator: the matrix-free fine-level
 /// stencil (BiCGSTAB matvecs run straight off the grid geometry — the
 /// fine operator is never assembled) and the geometric V-cycle
@@ -80,18 +71,16 @@ struct MgOperator {
 /// One factorised/preconditioned operator at one exact operating point.
 ///
 /// Under [`SolverBackend::DirectLu`], `factors` is always present and
-/// the iterative halves absent. Under [`SolverBackend::IterativeIlu0`],
-/// `iterative` is present (under [`SolverBackend::IterativeMg`], `mg`)
+/// `mg` absent. Under [`SolverBackend::IterativeMg`], `mg` is present
 /// and `factors` starts out `None` — the expensive LU is built lazily,
 /// only if a solve at this operating point ever has to fall back to the
-/// direct path; the first fallback also *retires* the iterative half
+/// direct path; the first fallback also *retires* the multigrid half
 /// (set back to `None`), so later solves at this operating point go
 /// straight to the cached factors instead of re-running a doomed
 /// iteration.
 #[derive(Debug, Clone)]
 struct CachedOperator {
     factors: Option<LuFactors>,
-    iterative: Option<IterativeOperator>,
     mg: Option<MgOperator>,
     /// Flow-dependent constant RHS (advection inlet terms, sink ambient).
     rhs_base: Vec<f64>,
@@ -149,7 +138,7 @@ struct ModelWorkspace {
     refactor_scratch: Vec<f64>,
     /// Forward/backward triangular-solve scratch.
     lu: SolveWorkspace,
-    /// BiCGSTAB scratch of the iterative backend.
+    /// BiCGSTAB scratch of the multigrid backend.
     iter: IterativeWorkspace,
     /// Buffer (re)allocations since the last drain into `SolverStats`.
     grows: u64,
@@ -210,24 +199,22 @@ pub struct SolverStats {
     /// Symbolic analyses adopted from a [`SharedAnalysis`] donor instead
     /// of being captured by a local full factorisation.
     pub adopted_symbolics: u64,
-    /// Solves served by the ILU(0)-BiCGSTAB backend.
+    /// Solves served by BiCGSTAB under [`SolverBackend::IterativeMg`].
     pub iterative_solves: u64,
     /// Total BiCGSTAB iterations across those solves (diagnosing
     /// preconditioner quality and the direct-vs-iterative crossover).
     pub iterative_iterations: u64,
-    /// Times the iterative backend handed an operator to the direct
-    /// path: BiCGSTAB breakdown, non-convergence, an ILU(0) construction
-    /// failure, or a multigrid hierarchy that could not be built (odd
-    /// in-plane grid dimensions, singular coarse operator). Each event
-    /// retires that cached operator to direct solves for the rest of its
-    /// cache lifetime, so the counter advances once per retirement, not
-    /// once per subsequent solve. A healthy diagonally-dominant model
-    /// keeps this at zero.
+    /// Times the multigrid backend handed an operator to the direct
+    /// path: BiCGSTAB breakdown, non-convergence, or a hierarchy that
+    /// could not be built (odd in-plane grid dimensions, singular coarse
+    /// operator). Each event retires that cached operator to direct
+    /// solves for the rest of its cache lifetime, so the counter advances
+    /// once per retirement, not once per subsequent solve. A healthy
+    /// diagonally-dominant model keeps this at zero.
     pub iterative_fallbacks: u64,
-    /// ILU(0) preconditioners produced by cloning the analysed template
-    /// and re-running only the numeric elimination
-    /// ([`cmosaic_sparse::Ilu0::refresh`]) — every warm operating-point
-    /// change after the first skips the symbolic analysis this way.
+    /// Always zero: no backend refreshes an ILU(0) preconditioner any
+    /// more. The field stays so that readers of these counters keep
+    /// compiling.
     pub ilu_refreshes: u64,
     /// Multigrid V-cycles applied under [`SolverBackend::IterativeMg`].
     pub mg_cycles: u64,
@@ -359,8 +346,17 @@ impl OperatorSkeleton {
 
     /// Rewrites the operator values and factorises into `target`, reusing
     /// `target`'s allocations when its shapes already match the frozen
-    /// pattern. See [`factorize_pattern_into`] for the refactor/fallback
-    /// behaviour.
+    /// pattern: a numeric refactorisation whenever an analysis exists,
+    /// with automatic fallback to (and capture of) a fresh
+    /// [`lu::analyse`] on pivot-growth degradation — or on a pattern
+    /// mismatch of an *adopted* analysis, which makes adoption always
+    /// safe.
+    ///
+    /// A fresh analysis keeps the refactorisation sweep's values over the
+    /// analysis it captured, not a pivoting factorisation's, so analysis
+    /// donation is bit-neutral: a donor's operator is bitwise what any
+    /// adopter computes, and every run is a pure function of its inputs
+    /// regardless of sharing.
     fn factorize_into(
         &mut self,
         vals: &[f64],
@@ -370,106 +366,47 @@ impl OperatorSkeleton {
     ) -> Result<(), SparseError> {
         self.csc.update_values(&self.map, vals);
         stats.value_updates += 1;
-        factorize_pattern_into(
-            &mut self.symbolic,
-            &mut self.adopted,
-            &self.csc,
-            target,
-            stats,
-            scratch,
-        )
-    }
-}
-
-/// Builds the direct-LU flavour of a cached operator from the skeleton's
-/// freshly value-updated matrix: the primary [`SolverBackend::DirectLu`]
-/// path, and the build-time fallback when an ILU(0) preconditioner cannot
-/// be constructed.
-fn direct_operator(
-    skel: &mut OperatorSkeleton,
-    ws: &mut ModelWorkspace,
-    stats: &mut SolverStats,
-) -> Result<CachedOperator, SparseError> {
-    let mut factors = None;
-    factorize_pattern_into(
-        &mut skel.symbolic,
-        &mut skel.adopted,
-        &skel.csc,
-        &mut factors,
-        stats,
-        &mut ws.refactor_scratch,
-    )?;
-    Ok(CachedOperator {
-        factors,
-        iterative: None,
-        mg: None,
-        rhs_base: ws.rhs.clone(),
-    })
-}
-
-/// Factorises `a` into `target` over the skeleton's frozen symbolic
-/// analysis: a numeric refactorisation whenever an analysis exists, with
-/// automatic fallback to (and capture of) a fresh [`lu::analyse`] on
-/// pivot-growth degradation — or on a pattern mismatch of an *adopted*
-/// analysis, which makes adoption always safe.
-///
-/// A fresh analysis keeps the refactorisation sweep's values over the
-/// analysis it captured, not a pivoting factorisation's, so analysis
-/// donation is bit-neutral: a donor's operator is bitwise what any
-/// adopter computes, and every run is a pure function of its inputs
-/// regardless of sharing.
-///
-/// A free function over the skeleton's fields (rather than a method) so
-/// callers can factorise a matrix held elsewhere — e.g. the CSC snapshot
-/// inside a cached iterative operator when a BiCGSTAB solve falls back to
-/// direct LU — while the skeleton and the cache are borrowed side by side.
-fn factorize_pattern_into(
-    symbolic: &mut Option<Arc<SymbolicLu>>,
-    adopted: &mut bool,
-    a: &CscMatrix,
-    target: &mut Option<LuFactors>,
-    stats: &mut SolverStats,
-    scratch: &mut Vec<f64>,
-) -> Result<(), SparseError> {
-    // Both paths below size `scratch` to n (the refactorisation
-    // internally, the fresh analysis for the refactorisations to come);
-    // account for its growth here so `workspace_grows` covers every
-    // persistent buffer, as its documentation promises.
-    if scratch.capacity() < a.nrows() {
-        stats.workspace_grows += 1;
-    }
-    if let Some(sym) = &*symbolic {
-        let shapes_fit = target.as_ref().is_some_and(|f| {
-            f.n() == sym.n() && f.nnz_l() == sym.nnz_l() && f.nnz_u() == sym.nnz_u()
-        });
-        if !shapes_fit {
-            *target = Some(sym.allocate_factors());
+        let a = &self.csc;
+        // Both paths below size `scratch` to n (the refactorisation
+        // internally, the fresh analysis for the refactorisations to come);
+        // account for its growth here so `workspace_grows` covers every
+        // persistent buffer, as its documentation promises.
+        if scratch.capacity() < a.nrows() {
+            stats.workspace_grows += 1;
         }
-        let f = target.as_mut().expect("just ensured");
-        match sym.refactor_into_with(a, f, scratch) {
-            Ok(()) => {
-                stats.refactorizations += 1;
-                return Ok(());
+        if let Some(sym) = &self.symbolic {
+            let shapes_fit = target.as_ref().is_some_and(|f| {
+                f.n() == sym.n() && f.nnz_l() == sym.nnz_l() && f.nnz_u() == sym.nnz_u()
+            });
+            if !shapes_fit {
+                *target = Some(sym.allocate_factors());
             }
-            Err(SparseError::UnstablePivot { .. }) => {
-                stats.pivot_fallbacks += 1;
+            let f = target.as_mut().expect("just ensured");
+            match sym.refactor_into_with(a, f, scratch) {
+                Ok(()) => {
+                    stats.refactorizations += 1;
+                    return Ok(());
+                }
+                Err(SparseError::UnstablePivot { .. }) => {
+                    stats.pivot_fallbacks += 1;
+                }
+                Err(SparseError::Shape { .. }) if self.adopted => {
+                    // The donor's signature matched but its pattern does
+                    // not: discard the adoption and re-analyse locally.
+                }
+                Err(e) => return Err(e),
             }
-            Err(SparseError::Shape { .. }) if *adopted => {
-                // The donor's signature matched but its pattern does
-                // not: discard the adoption and re-analyse locally.
-            }
-            Err(e) => return Err(e),
         }
+        let (factors, sym) = lu::analyse(a, lu::ColumnOrdering::Rcm)?;
+        stats.full_factorizations += 1;
+        // The analysis sweeps in a column of its own; size the scratch the
+        // refactorisations to come sweep in.
+        scratch.resize(a.nrows(), 0.0);
+        *target = Some(factors);
+        self.symbolic = Some(Arc::new(sym));
+        self.adopted = false;
+        Ok(())
     }
-    let (factors, sym) = lu::analyse(a, lu::ColumnOrdering::Rcm)?;
-    stats.full_factorizations += 1;
-    // The analysis sweeps in a column of its own; size the scratch the
-    // refactorisations to come sweep in.
-    scratch.resize(a.nrows(), 0.0);
-    *target = Some(factors);
-    *symbolic = Some(Arc::new(sym));
-    *adopted = false;
-    Ok(())
 }
 
 /// The compact transient thermal model of one 3D stack.
@@ -510,10 +447,6 @@ pub struct ThermalModel {
     /// changes under [`SolverBackend::IterativeMg`] pay only a numeric
     /// coarse refactorisation.
     mg_coarse_symbolic: Option<Arc<SymbolicLu>>,
-    /// First successfully analysed ILU(0), kept as the symbolic template:
-    /// later operating points clone it and run the value-only
-    /// [`Ilu0::refresh`] instead of repeating the pattern analysis.
-    ilu_template: Option<Ilu0>,
     /// Persistent solve/assembly scratch — the zero-allocation hot path.
     workspace: ModelWorkspace,
     stats: SolverStats,
@@ -626,7 +559,6 @@ impl ThermalModel {
             tp_skeleton: None,
             tp_factors: None,
             mg_coarse_symbolic: None,
-            ilu_template: None,
             workspace: ModelWorkspace::default(),
             stats: SolverStats::default(),
             two_phase_summary: None,
@@ -1248,11 +1180,10 @@ impl ThermalModel {
     /// point. Under [`SolverBackend::IterativeMg`] the happy path never
     /// touches the assembled skeleton at all: it builds the matrix-free
     /// stencil (O(nz) scalars per operating point) and the V-cycle
-    /// hierarchy over it. The other backends run an O(nnz) value rewrite
-    /// of the skeleton, then either a direct-LU factorisation or an
-    /// ILU(0) preconditioner (symbolic analysis once, value-only
-    /// refreshes after) plus a snapshot of the assembled matrix, with
-    /// the LU deferred until a solve actually falls back.
+    /// hierarchy over it, deferring any LU until a solve falls back.
+    /// The direct path (and a hierarchy that cannot be built) runs an
+    /// O(nnz) value rewrite of the skeleton and a direct-LU
+    /// factorisation.
     fn ensure_operator(
         &mut self,
         key: OperatorKey,
@@ -1268,74 +1199,38 @@ impl ThermalModel {
             return Ok(());
         }
         self.check_flow_set()?;
+        let mut mg = None;
         if matches!(self.params.solver, SolverBackend::IterativeMg { .. }) {
-            if let Some(mgop) = self.mg_operator(dt)? {
-                let rhs_base = self.stencil_rhs_base(&mgop.stencil);
-                let op = CachedOperator {
-                    factors: None,
-                    iterative: None,
-                    mg: Some(mgop),
-                    rhs_base,
-                };
-                let cache = if dt.is_some() {
-                    &mut self.transient_cache
-                } else {
-                    &mut self.steady_cache
-                };
-                cache.insert(key, op);
-                return Ok(());
+            mg = self.mg_operator(dt)?;
+            if mg.is_none() {
+                // The hierarchy could not be built (uncoarsenable grid or
+                // a singular coarse operator): this operating point runs
+                // on the direct path from the start, via the skeleton.
+                self.stats.iterative_fallbacks += 1;
             }
-            // The hierarchy could not be built (uncoarsenable grid or a
-            // singular coarse operator): this operating point runs on the
-            // direct path from the start, via the skeleton below.
-            self.stats.iterative_fallbacks += 1;
         }
-        if self.skeleton.is_none() {
-            self.skeleton = Some(self.build_skeleton());
-        }
-        self.operator_values_into(self.flow, dt, ws)?;
-        let skel = self.skeleton.as_mut().expect("just built");
-        skel.csc.update_values(&skel.map, &ws.vals);
-        self.stats.value_updates += 1;
-        let op = match self.params.solver {
-            SolverBackend::DirectLu | SolverBackend::IterativeMg { .. } => {
-                direct_operator(skel, ws, &mut self.stats)?
-            }
-            SolverBackend::IterativeIlu0 { .. } => {
-                let built = match &self.ilu_template {
-                    // Warm operating-point change: clone the analysed
-                    // pattern and re-run only the numeric elimination.
-                    Some(template) => {
-                        let mut ilu = template.clone();
-                        ilu.refresh(&skel.csc).map(|()| {
-                            self.stats.ilu_refreshes += 1;
-                            ilu
-                        })
-                    }
-                    None => Ilu0::new(&skel.csc),
-                };
-                match built {
-                    Ok(ilu) => {
-                        if self.ilu_template.is_none() {
-                            self.ilu_template = Some(ilu.clone());
-                        }
-                        CachedOperator {
-                            factors: None,
-                            iterative: Some(IterativeOperator {
-                                csc: skel.csc.clone(),
-                                ilu,
-                            }),
-                            mg: None,
-                            rhs_base: ws.rhs.clone(),
-                        }
-                    }
-                    Err(SparseError::Singular { .. }) => {
-                        // The preconditioner could not be built: this operating
-                        // point runs on the direct path from the start.
-                        self.stats.iterative_fallbacks += 1;
-                        direct_operator(skel, ws, &mut self.stats)?
-                    }
-                    Err(e) => return Err(e.into()),
+        let op = match mg {
+            Some(mgop) => CachedOperator {
+                factors: None,
+                rhs_base: self.stencil_rhs_base(&mgop.stencil),
+                mg: Some(mgop),
+            },
+            None => {
+                if self.skeleton.is_none() {
+                    self.skeleton = Some(self.build_skeleton());
+                }
+                self.operator_values_into(self.flow, dt, ws)?;
+                let mut factors = None;
+                self.skeleton.as_mut().expect("just built").factorize_into(
+                    &ws.vals,
+                    &mut factors,
+                    &mut self.stats,
+                    &mut ws.refactor_scratch,
+                )?;
+                CachedOperator {
+                    factors,
+                    mg: None,
+                    rhs_base: ws.rhs.clone(),
                 }
             }
         };
@@ -1353,22 +1248,16 @@ impl ThermalModel {
     /// unless `warm_start` seeds the iteration from `dst`'s current
     /// contents).
     ///
-    /// Under the iterative backends this runs BiCGSTAB through the
-    /// persistent workspace — preconditioned by the multigrid V-cycle
-    /// over the matrix-free stencil ([`SolverBackend::IterativeMg`]) or
-    /// by ILU(0) over the assembled snapshot
-    /// ([`SolverBackend::IterativeIlu0`]); on
-    /// `Breakdown`/`NoConvergence` it falls back to direct LU —
-    /// factorising (and caching) the operator's LU on first need — and
-    /// records the event in [`SolverStats::iterative_fallbacks`]. An
-    /// associated function over disjoint fields so both solve paths can
-    /// borrow the cache, the skeleton and the workspace side by side;
-    /// the skeleton is optional because the multigrid happy path never
-    /// builds one.
-    #[allow(clippy::too_many_arguments)]
+    /// Under [`SolverBackend::IterativeMg`] this runs BiCGSTAB through the
+    /// persistent workspace, preconditioned by the multigrid V-cycle over
+    /// the matrix-free stencil; on `Breakdown`/`NoConvergence` it falls
+    /// back to direct LU — factorising (and caching) the operator's LU on
+    /// first need — and records the event in
+    /// [`SolverStats::iterative_fallbacks`]. An associated function over
+    /// disjoint fields so the solve can borrow the cache and the
+    /// workspace side by side.
     fn solve_operator(
         cache: &mut LruCache<OperatorKey, CachedOperator>,
-        skel: &mut Option<OperatorSkeleton>,
         backend: SolverBackend,
         warm_start: bool,
         key: OperatorKey,
@@ -1377,18 +1266,13 @@ impl ThermalModel {
         stats: &mut SolverStats,
     ) -> Result<(), SparseError> {
         let op = cache.get_mut(&key).expect("operator ensured");
-        let CachedOperator {
-            factors,
-            iterative,
-            mg,
-            ..
-        } = op;
-        let limits = backend.iteration_limits();
-        if let (Some((tolerance, max_iterations)), Some(mgop)) = (limits, mg.as_mut()) {
+        let CachedOperator { factors, mg, .. } = op;
+        if let (Some((tolerance, max_iterations)), Some(mgop)) =
+            (backend.iteration_limits(), mg.as_mut())
+        {
             let opts = BicgstabOptions {
                 tolerance,
                 max_iterations,
-                use_ilu0: true,
                 warm_start,
             };
             let outcome = bicgstab_into(
@@ -1410,10 +1294,16 @@ impl ThermalModel {
                     return Ok(());
                 }
                 Err(SparseError::Breakdown { .. } | SparseError::NoConvergence { .. }) => {
-                    // Same retirement policy as the ILU(0) branch below,
-                    // except the multigrid path never built the shared
-                    // skeleton: the fallback assembles the fine stencil
-                    // on the spot and pays one fresh pivoting
+                    // Automatic direct fallback. The operator is then
+                    // *retired* to the direct path for the rest of its
+                    // cache lifetime — re-running a doomed BiCGSTAB
+                    // attempt (up to max_iterations of matvecs) before
+                    // every warm repeat solve would be far slower than
+                    // DirectLu with nothing but a counter as a clue. An
+                    // eviction-and-rebuild gives the iteration a fresh
+                    // chance. The multigrid path never built the shared
+                    // skeleton, so the fallback assembles the fine
+                    // stencil on the spot and pays one fresh pivoting
                     // factorisation.
                     stats.iterative_fallbacks += 1;
                     if factors.is_none() {
@@ -1424,55 +1314,6 @@ impl ThermalModel {
                         *factors = Some(f);
                     }
                     *mg = None;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let (Some((tolerance, max_iterations)), Some(itop)) = (limits, iterative.as_mut()) {
-            let opts = BicgstabOptions {
-                tolerance,
-                max_iterations,
-                use_ilu0: true,
-                warm_start,
-            };
-            match bicgstab_into(
-                &itop.csc,
-                &ws.rhs,
-                Some(&mut itop.ilu),
-                &opts,
-                &mut ws.iter,
-                dst,
-            ) {
-                Ok(summary) => {
-                    stats.iterative_solves += 1;
-                    stats.iterative_iterations += summary.iterations as u64;
-                    return Ok(());
-                }
-                Err(SparseError::Breakdown { .. } | SparseError::NoConvergence { .. }) => {
-                    // Automatic direct fallback: factorise this operator's
-                    // matrix snapshot and solve exactly. The operator is
-                    // then *retired* to the direct path for the rest of
-                    // its cache lifetime — re-running a doomed BiCGSTAB
-                    // attempt (up to max_iterations of matvecs) before
-                    // every warm repeat solve would be far slower than
-                    // DirectLu with nothing but a counter as a clue. An
-                    // eviction-and-rebuild gives the iterative path a
-                    // fresh chance.
-                    stats.iterative_fallbacks += 1;
-                    if factors.is_none() {
-                        let skel = skel
-                            .as_mut()
-                            .expect("the ILU(0) build path assembled the skeleton");
-                        factorize_pattern_into(
-                            &mut skel.symbolic,
-                            &mut skel.adopted,
-                            &itop.csc,
-                            factors,
-                            stats,
-                            &mut ws.refactor_scratch,
-                        )?;
-                    }
-                    *iterative = None;
                 }
                 Err(e) => return Err(e),
             }
@@ -1584,7 +1425,6 @@ impl ThermalModel {
         // seeds from the previous steady (or transient) field.
         Self::solve_operator(
             &mut self.steady_cache,
-            &mut self.skeleton,
             self.params.solver,
             self.params.warm_start,
             key,
@@ -2042,7 +1882,6 @@ impl ThermalModel {
         }
         let r = Self::solve_operator(
             &mut self.transient_cache,
-            &mut self.skeleton,
             self.params.solver,
             self.params.warm_start,
             key,
@@ -2989,111 +2828,6 @@ mod tests {
         }
     }
 
-    fn iterative_params() -> ThermalParams {
-        ThermalParams {
-            solver: SolverBackend::iterative(),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn iterative_backend_matches_direct_steady_state() {
-        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
-        let g = grid();
-        let powers = uniform_powers(2, 30.0, g.cell_count());
-        let q = VolumetricFlow::from_ml_per_min(25.0);
-
-        let mut direct = ThermalModel::new(&stack, g, ThermalParams::default()).unwrap();
-        direct.set_flow_rate(q).unwrap();
-        let fd = direct.steady_state(&powers).unwrap();
-
-        let mut iter = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-        iter.set_flow_rate(q).unwrap();
-        let fi = iter.steady_state(&powers).unwrap();
-
-        for (u, v) in fi.cells().iter().zip(fd.cells()) {
-            assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-        }
-        let s = iter.solver_stats();
-        assert_eq!(s.iterative_solves, 1, "{s:?}");
-        assert_eq!(s.iterative_fallbacks, 0, "{s:?}");
-        assert_eq!(
-            s.full_factorizations, 0,
-            "a clean iterative run never pays for an LU: {s:?}"
-        );
-        assert!(s.iterative_iterations >= 1);
-    }
-
-    #[test]
-    fn iterative_backend_matches_direct_transient_march() {
-        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
-        let g = GridSpec::new(8, 8).unwrap();
-        let powers = uniform_powers(2, 20.0, g.cell_count());
-        let q = VolumetricFlow::from_ml_per_min(25.0);
-
-        let mut direct = ThermalModel::new(&stack, g, ThermalParams::default()).unwrap();
-        direct.set_flow_rate(q).unwrap();
-        let mut iter = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-        iter.set_flow_rate(q).unwrap();
-
-        for _ in 0..40 {
-            let fd = direct.step(&powers, 0.25).unwrap();
-            let fi = iter.step(&powers, 0.25).unwrap();
-            for (u, v) in fi.cells().iter().zip(fd.cells()) {
-                assert!((u - v).abs() < 1e-4, "{u} vs {v}");
-            }
-        }
-        let s = iter.solver_stats();
-        assert_eq!(s.iterative_solves, 40, "{s:?}");
-        assert_eq!(s.iterative_fallbacks, 0, "{s:?}");
-        assert_eq!(s.full_factorizations, 0, "{s:?}");
-    }
-
-    #[test]
-    fn warm_iterative_transient_path_is_allocation_free() {
-        // The zero-allocation contract holds for the iterative backend
-        // too: once the operator, preconditioner and BiCGSTAB workspace
-        // are warm, stepping grows no buffer.
-        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
-        let g = GridSpec::new(8, 8).unwrap();
-        let mut m = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-        m.set_flow_rate(VolumetricFlow::from_ml_per_min(25.0))
-            .unwrap();
-        let powers = uniform_powers(2, 20.0, g.cell_count());
-        let mut field = m.current_field();
-        m.step_into(&powers, 0.25, &mut field).unwrap();
-        m.step_into(&powers, 0.25, &mut field).unwrap();
-        let warm = m.solver_stats();
-        for _ in 0..100 {
-            m.step_into(&powers, 0.25, &mut field).unwrap();
-        }
-        let s = m.solver_stats();
-        assert_eq!(
-            s.workspace_grows, warm.workspace_grows,
-            "warm iterative sub-steps must not grow any workspace buffer: {s:?}"
-        );
-        assert_eq!(s.iterative_solves, warm.iterative_solves + 100);
-        assert_eq!(s.iterative_fallbacks, 0);
-    }
-
-    #[test]
-    fn iterative_runs_are_bit_reproducible() {
-        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
-        let g = GridSpec::new(8, 8).unwrap();
-        let powers = uniform_powers(2, 25.0, g.cell_count());
-        let run = || {
-            let mut m = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-            m.set_flow_rate(VolumetricFlow::from_ml_per_min(20.0))
-                .unwrap();
-            let mut out = m.steady_state(&powers).unwrap().raw().to_vec();
-            for _ in 0..5 {
-                out = m.step(&powers, 0.25).unwrap().raw().to_vec();
-            }
-            out
-        };
-        assert_eq!(run(), run(), "identical bits run to run");
-    }
-
     #[test]
     fn impossible_iteration_cap_falls_back_to_direct() {
         // A zero-iteration cap can never converge: the first solve lands
@@ -3103,7 +2837,7 @@ mod tests {
         let stack = presets::liquid_cooled_mpsoc(2).unwrap();
         let g = GridSpec::new(6, 6).unwrap();
         let params = ThermalParams {
-            solver: SolverBackend::IterativeIlu0 {
+            solver: SolverBackend::IterativeMg {
                 tolerance: 1e-10,
                 max_iterations: 0,
             },
@@ -3145,7 +2879,7 @@ mod tests {
         let stack = presets::liquid_cooled_mpsoc(2).unwrap();
         let g = grid();
         let params = ThermalParams {
-            solver: SolverBackend::iterative(),
+            solver: SolverBackend::multigrid(),
             ..two_phase_params(2500.0)
         };
         let mut m = ThermalModel::new(&stack, g, params).unwrap();
@@ -3364,42 +3098,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_ilu_refresh_skips_the_symbolic_analysis() {
-        // Operating-point changes under the ILU(0) backend reuse the
-        // analysed pattern: the first build analyses, every later build
-        // is a value-only refresh — and the refreshed preconditioner
-        // behaves exactly like a fresh one (bit-identical fields).
-        let stack = presets::liquid_cooled_mpsoc(2).unwrap();
-        let g = GridSpec::new(8, 8).unwrap();
-        let powers = uniform_powers(2, 20.0, g.cell_count());
-        let flows = [20.0, 26.0, 33.0].map(VolumetricFlow::from_ml_per_min);
-
-        let mut m = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-        let mut warm_fields = Vec::new();
-        for q in flows {
-            m.set_flow_rate(q).unwrap();
-            warm_fields.push(m.steady_state(&powers).unwrap().raw().to_vec());
-        }
-        let s = m.solver_stats();
-        assert_eq!(
-            s.ilu_refreshes, 2,
-            "first build analyses, the rest refresh: {s:?}"
-        );
-        assert_eq!(s.iterative_fallbacks, 0, "{s:?}");
-
-        for (q, warm) in flows.iter().zip(&warm_fields) {
-            let mut fresh = ThermalModel::new(&stack, g, iterative_params()).unwrap();
-            fresh.set_flow_rate(*q).unwrap();
-            let f = fresh.steady_state(&powers).unwrap();
-            assert_eq!(
-                f.raw(),
-                &warm[..],
-                "refresh must be bit-identical to analyse"
-            );
-        }
-    }
-
-    #[test]
     fn cold_iterative_solves_are_history_independent() {
         // The determinism contract behind `warm_start: false` (the
         // default): every solve's Krylov trajectory is a pure function
@@ -3409,15 +3107,13 @@ mod tests {
         let g = GridSpec::new(8, 8).unwrap();
         let powers = uniform_powers(2, 25.0, g.cell_count());
         let other = uniform_powers(2, 10.0, g.cell_count());
-        for params in [iterative_params(), multigrid_params()] {
-            let mut m = ThermalModel::new(&stack, g, params).unwrap();
-            m.set_flow_rate(VolumetricFlow::from_ml_per_min(22.0))
-                .unwrap();
-            let f1 = m.steady_state(&powers).unwrap().raw().to_vec();
-            m.steady_state(&other).unwrap();
-            let f2 = m.steady_state(&powers).unwrap().raw().to_vec();
-            assert_eq!(f1, f2, "cold starts must not see solve history");
-        }
+        let mut m = ThermalModel::new(&stack, g, multigrid_params()).unwrap();
+        m.set_flow_rate(VolumetricFlow::from_ml_per_min(22.0))
+            .unwrap();
+        let f1 = m.steady_state(&powers).unwrap().raw().to_vec();
+        m.steady_state(&other).unwrap();
+        let f2 = m.steady_state(&powers).unwrap().raw().to_vec();
+        assert_eq!(f1, f2, "cold starts must not see solve history");
     }
 
     #[test]
@@ -3429,63 +3125,53 @@ mod tests {
         let g = GridSpec::new(8, 8).unwrap();
         let powers = uniform_powers(2, 20.0, g.cell_count());
         let q = VolumetricFlow::from_ml_per_min(25.0);
-        for params in [iterative_params(), multigrid_params()] {
-            let warm_params = ThermalParams {
-                warm_start: true,
-                ..params.clone()
-            };
-            let mut cold = ThermalModel::new(&stack, g, params).unwrap();
-            cold.set_flow_rate(q).unwrap();
-            let mut warm = ThermalModel::new(&stack, g, warm_params).unwrap();
-            warm.set_flow_rate(q).unwrap();
-            for _ in 0..30 {
-                let fc = cold.step(&powers, 0.25).unwrap();
-                let fw = warm.step(&powers, 0.25).unwrap();
-                for (u, v) in fw.cells().iter().zip(fc.cells()) {
-                    assert!((u - v).abs() < 1e-5, "{u} vs {v}");
-                }
+        let warm_params = ThermalParams {
+            warm_start: true,
+            ..multigrid_params()
+        };
+        let mut cold = ThermalModel::new(&stack, g, multigrid_params()).unwrap();
+        cold.set_flow_rate(q).unwrap();
+        let mut warm = ThermalModel::new(&stack, g, warm_params).unwrap();
+        warm.set_flow_rate(q).unwrap();
+        for _ in 0..30 {
+            let fc = cold.step(&powers, 0.25).unwrap();
+            let fw = warm.step(&powers, 0.25).unwrap();
+            for (u, v) in fw.cells().iter().zip(fc.cells()) {
+                assert!((u - v).abs() < 1e-5, "{u} vs {v}");
             }
-            let sc = cold.solver_stats();
-            let sw = warm.solver_stats();
-            assert!(
-                sw.iterative_iterations < sc.iterative_iterations,
-                "warm {} vs cold {} iterations",
-                sw.iterative_iterations,
-                sc.iterative_iterations
-            );
-            assert_eq!(sw.iterative_fallbacks, 0);
         }
+        let sc = cold.solver_stats();
+        let sw = warm.solver_stats();
+        assert!(
+            sw.iterative_iterations < sc.iterative_iterations,
+            "warm {} vs cold {} iterations",
+            sw.iterative_iterations,
+            sc.iterative_iterations
+        );
+        assert_eq!(sw.iterative_fallbacks, 0);
     }
 
     #[test]
     fn multigrid_iterations_stay_flat_as_the_grid_refines() {
         // The point of the V-cycle: from 32×32 to 128×128 the BiCGSTAB
         // iteration count under multigrid preconditioning must grow by
-        // at most 1.5×, while ILU(0) — whose error reduction is local —
-        // degrades by at least 2×.
+        // at most 1.5×.
         let stack = presets::liquid_cooled_mpsoc(2).unwrap();
         let q = VolumetricFlow::from_ml_per_min(25.0);
-        let iters = |n: usize, params: ThermalParams| {
+        let iters = |n: usize| {
             let g = GridSpec::new(n, n).unwrap();
             let powers = uniform_powers(2, 30.0, g.cell_count());
-            let mut m = ThermalModel::new(&stack, g, params).unwrap();
+            let mut m = ThermalModel::new(&stack, g, multigrid_params()).unwrap();
             m.set_flow_rate(q).unwrap();
             m.steady_state(&powers).unwrap();
             let s = m.solver_stats();
             assert_eq!(s.iterative_fallbacks, 0, "{n}x{n}: {s:?}");
             s.iterative_iterations
         };
-        let mg_ratio = iters(128, multigrid_params()) as f64 / iters(32, multigrid_params()) as f64;
-        let ilu_ratio =
-            iters(128, iterative_params()) as f64 / iters(32, iterative_params()) as f64;
+        let mg_ratio = iters(128) as f64 / iters(32) as f64;
         assert!(
             mg_ratio <= 1.5,
             "multigrid iterations grew {mg_ratio:.2}x from 32^2 to 128^2"
-        );
-        assert!(
-            ilu_ratio >= 2.0,
-            "ILU(0) should degrade with resolution (grew {ilu_ratio:.2}x) — \
-             if it stopped degrading, the multigrid backend may be obsolete"
         );
     }
 }

@@ -20,31 +20,24 @@ pub enum AdvectionScheme {
 /// Which linear-solver backend serves the model's steady and transient
 /// solves.
 ///
-/// The operators are assembled, cached and value-updated identically under
-/// either backend; only the solve step differs:
-///
 /// * [`SolverBackend::DirectLu`] (default) — sparse LU with the
 ///   symbolic/numeric refactorisation split. Robust, bit-reproducible,
-///   and fastest at the paper's grid sizes, but factor fill grows
-///   superlinearly with grid resolution.
-/// * [`SolverBackend::IterativeIlu0`] — ILU(0)-preconditioned BiCGSTAB.
-///   No fill at all (the preconditioner reuses the operator's own
-///   pattern), so memory and per-solve cost scale with nnz — the regime
-///   that wins on fine grids. If an iterative solve breaks down or fails
-///   to converge, the model **falls back to direct LU automatically** for
-///   that solve (recorded in
-///   [`SolverStats::iterative_fallbacks`](crate::SolverStats::iterative_fallbacks)),
-///   so results are always delivered; per backend the results are
-///   bit-reproducible across runs and thread counts.
+///   and the fastest at the paper's grids: `BENCH_iterative.json` has it
+///   ahead on warm solves up to 32² per layer and level with multigrid at
+///   48². Its factor fill grows superlinearly with grid resolution.
 /// * [`SolverBackend::IterativeMg`] — BiCGSTAB preconditioned by a
 ///   geometric multigrid V-cycle over the **matrix-free**
 ///   [`StencilOperator`](crate::StencilOperator): the fine level is never
-///   assembled, operating-point setup is O(nz) scalar updates instead of
-///   an O(nnz) numeric ILU factorisation, and iteration counts stay
-///   (near-)resolution-independent as the grid refines. The same
-///   automatic direct-LU fallback applies. Unavailable grids (odd
-///   in-plane dimensions that cannot coarsen) fall back to direct LU at
-///   operator build, counted the same way.
+///   assembled, operating-point setup is O(nz) scalar updates, and
+///   iteration counts stay (near-)resolution-independent as the grid
+///   refines, so it wins from 64² up. If a solve breaks down or fails to
+///   converge, the model **falls back to direct LU automatically** for
+///   that operator (recorded in
+///   [`SolverStats::iterative_fallbacks`](crate::SolverStats::iterative_fallbacks)),
+///   so results are always delivered. In-plane grids the V-cycle cannot
+///   coarsen (odd dimensions) run on direct LU from operator build,
+///   counted the same way. Results are bit-reproducible across runs and
+///   thread counts.
 ///
 /// Two-phase (Dirichlet-fluid) fixed-point sweeps always use the direct
 /// solver: their operator is re-factorised each sweep anyway and the
@@ -55,14 +48,6 @@ pub enum SolverBackend {
     /// default.
     #[default]
     DirectLu,
-    /// ILU(0)-preconditioned BiCGSTAB with automatic direct-LU fallback.
-    IterativeIlu0 {
-        /// Relative residual tolerance (‖r‖/‖b‖) of the iteration.
-        tolerance: f64,
-        /// Iteration cap before the solve is declared non-convergent (and
-        /// the direct fallback takes over).
-        max_iterations: usize,
-    },
     /// Matrix-free BiCGSTAB with a geometric-multigrid V-cycle
     /// preconditioner and automatic direct-LU fallback.
     IterativeMg {
@@ -75,18 +60,9 @@ pub enum SolverBackend {
 }
 
 impl SolverBackend {
-    /// The ILU(0) iterative backend at its default operating point
-    /// (tolerance `1e-10`, cap 2000 — tight enough that steady fields
-    /// agree with the direct backend to micro-kelvins).
-    pub fn iterative() -> Self {
-        SolverBackend::IterativeIlu0 {
-            tolerance: 1e-10,
-            max_iterations: 2000,
-        }
-    }
-
-    /// The multigrid iterative backend at the same default operating
-    /// point as [`SolverBackend::iterative`].
+    /// The multigrid backend at its default operating point (tolerance
+    /// `1e-10`, cap 2000 — tight enough that steady fields agree with
+    /// the direct backend to micro-kelvins).
     pub fn multigrid() -> Self {
         SolverBackend::IterativeMg {
             tolerance: 1e-10,
@@ -94,12 +70,9 @@ impl SolverBackend {
         }
     }
 
-    /// `true` for either BiCGSTAB backend (ILU(0) or multigrid).
+    /// `true` for the BiCGSTAB (multigrid) backend.
     pub fn is_iterative(&self) -> bool {
-        matches!(
-            self,
-            SolverBackend::IterativeIlu0 { .. } | SolverBackend::IterativeMg { .. }
-        )
+        matches!(self, SolverBackend::IterativeMg { .. })
     }
 
     /// The iterative operating point `(tolerance, max_iterations)`, or
@@ -107,11 +80,7 @@ impl SolverBackend {
     pub fn iteration_limits(&self) -> Option<(f64, usize)> {
         match *self {
             SolverBackend::DirectLu => None,
-            SolverBackend::IterativeIlu0 {
-                tolerance,
-                max_iterations,
-            }
-            | SolverBackend::IterativeMg {
+            SolverBackend::IterativeMg {
                 tolerance,
                 max_iterations,
             } => Some((tolerance, max_iterations)),
@@ -126,10 +95,6 @@ impl std::fmt::Display for SolverBackend {
             // The operating point is part of the label so two iterative
             // configurations (e.g. a tolerance axis) stay distinguishable
             // in study rows and optimizer reports.
-            SolverBackend::IterativeIlu0 {
-                tolerance,
-                max_iterations,
-            } => write!(f, "bicgstab-ilu0(tol {tolerance:e}, cap {max_iterations})"),
             SolverBackend::IterativeMg {
                 tolerance,
                 max_iterations,
@@ -239,24 +204,18 @@ mod tests {
     #[test]
     fn solver_backend_helpers() {
         assert!(!SolverBackend::DirectLu.is_iterative());
-        let it = SolverBackend::iterative();
-        assert!(it.is_iterative());
-        assert_eq!(it.to_string(), "bicgstab-ilu0(tol 1e-10, cap 2000)");
         assert_eq!(SolverBackend::DirectLu.to_string(), "direct-lu");
-        // Distinct operating points get distinct labels.
-        let loose = SolverBackend::IterativeIlu0 {
-            tolerance: 1e-6,
-            max_iterations: 500,
-        };
-        assert_eq!(loose.to_string(), "bicgstab-ilu0(tol 1e-6, cap 500)");
-        assert_ne!(loose.to_string(), it.to_string());
-        // The multigrid backend mirrors the ILU(0) helper surface.
+        assert_eq!(SolverBackend::DirectLu.iteration_limits(), None);
         let mg = SolverBackend::multigrid();
         assert!(mg.is_iterative());
         assert_eq!(mg.to_string(), "bicgstab-mg(tol 1e-10, cap 2000)");
-        assert_ne!(mg, it);
         assert_eq!(mg.iteration_limits(), Some((1e-10, 2000)));
-        assert_eq!(it.iteration_limits(), Some((1e-10, 2000)));
-        assert_eq!(SolverBackend::DirectLu.iteration_limits(), None);
+        // Distinct operating points get distinct labels.
+        let loose = SolverBackend::IterativeMg {
+            tolerance: 1e-6,
+            max_iterations: 500,
+        };
+        assert_eq!(loose.to_string(), "bicgstab-mg(tol 1e-6, cap 500)");
+        assert_ne!(loose.to_string(), mg.to_string());
     }
 }

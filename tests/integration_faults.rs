@@ -4,10 +4,9 @@
 //!   and the batch still returns a complete, partial `BatchReport`;
 //! * an injected NaN at epoch `k` exhausts the retry ladder and surfaces
 //!   `ScenarioError::Diverged` with the correct epoch and cell;
-//! * an iterative-solver breakdown is healed by stepwise backend
-//!   demotion — one rung (ILU(0)→direct) on an ILU(0) scenario, two
-//!   rungs (multigrid→ILU(0)→direct) on a multigrid scenario — and a
-//!   dt-gated NaN by exactly one Δt-halving;
+//! * an iterative-solver breakdown on a multigrid scenario is healed by
+//!   exactly one backend demotion (multigrid→direct), a dt-gated NaN by
+//!   exactly one Δt-halving, and the two together walk both rungs;
 //! * a mixed batch (panicking + diverging + self-healing + healthy
 //!   scenarios) is bit-identical across thread counts with the healthy
 //!   aggregates intact;
@@ -114,8 +113,11 @@ fn injected_nan_exhausts_the_ladder_and_reports_the_epoch() {
 
 #[test]
 fn breakdown_is_healed_by_exactly_one_backend_demotion() {
+    // The injected breakdown fires while the backend is iterative, so a
+    // multigrid scenario demotes once, to direct LU, and clears there
+    // without burning a Δt halving.
     let scenario = base_spec()
-        .solver(SolverBackend::iterative())
+        .solver(SolverBackend::multigrid())
         .fault_plan(FaultPlan::none().at(1, FaultKind::IterativeBreakdown))
         .build()
         .unwrap();
@@ -130,6 +132,7 @@ fn breakdown_is_healed_by_exactly_one_backend_demotion() {
     assert_eq!(outcome.recovery.dt_halvings, 0);
     // The demoted retry really ran direct LU: no iterative solves left.
     assert_eq!(outcome.solver.iterative_solves, 0, "{:?}", outcome.solver);
+    assert_eq!(outcome.solver.mg_cycles, 0, "{:?}", outcome.solver);
     assert!(
         outcome.solver.full_factorizations >= 1,
         "{:?}",
@@ -139,14 +142,21 @@ fn breakdown_is_healed_by_exactly_one_backend_demotion() {
 
 #[test]
 fn mg_breakdown_walks_both_rungs_of_the_ladder() {
-    // The injected breakdown fires while the backend is iterative, so a
-    // multigrid scenario demotes twice — mg → ILU(0) (still iterative,
-    // fires again) → direct — before it clears, burning no Δt halving.
+    // The ladder's rungs are one backend demotion, then Δt halvings. A
+    // multigrid scenario that breaks down at epoch 1 demotes to direct
+    // LU; the direct retry then hits a NaN gated on Δt > 0.15 s at the
+    // same epoch, so it halves 0.2 s to 0.1 s once and clears there.
     // The walk is a per-scenario property, so it must be bit-identical
     // at every thread count.
     let scenario = base_spec()
         .solver(SolverBackend::multigrid())
-        .fault_plan(FaultPlan::none().at(1, FaultKind::IterativeBreakdown))
+        .fault_plan(FaultPlan::none().at(1, FaultKind::IterativeBreakdown).at(
+            1,
+            FaultKind::NanAboveDt {
+                cell: 3,
+                dt_above: 0.15,
+            },
+        ))
         .build()
         .unwrap();
     let scenarios = vec![scenario];
@@ -156,8 +166,8 @@ fn mg_breakdown_walks_both_rungs_of_the_ladder() {
         assert!(report.all_ok(), "{:?}", report.first_error());
         let outcome = report.outcomes()[0];
         assert_eq!(outcome.recovery.attempts, 3, "{threads} threads");
-        assert_eq!(outcome.recovery.backend_demotions, 2, "mg walks both rungs");
-        assert_eq!(outcome.recovery.dt_halvings, 0);
+        assert_eq!(outcome.recovery.backend_demotions, 1, "demotion rung");
+        assert_eq!(outcome.recovery.dt_halvings, 1, "Δt rung");
         // The final attempt really ran direct LU.
         assert_eq!(outcome.solver.iterative_solves, 0, "{:?}", outcome.solver);
         assert_eq!(outcome.solver.mg_cycles, 0, "{:?}", outcome.solver);
@@ -258,7 +268,7 @@ fn mixed_batch_keeps_healthy_aggregates_and_thread_identity() {
             .unwrap(),
         base_spec()
             .seed(3)
-            .solver(SolverBackend::iterative())
+            .solver(SolverBackend::multigrid())
             .fault_plan(FaultPlan::none().at(0, FaultKind::IterativeBreakdown))
             .build()
             .unwrap(),

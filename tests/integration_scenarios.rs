@@ -207,7 +207,7 @@ fn continuous_flow_modulation_stays_inside_the_bounded_operator_caches() {
 fn iterative_backend_matches_the_direct_backend_on_a_fig6_cell() {
     // The acceptance test of the solver-backend tentpole: a fig6-style
     // scenario (2-tier water-cooled LC_FUZZY under the web-server
-    // workload) run under ILU(0)-BiCGSTAB must reproduce the direct-LU
+    // workload) run under multigrid BiCGSTAB must reproduce the direct-LU
     // run within the iteration tolerance — across the whole closed loop,
     // not just one solve — while never paying for a pivoting
     // factorisation and never falling back.
@@ -229,7 +229,7 @@ fn iterative_backend_matches_the_direct_backend_on_a_fig6_cell() {
     };
 
     let (direct, direct_stats) = run(&base);
-    let (iterative, iter_stats) = run(&base.clone().solver(SolverBackend::iterative()));
+    let (iterative, iter_stats) = run(&base.clone().solver(SolverBackend::multigrid()));
 
     // Physics agreement to solver tolerance (1e-10 relative residual on
     // ~300 K fields leaves micro-kelvin slack; 1e-4 K is generous).
@@ -253,7 +253,7 @@ fn iterative_backend_matches_the_direct_backend_on_a_fig6_cell() {
         iterative.hotspot_time_per_core
     );
 
-    // Solver-path counters: the direct run factorises once; the iterative
+    // Solver-path counters: the direct run factorises once; the multigrid
     // run factorises never and serves every solve by BiCGSTAB.
     assert_eq!(direct_stats.full_factorizations, 1, "{direct_stats:?}");
     assert_eq!(direct_stats.iterative_solves, 0, "{direct_stats:?}");
@@ -262,6 +262,6 @@ fn iterative_backend_matches_the_direct_backend_on_a_fig6_cell() {
     assert_eq!(iter_stats.iterative_fallbacks, 0, "{iter_stats:?}");
 
     // Each backend is independently reproducible bit for bit.
-    let (iterative2, _) = run(&base.clone().solver(SolverBackend::iterative()));
+    let (iterative2, _) = run(&base.clone().solver(SolverBackend::multigrid()));
     assert_eq!(iterative, iterative2, "iterative runs are deterministic");
 }
