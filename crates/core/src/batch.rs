@@ -386,7 +386,6 @@ impl AnalysisCache {
 #[derive(Debug)]
 pub struct BatchRunner {
     threads: usize,
-    share_analysis: bool,
     job_limit: Option<usize>,
     analyses: Mutex<AnalysisCache>,
 }
@@ -400,19 +399,9 @@ impl BatchRunner {
     pub fn new(threads: usize) -> Self {
         BatchRunner {
             threads: threads.max(1),
-            share_analysis: true,
             job_limit: None,
             analyses: Mutex::new(AnalysisCache::new(DEFAULT_ANALYSIS_CACHE)),
         }
-    }
-
-    /// Disables symbolic-analysis sharing, within a batch and across
-    /// batches: every scenario pays its own full factorisation and the
-    /// analysis cache is neither read nor filled. Useful for measuring
-    /// what the sharing buys.
-    pub fn without_shared_analysis(mut self) -> Self {
-        self.share_analysis = false;
-        self
     }
 
     /// Sizes the cross-batch analysis cache to at most `capacity`
@@ -539,158 +528,145 @@ impl BatchRunner {
             lock_unpoisoned(&slots)[i] = Some((slot, observer));
         };
 
-        if self.share_analysis {
-            // Donors-first job order plus per-group release: an adopter
-            // only ever waits for its *own* group's donor. `published[g]`
-            // is `None` until donor `g` finishes, then `Some(analysis)`
-            // (`Some(None)` for a donor that failed, panicked, demoted
-            // its backend, or had nothing to share — adopters proceed
-            // unshared instead of waiting forever). A group whose pattern
-            // the runner's cache holds is published before any job runs,
-            // and its donor takes the adopter path like everyone else.
-            // `missed[g]` keeps the cache key of every group looked up in
-            // vain: its donor (or regeneration) publishes a fresh analysis,
-            // which the cache keeps once the batch is over.
-            let mut prepublished = vec![None; group_reps.len()];
-            let mut missed: Vec<Option<OperatorPattern>> = vec![None; group_reps.len()];
-            let mut jobs: Vec<Job> = Vec::new();
-            let mut cache = lock_unpoisoned(&self.analyses);
-            for (g, &d) in donors.iter().enumerate() {
-                if (0..n).all(|i| group_of[i] != g || done(i)) {
-                    // Nothing of this group runs: nobody needs an analysis.
-                    continue;
-                }
-                let key = scenarios[d].operator_pattern();
-                if let Some(analysis) = cache.lru.get(&key) {
-                    prepublished[g] = Some(Some(analysis.clone()));
-                    cache.stats.hits += 1;
+        // Donors-first job order plus per-group release: an adopter
+        // only ever waits for its *own* group's donor. `published[g]`
+        // is `None` until donor `g` finishes, then `Some(analysis)`
+        // (`Some(None)` for a donor that failed, panicked, demoted
+        // its backend, or had nothing to share — adopters proceed
+        // unshared instead of waiting forever). A group whose pattern
+        // the runner's cache holds is published before any job runs,
+        // and its donor takes the adopter path like everyone else.
+        // `missed[g]` keeps the cache key of every group looked up in
+        // vain: its donor (or regeneration) publishes a fresh analysis,
+        // which the cache keeps once the batch is over.
+        let mut prepublished = vec![None; group_reps.len()];
+        let mut missed: Vec<Option<OperatorPattern>> = vec![None; group_reps.len()];
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut cache = lock_unpoisoned(&self.analyses);
+        for (g, &d) in donors.iter().enumerate() {
+            if (0..n).all(|i| group_of[i] != g || done(i)) {
+                // Nothing of this group runs: nobody needs an analysis.
+                continue;
+            }
+            let key = scenarios[d].operator_pattern();
+            if let Some(analysis) = cache.lru.get(&key) {
+                prepublished[g] = Some(Some(analysis.clone()));
+                cache.stats.hits += 1;
+            } else {
+                missed[g] = Some(key);
+                cache.stats.misses += 1;
+            }
+            if !done(d) {
+                jobs.push(Job::Run(d));
+            } else if missed[g].is_some() {
+                let had_published = matches!(
+                    completed.get(d).and_then(Option::as_ref),
+                    Some(Ok(o)) if o.recovery.backend_demotions == 0
+                );
+                if had_published {
+                    jobs.push(Job::Regen(d));
                 } else {
-                    missed[g] = Some(key);
-                    cache.stats.misses += 1;
-                }
-                if !done(d) {
-                    jobs.push(Job::Run(d));
-                } else if missed[g].is_some() {
-                    let had_published = matches!(
-                        completed.get(d).and_then(Option::as_ref),
-                        Some(Ok(o)) if o.recovery.backend_demotions == 0
-                    );
-                    if had_published {
-                        jobs.push(Job::Regen(d));
-                    } else {
-                        // The donor never published: release the group
-                        // up front, unshared.
-                        prepublished[g] = Some(None);
-                    }
+                    // The donor never published: release the group
+                    // up front, unshared.
+                    prepublished[g] = Some(None);
                 }
             }
-            drop(cache);
-            jobs.extend(
-                (0..n)
-                    .filter(|&i| donors[group_of[i]] != i && !done(i))
-                    .map(Job::Run),
-            );
-            if let Some(limit) = self.job_limit {
-                jobs.truncate(limit);
+        }
+        drop(cache);
+        jobs.extend(
+            (0..n)
+                .filter(|&i| donors[group_of[i]] != i && !done(i))
+                .map(Job::Run),
+        );
+        if let Some(limit) = self.job_limit {
+            jobs.truncate(limit);
+        }
+        let published: Mutex<Vec<Option<Option<SharedAnalysis>>>> = Mutex::new(prepublished);
+        let ready = Condvar::new();
+        // Publishes a group's analysis on drop, so a donor that
+        // *panics* mid-run (not just one that returns Err) still
+        // releases its adopters — otherwise they would wait on the
+        // condvar forever and the scoped join could never complete.
+        struct PublishOnDrop<'a> {
+            g: usize,
+            table: &'a Mutex<Vec<Option<Option<SharedAnalysis>>>>,
+            ready: &'a Condvar,
+            analysis: Option<SharedAnalysis>,
+        }
+        impl Drop for PublishOnDrop<'_> {
+            fn drop(&mut self) {
+                let mut guard = lock_unpoisoned(self.table);
+                guard[self.g] = Some(self.analysis.take());
+                drop(guard);
+                self.ready.notify_all();
             }
-            let published: Mutex<Vec<Option<Option<SharedAnalysis>>>> = Mutex::new(prepublished);
-            let ready = Condvar::new();
-            // Publishes a group's analysis on drop, so a donor that
-            // *panics* mid-run (not just one that returns Err) still
-            // releases its adopters — otherwise they would wait on the
-            // condvar forever and the scoped join could never complete.
-            struct PublishOnDrop<'a> {
-                g: usize,
-                table: &'a Mutex<Vec<Option<Option<SharedAnalysis>>>>,
-                ready: &'a Condvar,
-                analysis: Option<SharedAnalysis>,
-            }
-            impl Drop for PublishOnDrop<'_> {
-                fn drop(&mut self) {
-                    let mut guard = lock_unpoisoned(self.table);
-                    guard[self.g] = Some(self.analysis.take());
-                    drop(guard);
-                    self.ready.notify_all();
-                }
-            }
-            self.par_run(&jobs, |job| match *job {
-                Job::Run(i) => {
-                    let g = group_of[i];
-                    if donors[g] == i && missed[g].is_some() {
-                        let mut publish = PublishOnDrop {
-                            g,
-                            table: &published,
-                            ready: &ready,
-                            analysis: None,
-                        };
-                        let (mut result, observer) = run_one(i, None);
-                        if let Ok((success, recovery)) = &mut result {
-                            // A backend demotion changed the operator
-                            // pattern mid-ladder; the exported analysis
-                            // no longer matches the group, so publish
-                            // nothing and let adopters run unshared.
-                            if recovery.backend_demotions == 0 {
-                                publish.analysis = success.analysis.take();
-                            }
-                        }
-                        drop(publish);
-                        finish(i, result, observer);
-                    } else {
-                        let guard = lock_unpoisoned(&published);
-                        let guard = ready
-                            .wait_while(guard, |p| p[g].is_none())
-                            .unwrap_or_else(PoisonError::into_inner);
-                        // SharedAnalysis is Arc-backed; the clone is
-                        // cheap. `flatten` turns a failed donor's empty
-                        // publication into an unshared run.
-                        let analysis = guard[g].clone().flatten();
-                        drop(guard);
-                        let (result, observer) = run_one(i, analysis.as_ref());
-                        finish(i, result, observer);
-                    }
-                }
-                Job::Regen(d) => {
+        }
+        self.par_run(&jobs, |job| match *job {
+            Job::Run(i) => {
+                let g = group_of[i];
+                if donors[g] == i && missed[g].is_some() {
                     let mut publish = PublishOnDrop {
-                        g: group_of[d],
+                        g,
                         table: &published,
                         ready: &ready,
                         analysis: None,
                     };
-                    // Initialisation alone reproduces the donor's frozen
-                    // symbolic analysis (it is fixed at the first
-                    // factorisation and timestep-independent). If the
-                    // rebuild fails — it succeeded in the original run —
-                    // the guard releases the group unshared.
-                    let regenerated =
-                        catch_unwind(AssertUnwindSafe(|| regenerate_analysis(&scenarios[d])));
-                    if let Ok(Ok(analysis)) = regenerated {
-                        publish.analysis = analysis;
+                    let (mut result, observer) = run_one(i, None);
+                    if let Ok((success, recovery)) = &mut result {
+                        // A backend demotion changed the operator
+                        // pattern mid-ladder; the exported analysis
+                        // no longer matches the group, so publish
+                        // nothing and let adopters run unshared.
+                        if recovery.backend_demotions == 0 {
+                            publish.analysis = success.analysis.take();
+                        }
                     }
                     drop(publish);
-                }
-            });
-            // Keep the fresh analyses for later batches, in group order
-            // so the LRU's contents depend on scenario order alone.
-            let published = published
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut cache = lock_unpoisoned(&self.analyses);
-            for (key, analysis) in missed.into_iter().zip(published) {
-                if let (Some(key), Some(Some(analysis))) = (key, analysis) {
-                    cache.lru.insert(key, analysis);
-                }
-            }
-        } else {
-            let mut jobs: Vec<Job> = (0..n).filter(|&i| !done(i)).map(Job::Run).collect();
-            if let Some(limit) = self.job_limit {
-                jobs.truncate(limit);
-            }
-            self.par_run(&jobs, |job| {
-                if let Job::Run(i) = *job {
-                    let (result, observer) = run_one(i, None);
+                    finish(i, result, observer);
+                } else {
+                    let guard = lock_unpoisoned(&published);
+                    let guard = ready
+                        .wait_while(guard, |p| p[g].is_none())
+                        .unwrap_or_else(PoisonError::into_inner);
+                    // SharedAnalysis is Arc-backed; the clone is
+                    // cheap. `flatten` turns a failed donor's empty
+                    // publication into an unshared run.
+                    let analysis = guard[g].clone().flatten();
+                    drop(guard);
+                    let (result, observer) = run_one(i, analysis.as_ref());
                     finish(i, result, observer);
                 }
-            });
+            }
+            Job::Regen(d) => {
+                let mut publish = PublishOnDrop {
+                    g: group_of[d],
+                    table: &published,
+                    ready: &ready,
+                    analysis: None,
+                };
+                // Initialisation alone reproduces the donor's frozen
+                // symbolic analysis (it is fixed at the first
+                // factorisation and timestep-independent). If the
+                // rebuild fails — it succeeded in the original run —
+                // the guard releases the group unshared.
+                let regenerated =
+                    catch_unwind(AssertUnwindSafe(|| regenerate_analysis(&scenarios[d])));
+                if let Ok(Ok(analysis)) = regenerated {
+                    publish.analysis = analysis;
+                }
+                drop(publish);
+            }
+        });
+        // Keep the fresh analyses for later batches, in group order
+        // so the LRU's contents depend on scenario order alone.
+        let published = published
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut cache = lock_unpoisoned(&self.analyses);
+        for (key, analysis) in missed.into_iter().zip(published) {
+            if let (Some(key), Some(Some(analysis))) = (key, analysis) {
+                cache.lru.insert(key, analysis);
+            }
         }
 
         let mut report_slots = Vec::with_capacity(n);
@@ -924,15 +900,6 @@ mod tests {
             assert!(o.solver.refactorizations >= 1);
             assert!(o.recovery.clean());
         }
-
-        // Without sharing, every scenario pays its own factorisation —
-        // and the metrics still agree with the shared run to solver
-        // round-off... but bitwise they are allowed to differ, so only
-        // the counter is asserted here.
-        let unshared = BatchRunner::new(2)
-            .without_shared_analysis()
-            .run_scenarios(&scenarios);
-        assert_eq!(unshared.total_full_factorizations(), scenarios.len() as u64);
     }
 
     #[test]
@@ -1089,16 +1056,6 @@ mod tests {
         }
         let stats = off.analysis_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 4, 0));
-
-        // Without sharing, the cache is neither read nor filled.
-        let unshared = BatchRunner::new(1).without_shared_analysis();
-        for _ in 0..2 {
-            assert_eq!(unshared.run_scenarios(two).total_full_factorizations(), 1);
-        }
-        assert_eq!(
-            unshared.analysis_cache_stats(),
-            AnalysisCacheStats::default()
-        );
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! `thermal_dt`, `control_interval`, `threshold_celsius`,
 //! `sensor_noise` (`{"std":..,"seed":..}`), `flow_ml_per_min`, and
 //! `fault` (`{"panic_at":e}` or `{"nan_at":e,"cell":c}` — the test
-//! harness for fault-isolation drills).
+//! harness for fault-isolation drills). The nested objects reject unknown
+//! keys as well.
 //!
 //! # Response events
 //!
@@ -132,6 +133,7 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
                 other => return Err(format!("unknown coolant '{other}' (air|water)")),
             },
             "grid" => {
+                only_keys(val, "grid", &["nx", "ny"])?;
                 let nx = usize_of(val.get("nx").ok_or("grid requires nx")?, "grid.nx")?;
                 let ny = usize_of(val.get("ny").ok_or("grid requires ny")?, "grid.ny")?;
                 spec.grid(GridSpec::new(nx, ny).map_err(|e| e.to_string())?)
@@ -162,6 +164,7 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
             "control_interval" => spec.control_interval(f64_of(val, "control_interval")?),
             "threshold_celsius" => spec.threshold(Celsius(f64_of(val, "threshold_celsius")?)),
             "sensor_noise" => {
+                only_keys(val, "sensor_noise", &["std", "seed"])?;
                 let std = f64_of(val.get("std").ok_or("sensor_noise requires std")?, "std")?;
                 let seed = val
                     .get("seed")
@@ -173,24 +176,34 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
                 VolumetricFlow::from_ml_per_min(f64_of(val, "flow_ml_per_min")?),
             )),
             "fault" => {
-                if let Some(epoch) = val.get("panic_at") {
-                    spec.fault_plan(
-                        FaultPlan::none().at(usize_of(epoch, "fault.panic_at")?, FaultKind::Panic),
-                    )
-                } else if let Some(epoch) = val.get("nan_at") {
-                    let cell = val.get("cell").and_then(Json::as_usize).unwrap_or(0);
-                    spec.fault_plan(
-                        FaultPlan::none()
-                            .at(usize_of(epoch, "fault.nan_at")?, FaultKind::Nan { cell }),
-                    )
-                } else {
-                    return Err("fault requires panic_at or nan_at".into());
-                }
+                only_keys(val, "fault", &["panic_at", "nan_at", "cell"])?;
+                let (at, kind) = match (val.get("panic_at"), val.get("nan_at"), val.get("cell")) {
+                    (Some(epoch), None, None) => {
+                        (usize_of(epoch, "fault.panic_at")?, FaultKind::Panic)
+                    }
+                    (None, Some(epoch), cell) => {
+                        let cell = cell.map_or(Ok(0), |c| usize_of(c, "fault.cell"))?;
+                        (usize_of(epoch, "fault.nan_at")?, FaultKind::Nan { cell })
+                    }
+                    (None, None, _) => return Err("fault requires panic_at or nan_at".into()),
+                    _ => return Err("fault takes panic_at alone or nan_at with a cell".into()),
+                };
+                spec.fault_plan(FaultPlan::none().at(at, kind))
             }
             other => return Err(format!("unknown spec field '{other}'")),
         };
     }
     Ok(spec)
+}
+
+/// Rejects a nested spec object (the value of field `what`) that is not
+/// an object or holds a key outside `allowed`.
+fn only_keys(val: &Json, what: &str, allowed: &[&str]) -> Result<(), String> {
+    let fields = val.as_obj().ok_or(format!("{what} must be an object"))?;
+    match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("unknown {what} field '{k}'")),
+        None => Ok(()),
+    }
 }
 
 /// A fingerprint rendered the way every endpoint renders it: 16 lowercase
@@ -379,6 +392,29 @@ mod tests {
         let bad = Json::parse(r#"{"solver":"ilu0"}"#).unwrap();
         let err = parse_spec(&bad).unwrap_err();
         assert!(err.contains("unknown solver 'ilu0' (direct|mg)"), "{err}");
+        // Nested objects reject unknown keys too, and a fault names one
+        // kind: a typo must not silently simulate another scenario.
+        for (text, want) in [
+            (
+                r#"{"grid":{"nx":8,"ny":8,"nz":3}}"#,
+                "unknown grid field 'nz'",
+            ),
+            (
+                r#"{"sensor_noise":{"std":0.5,"seed":1,"sed":2}}"#,
+                "unknown sensor_noise field 'sed'",
+            ),
+            (
+                r#"{"fault":{"nan_at":1,"cel":7}}"#,
+                "unknown fault field 'cel'",
+            ),
+            (
+                r#"{"fault":{"panic_at":1,"nan_at":2}}"#,
+                "fault takes panic_at alone",
+            ),
+        ] {
+            let err = parse_spec(&Json::parse(text).unwrap()).unwrap_err();
+            assert!(err.contains(want), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -38,17 +38,6 @@ pub struct BicgstabOptions {
     pub tolerance: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// When set, [`bicgstab_into`] starts from the incoming contents of
-    /// `x` instead of the zero guess (`r = b − A·x`), and may return in
-    /// zero iterations if the guess already meets the tolerance.
-    ///
-    /// **Determinism contract:** off (the default), every solve of the
-    /// same `(A, b)` is bit-identical regardless of history. On, the
-    /// trajectory depends on the incoming guess — runs are still
-    /// deterministic for a fixed solve sequence, but results are no
-    /// longer independent of prior solves. Leave off where bit-stable
-    /// reports are required.
-    pub warm_start: bool,
 }
 
 impl Default for BicgstabOptions {
@@ -56,7 +45,6 @@ impl Default for BicgstabOptions {
         BicgstabOptions {
             tolerance: 1e-10,
             max_iterations: 2000,
-            warm_start: false,
         }
     }
 }
@@ -158,11 +146,9 @@ impl IterativeWorkspace {
 /// [`Preconditioner`] applied (such as [`Multigrid`](crate::Multigrid)),
 /// or unpreconditioned when `precond` is `None`.
 ///
-/// By default `x` is fully overwritten — the iteration starts from the
-/// zero guess, so the result is independent of `x`'s incoming contents.
-/// With [`BicgstabOptions::warm_start`] set, `x`'s incoming contents are
-/// the initial guess instead; see the field docs for the determinism
-/// trade-off.
+/// `x` is fully overwritten: the iteration starts from the zero guess, so
+/// every solve of the same `(A, b)` is bit-identical whatever `x` held
+/// and whatever was solved before.
 ///
 /// `precond` is applied as-is — build it once per operator and reuse it
 /// across every solve of that operator. Once `ws` has warmed to dimension
@@ -231,33 +217,11 @@ where
     let a_scale = a.max_abs();
 
     ws.ensure(n);
-    let r0_norm;
-    let mut r_norm;
-    if options.warm_start {
-        // r = b − A·x from the caller-supplied guess. Everything below is
-        // unchanged; a zero incoming x reproduces the cold path exactly
-        // (r = b bit-for-bit, and ‖r₀‖ = ‖b‖ through the same `norm2`).
-        a.matvec_into(x, &mut ws.t);
-        for (ri, (&bi, &ti)) in ws.r.iter_mut().zip(b.iter().zip(&ws.t)) {
-            *ri = bi - ti;
-        }
-        ws.r0.copy_from_slice(&ws.r);
-        r0_norm = norm2(&ws.r0);
-        r_norm = r0_norm;
-        if r_norm / bnorm < options.tolerance {
-            let res = relative_residual_into(a, x, b, bnorm, &mut ws.t);
-            return Ok(BicgstabSummary {
-                iterations: 0,
-                residual: res,
-            });
-        }
-    } else {
-        x.fill(0.0);
-        ws.r.copy_from_slice(b); // r = b - A·0
-        ws.r0.copy_from_slice(b);
-        r0_norm = bnorm;
-        r_norm = bnorm;
-    }
+    x.fill(0.0);
+    ws.r.copy_from_slice(b); // r = b - A·0
+    ws.r0.copy_from_slice(b);
+    let r0_norm = bnorm;
+    let mut r_norm = bnorm;
     let mut rho = 1.0f64;
     let mut alpha = 1.0f64;
     let mut omega = 1.0f64;
@@ -524,7 +488,6 @@ mod tests {
         let opts = BicgstabOptions {
             tolerance: 1e-14,
             max_iterations: 1,
-            warm_start: false,
         };
         assert!(matches!(
             solve(&a, &b, &opts, false),
@@ -603,53 +566,6 @@ mod tests {
             bicgstab_into(&a, &b, Some(&mut m), &opts, &mut ws, &mut x).unwrap();
         }
         assert_eq!(ws.grows(), warm, "warm solves must never reallocate");
-    }
-
-    #[test]
-    fn warm_start_from_zero_guess_matches_cold_path_bitwise() {
-        // The determinism contract's boundary case: a zero incoming guess
-        // under warm_start reproduces the cold path exactly.
-        let a = grid_with_sink(8, 7);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.2).collect();
-        let mut m = Jacobi::new(&a);
-        let cold = BicgstabOptions::default();
-        let warm = BicgstabOptions {
-            warm_start: true,
-            ..Default::default()
-        };
-        let mut ws = IterativeWorkspace::new();
-        let mut x_cold = vec![3.0; n];
-        let s_cold = bicgstab_into(&a, &b, Some(&mut m), &cold, &mut ws, &mut x_cold).unwrap();
-        let mut x_warm = vec![0.0; n];
-        let s_warm = bicgstab_into(&a, &b, Some(&mut m), &warm, &mut ws, &mut x_warm).unwrap();
-        assert_eq!(x_cold, x_warm, "zero guess must reproduce the cold bits");
-        assert_eq!(s_cold, s_warm);
-    }
-
-    #[test]
-    fn warm_start_from_converged_guess_exits_in_zero_iterations() {
-        let a = grid_with_sink(8, 7);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos() + 1.1).collect();
-        let mut m = Jacobi::new(&a);
-        let opts = BicgstabOptions {
-            warm_start: true,
-            ..Default::default()
-        };
-        let mut ws = IterativeWorkspace::new();
-        let mut x = vec![0.0; n];
-        let first = bicgstab_into(&a, &b, Some(&mut m), &opts, &mut ws, &mut x).unwrap();
-        assert!(first.iterations > 0);
-        // Re-solving from the converged solution is (near-)free: either the
-        // guess already meets the tolerance (0 iterations) or one cleanup
-        // iteration closes the gap between recursive and true residual.
-        let again = bicgstab_into(&a, &b, Some(&mut m), &opts, &mut ws, &mut x).unwrap();
-        assert!(
-            again.iterations <= 1,
-            "warm restart took {} iterations",
-            again.iterations
-        );
     }
 
     #[test]

@@ -987,25 +987,11 @@ mod unfused {
             vec![0.0; n],
         );
         let (mut p_hat, mut s_hat) = (Vec::new(), Vec::new());
-        let (r0, r0_norm, mut r_norm);
-        if options.warm_start {
-            a.matvec_into(x, &mut t);
-            for (ri, (&bi, &ti)) in r.iter_mut().zip(b.iter().zip(&t)) {
-                *ri = bi - ti;
-            }
-            r0 = r.clone();
-            r0_norm = norm2(&r0);
-            r_norm = r0_norm;
-            if r_norm / bnorm < options.tolerance {
-                return done(0, residual(a, x, b, bnorm));
-            }
-        } else {
-            x.fill(0.0);
-            r.copy_from_slice(b);
-            r0 = b.to_vec();
-            r0_norm = bnorm;
-            r_norm = bnorm;
-        }
+        x.fill(0.0);
+        r.copy_from_slice(b);
+        let r0 = b.to_vec();
+        let r0_norm = bnorm;
+        let mut r_norm = bnorm;
         let (mut rho, mut alpha, mut omega) = (1.0f64, 1.0f64, 1.0f64);
         for it in 1..=options.max_iterations {
             let rho_new = dot(&r0, &r);
@@ -1063,17 +1049,17 @@ mod unfused {
     }
 }
 
-/// Runs the fused solver and the unfused one from the same guess and
-/// requires the same `x` bits, iteration count, residual bits and error.
-fn assert_bicgstab_matches_unfused(a: &CscMatrix, b: &[f64], guess: &[f64], context: &str) {
+/// Runs the fused solver and the unfused one over the same stale `x`
+/// contents and requires the same `x` bits, iteration count, residual
+/// bits and error.
+fn assert_bicgstab_matches_unfused(a: &CscMatrix, b: &[f64], stale: &[f64], context: &str) {
     let outcome = |r: Result<BicgstabSummary, SparseError>| {
         r.map(|s| (s.iterations, s.residual.to_bits()))
             .map_err(|e| format!("{e:?}"))
     };
     let mut ws = IterativeWorkspace::new();
-    for (warm_start, max_iterations) in [(false, 2000), (true, 2000), (false, 2), (true, 3)] {
+    for max_iterations in [2000, 3, 2] {
         let options = BicgstabOptions {
-            warm_start,
             max_iterations,
             ..Default::default()
         };
@@ -1083,12 +1069,10 @@ fn assert_bicgstab_matches_unfused(a: &CscMatrix, b: &[f64], guess: &[f64], cont
         for m in preconditioners {
             let preconditioned = m.is_some();
             let (mut m, mut m_ref) = (m.clone(), m);
-            let (mut x, mut x_ref) = (guess.to_vec(), guess.to_vec());
+            let (mut x, mut x_ref) = (stale.to_vec(), stale.to_vec());
             let got = bicgstab_into(a, b, m.as_mut(), &options, &mut ws, &mut x);
             let want = unfused::bicgstab_into(a, b, m_ref.as_mut(), &options, &mut x_ref);
-            let context = format!(
-                "{context}, warm {warm_start}, cap {max_iterations}, Jacobi {preconditioned}"
-            );
+            let context = format!("{context}, cap {max_iterations}, Jacobi {preconditioned}");
             assert_eq!(outcome(got), outcome(want), "{context}");
             assert_eq!(bits(&x), bits(&x_ref), "{context}");
         }
@@ -1118,8 +1102,8 @@ fn bicgstab_breakdown_matches_the_unfused_loop() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fused BiCGSTAB loop returns the unfused loop's bits, cold and
-    /// warm, with and without a preconditioner, converged or not.
+    /// The fused BiCGSTAB loop returns the unfused loop's bits, with and
+    /// without a preconditioner, converged or not, whatever `x` held.
     #[test]
     fn bicgstab_into_matches_the_unfused_loop_bitwise(
         (a, b) in dominant_system(),

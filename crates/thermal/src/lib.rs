@@ -77,20 +77,20 @@
 //!   from 64² up.
 //!
 //! **Fallback contract.** The multigrid backend never fails where the
-//! direct backend would succeed: on BiCGSTAB `Breakdown`/`NoConvergence`
-//! the model transparently re-solves through direct LU — factorising
-//! that operator lazily, once — and counts the event in
-//! [`SolverStats::iterative_fallbacks`]. It also falls back at operator
-//! *build* when the in-plane grid cannot coarsen (odd dimensions) or the
-//! coarse operator is singular, counted the same way, so every grid is
-//! solvable under either backend. Both backends run through the same
+//! direct backend would succeed, and it falls back along one direct
+//! path: the skeleton value rewrite and factorisation the direct backend
+//! itself runs. An operator whose hierarchy cannot be built (odd in-plane
+//! dimensions, a singular coarse operator) takes that path from operator
+//! build; on BiCGSTAB `Breakdown`/`NoConvergence` the model retires the
+//! operator to it for the rest of the operator's cache lifetime and
+//! re-solves. Either event counts in [`SolverStats::iterative_fallbacks`],
+//! and a fallback solve returns the direct backend's bits, so every grid
+//! is solvable under either backend. Both backends run through the same
 //! persistent workspace, so the warm path stays allocation-free either
 //! way, and each backend is bit-reproducible across runs and thread
 //! counts (the backends agree with each other to the configured
-//! iteration tolerance, not bitwise). Iterative solves start cold by
-//! default; [`ThermalParams::warm_start`] opts into seeding them from the
-//! previous temperature state (fewer iterations, same tolerance,
-//! history-dependent trajectories).
+//! iteration tolerance, not bitwise). Every iterative solve starts from
+//! the zero guess, so its trajectory never depends on earlier solves.
 //!
 //! # Zero-allocation hot path and analysis sharing
 //!

@@ -162,17 +162,6 @@ pub struct ThermalParams {
     pub coolant: Coolant,
     /// Linear-solver backend for the steady/transient solves.
     pub solver: SolverBackend,
-    /// Seed each iterative solve from the model's previous temperature
-    /// state instead of a zero initial guess. **Off by default** to
-    /// preserve the determinism contract: with the flag off every solve's
-    /// Krylov trajectory is a pure function of its own operator and
-    /// right-hand side, bit-identical across runs, thread counts and
-    /// solve *histories*. Turning it on keeps runs bit-reproducible
-    /// (the state sequence itself is deterministic) but makes each
-    /// solve's iteration count depend on what was solved before — results
-    /// still agree with cold starts to the configured tolerance, not
-    /// bitwise. Ignored by the direct backend.
-    pub warm_start: bool,
 }
 
 impl Default for ThermalParams {
@@ -183,7 +172,6 @@ impl Default for ThermalParams {
             advection: AdvectionScheme::default(),
             coolant: Coolant::Water,
             solver: SolverBackend::default(),
-            warm_start: false,
         }
     }
 }
@@ -198,7 +186,6 @@ mod tests {
         assert!((p.inlet.to_celsius().0 - 27.0).abs() < 1e-12);
         assert_eq!(p.advection, AdvectionScheme::Upwind);
         assert_eq!(p.solver, SolverBackend::DirectLu);
-        assert!(!p.warm_start, "warm starts are opt-in (determinism)");
     }
 
     #[test]
