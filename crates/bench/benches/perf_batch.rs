@@ -167,12 +167,15 @@ fn main() {
     let thread_counts = [1usize, 2, 4, 8];
     let mut walls = Vec::new();
     let mut reports = Vec::new();
+    let mut analyses = Vec::new();
     for &threads in &thread_counts {
         let t = Instant::now();
-        let report = BatchRunner::new(threads).run_scenarios(&scenarios);
+        let runner = BatchRunner::new(threads);
+        let report = runner.run_scenarios(&scenarios);
         assert!(report.all_ok(), "batch completes");
         walls.push(t.elapsed().as_secs_f64());
         reports.push(report);
+        analyses.push(runner.analysis_cache_stats().misses);
     }
     let speedup8 = walls[0] / walls[3];
 
@@ -192,10 +195,7 @@ fn main() {
     }
     kv("speedup 8 vs 1 threads", f(speedup8, 2));
     kv("pattern groups", reports[0].pattern_groups);
-    kv(
-        "full factorisations (whole batch)",
-        reports[0].total_full_factorizations(),
-    );
+    kv("analyses (full factorisations, whole batch)", analyses[0]);
 
     // Determinism across thread counts is part of the contract — verify
     // it on the full production-size matrix, not just the unit tests.
@@ -239,11 +239,7 @@ fn main() {
         walls[0] / (walls[3] * 8.0)
     );
     let _ = writeln!(json, "  \"pattern_groups\": {},", reports[0].pattern_groups);
-    let _ = writeln!(
-        json,
-        "  \"full_factorizations\": {}",
-        reports[0].total_full_factorizations()
-    );
+    let _ = writeln!(json, "  \"full_factorizations\": {}", analyses[0]);
     json.push_str("}\n");
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch_sweep.json");
     std::fs::write(out, &json).expect("write BENCH_batch_sweep.json");
@@ -255,11 +251,12 @@ fn main() {
         inplace_allocs, 0.0,
         "the warm step_into path must perform zero heap allocation"
     );
-    assert_eq!(
-        reports[0].total_full_factorizations(),
-        reports[0].pattern_groups as u64,
-        "shared analysis: one full factorisation per (stack, grid) pattern"
-    );
+    for &a in &analyses {
+        assert_eq!(
+            a, reports[0].pattern_groups as u64,
+            "shared analysis: one analysis per (stack, grid) pattern"
+        );
+    }
     // Wall-clock assertions only on a quiet dedicated machine (see
     // `strict_timing`); the numbers are recorded regardless.
     if strict_timing() {

@@ -110,7 +110,7 @@ fn main() {
                 let t = assemble(flows[refactor_which % flows.len()]);
                 csc.update_values(&map, t.values());
                 std::hint::black_box(
-                    lu::LuFactors::refactor(&sym, &csc)
+                    sym.refactor(&csc)
                         .expect("stable")
                         .solve(&rhs)
                         .expect("sized"),

@@ -9,16 +9,17 @@
 //!    operator patterns) at a freshly started daemon over its unix
 //!    socket — wall clock, requests/sec, batches (and how many closed
 //!    early because they filled the runner threads), and the coalescing
-//!    invariant: the whole burst performs exactly one full factorisation
-//!    per distinct *pattern*, not per request, however it is batched;
+//!    invariant: the whole burst runs exactly one analysis (one full
+//!    factorisation, counted by the runner's analysis-cache misses) per
+//!    distinct *pattern*, not per request, however it is batched;
 //! 2. *warm burst*: the identical burst again — every slot must come out
-//!    of the result cache with zero additional factorisations, and every
+//!    of the result cache with zero additional analyses, and every
 //!    response byte must match the cold run (the determinism contract);
 //! 3. *isolated baseline*: each distinct spec solo in a fresh
 //!    `BatchRunner`, the way a one-shot process would run it; the
 //!    amortisation ratio (isolated factorisations the burst *would* have
-//!    paid / factorisations the daemon actually performed) is the
-//!    subsystem's reason to exist.
+//!    paid / analyses the daemon actually ran) is the subsystem's reason
+//!    to exist.
 //!
 //! Writes machine-readable results to `BENCH_serve.json` at the repo
 //! root. Its fields are of two kinds:
@@ -173,7 +174,10 @@ fn main() {
         "batches that filled the threads",
         cold_stats.cache.batches_full,
     );
-    kv("full factorisations", cold_stats.solver.full_factorizations);
+    kv(
+        "analyses (full factorisations)",
+        cold_stats.cache.analysis_misses,
+    );
     kv("adopted symbolics", cold_stats.solver.adopted_symbolics);
     kv("result-cache misses", cold_stats.cache.result_misses);
 
@@ -192,17 +196,17 @@ fn main() {
         "result-cache hits",
         warm_stats.cache.result_hits - cold_stats.cache.result_hits,
     );
-    let warm_factorizations =
-        warm_stats.solver.full_factorizations - cold_stats.solver.full_factorizations;
-    kv("additional factorisations", warm_factorizations);
+    let warm_factorizations = warm_stats.cache.analysis_misses - cold_stats.cache.analysis_misses;
+    kv("additional analyses", warm_factorizations);
 
     section("isolated baseline (one fresh BatchRunner per distinct spec)");
     let solo_started = Instant::now();
     let mut solo_factorizations = 0u64;
     for k in 0..family_size() {
         let scenario = family_spec(k).build().expect("spec builds");
-        let report = BatchRunner::new(1).run_scenarios(std::slice::from_ref(&scenario));
-        solo_factorizations += report.total_full_factorizations();
+        let runner = BatchRunner::new(1);
+        runner.run_scenarios(std::slice::from_ref(&scenario));
+        solo_factorizations += runner.analysis_cache_stats().misses;
     }
     let solo_wall = solo_started.elapsed();
     let solo_per_spec = solo_wall.as_secs_f64() / family_size() as f64;
@@ -210,7 +214,7 @@ fn main() {
     // requested slot, not per distinct pattern.
     let isolated_factorizations = total_slots as u64 * solo_factorizations / family_size() as u64;
     let amortization =
-        isolated_factorizations as f64 / cold_stats.solver.full_factorizations.max(1) as f64;
+        isolated_factorizations as f64 / cold_stats.cache.analysis_misses.max(1) as f64;
     kv(
         "solo wall per spec",
         format!("{} ms", f(solo_per_spec * 1e3, 2)),
@@ -220,8 +224,8 @@ fn main() {
         isolated_factorizations,
     );
     kv(
-        "daemon factorisations for the burst",
-        cold_stats.solver.full_factorizations,
+        "daemon analyses for the burst",
+        cold_stats.cache.analysis_misses,
     );
     kv(
         "factorisation amortisation",
@@ -269,7 +273,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"served_full_factorizations\": {},",
-        cold_stats.solver.full_factorizations
+        cold_stats.cache.analysis_misses
     );
     let _ = writeln!(
         json,
@@ -290,9 +294,9 @@ fn main() {
 
     // ---- Hard guarantees (all deterministic — never relaxed).
     assert_eq!(
-        cold_stats.solver.full_factorizations,
+        cold_stats.cache.analysis_misses,
         PATTERNS.len() as u64,
-        "the cold burst must factorise once per distinct pattern, not per request"
+        "the cold burst must analyse once per distinct pattern, not per request"
     );
     assert_eq!(
         cold_stats.cache.result_misses,
@@ -328,9 +332,9 @@ fn main() {
     server.wait();
     assert!(!path.exists(), "socket removed on clean shutdown");
     println!(
-        "\ncoalescing invariant held: {} slots, {} patterns, {} factorisations",
+        "\ncoalescing invariant held: {} slots, {} patterns, {} analyses",
         total_slots,
         PATTERNS.len(),
-        cold_stats.solver.full_factorizations
+        cold_stats.cache.analysis_misses
     );
 }

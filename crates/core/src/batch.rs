@@ -12,36 +12,34 @@
 //! [`BatchRunner`] executes such a matrix on a `std::thread::scope` pool
 //! with a work-stealing index cursor, and layers three guarantees on top:
 //!
-//! * **One full factorisation per pattern per runner.** Scenarios are
-//!   grouped by thermal-operator pattern
-//!   ([`Scenario::same_operator_pattern`]: stack, grid and thermal
-//!   parameters). Before any job starts, the runner looks every group up
-//!   in its bounded LRU of frozen [`SharedAnalysis`] values, keyed by that
-//!   same triple and matched by equality, never by a hash: a cached
-//!   pattern is adopted by every scenario of its group. Otherwise the
-//!   first scenario of the group — the *donor*, fixed by scenario order,
-//!   never by thread scheduling — runs first and exports its frozen
-//!   analysis; every other scenario of the group adopts it and goes
-//!   straight to cheap numeric refactorisation, and the runner keeps the
-//!   analysis for later batches. So the expensive full factorisation
-//!   runs once per distinct pattern for as long as the runner keeps it
-//!   cached, however many scenarios, batches and threads are in play. The
-//!   saving lands on batches whose pattern groups the same runner has
-//!   analysed before: every evaluation of a design search after the
-//!   patterns were first met, every run of a study after the first, every
-//!   served request of a known pattern.
+//! * **One analysis per pattern per runner.** Scenarios are grouped by
+//!   thermal-operator pattern ([`Scenario::same_operator_pattern`]:
+//!   stack, grid and thermal parameters). The runner keeps a bounded LRU
+//!   of frozen [`SharedAnalysis`] values keyed by that same triple and
+//!   matched by equality, never by a hash. Before any scenario runs, the
+//!   batch looks up every group it has work for; each miss gets one
+//!   analysis job, which builds and initialises the group's first
+//!   scenario and caches the analysis that initialisation captured. Then
+//!   every scenario adopts its group's analysis and goes straight to
+//!   cheap numeric refactorisation. So the full factorisation runs once
+//!   per distinct pattern for as long as the runner keeps it cached,
+//!   however many scenarios, batches and threads are in play: every
+//!   evaluation of a design search after the patterns were first met,
+//!   every run of a study after the first and every served request of a
+//!   known pattern runs no analysis job at all.
 //! * **Deterministic aggregation.** Results land in slots indexed by
-//!   scenario position; each scenario is itself deterministic, and the
-//!   donor/adopter structure depends only on scenario order — so
-//!   [`BatchRunner::run_scenarios`] returns bit-identical
-//!   [`RunMetrics`] whether it ran on 1 thread or 8 (asserted by the
-//!   tests). Reuse is bit-neutral too: a fresh analysis
+//!   scenario position, and each scenario is itself deterministic, so
+//!   [`BatchRunner::run_scenarios`] returns bit-identical slots whether
+//!   it ran on 1 thread or 8 (asserted by the tests). Every scenario
+//!   adopts its group's analysis, cached or analysed for this batch, so
+//!   a slot's [`SolverStats`] do not depend on the cache's warmth, on a
+//!   resume point or on the slot's place in its group either. Adoption is
+//!   bit-neutral besides: a fresh analysis
 //!   ([`lu::analyse`](cmosaic_sparse::lu::analyse)) returns the numeric
 //!   refactorisation sweep's values over the analysis it captured, never
 //!   a pivoting factorisation's own, so a scenario computes the same bits
-//!   whether it analysed, adopted a donor's analysis or a cached one.
-//!   Only the [`SolverStats`] counters and
-//!   [`BatchRunner::analysis_cache_stats`] see the difference.
+//!   whether it analysed on its own or adopted. Only
+//!   [`BatchRunner::analysis_cache_stats`] sees the cache's warmth.
 //! * **Fault isolation.** One scenario panicking, diverging or erroring
 //!   never takes the batch down: every attempt runs under
 //!   `catch_unwind`, retryable failures walk a deterministic
@@ -51,22 +49,13 @@
 //!   survive alongside structured [`SlotError`]s. Because the ladder is
 //!   a pure function of the scenario (never of thread scheduling), the
 //!   per-slot results — including the errors — stay bit-identical
-//!   across thread counts.
-//!
-//! Donor release is **per group**, not a global barrier: the job queue is
-//! ordered donors-first, and an adopter of pattern group `g` waits (on a
-//! condvar) only until donor `g` has published its analysis — adopters of
-//! a fast group start while a slow group's donor (e.g. the 4-tier stacks
-//! of the fig6 matrix) is still factorising. The wait is deadlock-free by
-//! construction: every donor precedes every adopter in the queue, a
-//! worker executing a donor never waits, and a failed or panicking donor
-//! publishes an empty analysis (via a drop guard) so its adopters proceed
-//! unshared. None of this changes the deterministic structure — who
-//! donates to whom is fixed by scenario order alone.
+//!   across thread counts. An analysis job runs under `catch_unwind` as
+//!   well: one that fails or panics leaves its group unshared, and each
+//!   of the group's scenarios analyses on its own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cmosaic_thermal::{LruCache, SharedAnalysis, SolverStats, ThermalError};
 
@@ -225,9 +214,11 @@ pub struct ScenarioOutcome {
     pub index: usize,
     /// The run's aggregated metrics.
     pub metrics: RunMetrics,
-    /// Thermal solver-path counters: donors show one full factorisation,
-    /// adopters — and every scenario of a pattern the runner had cached —
-    /// show zero (refactor-only).
+    /// Thermal solver-path counters. A direct-LU scenario that adopted
+    /// its group's analysis shows zero full factorisations and one
+    /// adopted symbolic, however warm the runner's cache was; a retried
+    /// attempt, or a scenario of a group whose analysis failed, analyses
+    /// on its own.
     pub solver: SolverStats,
     /// What the retry ladder did to get here (clean on the happy path).
     pub recovery: RecoveryRecord,
@@ -286,24 +277,6 @@ impl BatchReport {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-
-    /// Total full pivoting factorisations across every successful
-    /// scenario — with analysis sharing enabled and no failures this
-    /// equals the pattern groups the runner's analysis cache missed
-    /// (`pattern_groups` on a fresh runner).
-    pub fn total_full_factorizations(&self) -> u64 {
-        self.outcomes()
-            .iter()
-            .map(|o| o.solver.full_factorizations)
-            .sum()
-    }
-}
-
-/// What one successful attempt produces.
-struct JobSuccess {
-    metrics: RunMetrics,
-    solver: SolverStats,
-    analysis: Option<SharedAnalysis>,
 }
 
 /// Locks a mutex, recovering the guard even when another worker panicked
@@ -334,39 +307,28 @@ fn retryable(e: &CmosaicError) -> bool {
     )
 }
 
-/// One job of a batch run.
-#[derive(Clone, Copy)]
-enum Job {
-    /// Run scenario `i` (donor or adopter by group structure).
-    Run(usize),
-    /// Rebuild and publish the frozen analysis of an already-completed
-    /// donor (resumed runs whose pattern the runner has not cached):
-    /// build + initialise reproduces the
-    /// identical symbolic analysis the donor exported originally, so
-    /// pending adopters of a resumed study adopt bit-identically.
-    Regen(usize),
-}
-
 /// Cumulative counters of a runner's analysis cache since the runner was
-/// created: one hit or miss per pattern group looked up (groups with
-/// nothing left to run are not looked up). They depend on what the runner
-/// ran before, so they live on the runner and never enter a report.
+/// created: one hit or miss per pattern group that a batch had a
+/// scenario to run for. They depend on what the runner ran before, so
+/// they live on the runner and never enter a report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisCacheStats {
-    /// Pattern groups that adopted a cached analysis: zero full
-    /// factorisations for the group.
+    /// Pattern groups whose analysis the cache held.
     pub hits: u64,
-    /// Pattern groups analysed afresh (their analysis is then cached).
+    /// Pattern groups analysed afresh: one analysis job each, the only
+    /// full factorisations a healthy batch runs. The result is then
+    /// cached.
     pub misses: u64,
     /// Analyses the LRU dropped to make room for newer ones.
     pub evictions: u64,
 }
 
 /// A runner's cross-batch analysis cache and its counters (evictions are
-/// the LRU's own).
+/// the LRU's own). A pattern maps to `None` when its initialisation
+/// factorised nothing (a multigrid pattern), so it is not re-analysed.
 #[derive(Debug)]
 struct AnalysisCache {
-    lru: LruCache<OperatorPattern, SharedAnalysis>,
+    lru: LruCache<OperatorPattern, Option<SharedAnalysis>>,
     stats: AnalysisCacheStats,
 }
 
@@ -380,7 +342,7 @@ impl AnalysisCache {
 }
 
 /// Runs a set of independent co-simulation scenarios across a thread
-/// pool, keeping the frozen analysis of every pattern it factorised for
+/// pool, keeping the frozen analysis of every pattern it analysed for
 /// its later batches. See the [module docs](self) for the sharing,
 /// determinism and fault-isolation guarantees.
 #[derive(Debug)]
@@ -391,10 +353,10 @@ pub struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// Creates a runner with `threads` workers (donor scenarios first,
-    /// then everything else, both phases work-stealing) and an analysis
-    /// cache of [`DEFAULT_ANALYSIS_CACHE`] patterns. A zero thread count
-    /// is clamped to one worker, so
+    /// Creates a runner with `threads` workers (a batch's analysis jobs
+    /// first, then its scenarios, both phases work-stealing) and an
+    /// analysis cache of [`DEFAULT_ANALYSIS_CACHE`] patterns. A zero
+    /// thread count is clamped to one worker, so
     /// `BatchRunner::new(available_parallelism_hint)` is always safe.
     pub fn new(threads: usize) -> Self {
         BatchRunner {
@@ -412,12 +374,13 @@ impl BatchRunner {
         self
     }
 
-    /// Caps how many jobs this run executes, leaving later scenarios
-    /// unscheduled (their slots report a `Failed` error). Because the
-    /// job order is fixed by scenario order (donors first), the set of
-    /// executed jobs — and hence the report — is deterministic at any
-    /// thread count. This is the checkpoint drill hook: it emulates a
-    /// run killed partway so resume paths can be exercised exactly.
+    /// Caps how many scenarios this run executes, leaving later
+    /// scenarios unscheduled (their slots report a `Failed` error). The
+    /// jobs are the pending scenarios in scenario order, so the executed
+    /// set — and hence the report — is deterministic at any thread count;
+    /// analysis jobs do not count against the cap. This is the
+    /// checkpoint drill hook: it emulates a run killed partway so resume
+    /// paths can be exercised exactly.
     pub fn with_job_limit(mut self, limit: usize) -> Self {
         self.job_limit = Some(limit);
         self
@@ -469,11 +432,10 @@ impl BatchRunner {
     /// process has every finished scenario on disk.
     ///
     /// Completed slots are not re-run; their prior results are merged
-    /// into the report verbatim. A completed *donor* whose group still
-    /// has pending adopters and whose pattern the cache lacks gets a
-    /// cheap regeneration job ([`Job::Regen`]) when its journaled result
-    /// shows it had published (succeeded without backend demotion),
-    /// keeping resumed adopters bit-identical to the uninterrupted run.
+    /// into the report verbatim. The pending ones adopt their group's
+    /// analysis exactly as in an uninterrupted run: an analysis job
+    /// builds the group's first scenario even when that slot is
+    /// completed.
     pub(crate) fn run_scenarios_resumed<O, F, R>(
         &self,
         scenarios: &[Scenario],
@@ -488,10 +450,9 @@ impl BatchRunner {
     {
         let n = scenarios.len();
         debug_assert!(completed.is_empty() || completed.len() == n);
-        let done = |i: usize| completed.get(i).is_some_and(Option::is_some);
-        // Group scenarios by operator pattern; the first of each group is
-        // its donor. Grouping runs over the full slice (not just pending
-        // scenarios) so a resumed run sees the identical structure.
+        // Group scenarios by operator pattern over the full slice (not
+        // just the pending scenarios), so a resumed run sees the
+        // identical groups and analyses the same first scenarios.
         let mut group_reps: Vec<usize> = Vec::new();
         let mut group_of = vec![0usize; n];
         for (i, s) in scenarios.iter().enumerate() {
@@ -506,197 +467,43 @@ impl BatchRunner {
                 }
             }
         }
-        let donors = &group_reps;
-
-        type Slot<O> = Option<(Result<ScenarioOutcome, SlotError>, Option<O>)>;
-        let slots: Mutex<Vec<Slot<O>>> = Mutex::new((0..n).map(|_| None).collect());
-        let run_one = |i: usize, adopt: Option<&SharedAnalysis>| {
-            run_with_recovery(&scenarios[i], adopt, || factory(i, &scenarios[i]))
-        };
-        // Converts an attempt result into the slot shape, reports it,
-        // and stores it.
-        let finish = |i: usize,
-                      result: Result<(JobSuccess, RecoveryRecord), SlotError>,
-                      observer: Option<O>| {
-            let slot = result.map(|(success, recovery)| ScenarioOutcome {
-                index: i,
-                metrics: success.metrics,
-                solver: success.solver,
-                recovery,
-            });
-            record(i, &slot);
-            lock_unpoisoned(&slots)[i] = Some((slot, observer));
-        };
-
-        // Donors-first job order plus per-group release: an adopter
-        // only ever waits for its *own* group's donor. `published[g]`
-        // is `None` until donor `g` finishes, then `Some(analysis)`
-        // (`Some(None)` for a donor that failed, panicked, demoted
-        // its backend, or had nothing to share — adopters proceed
-        // unshared instead of waiting forever). A group whose pattern
-        // the runner's cache holds is published before any job runs,
-        // and its donor takes the adopter path like everyone else.
-        // `missed[g]` keeps the cache key of every group looked up in
-        // vain: its donor (or regeneration) publishes a fresh analysis,
-        // which the cache keeps once the batch is over.
-        let mut prepublished = vec![None; group_reps.len()];
-        let mut missed: Vec<Option<OperatorPattern>> = vec![None; group_reps.len()];
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut cache = lock_unpoisoned(&self.analyses);
-        for (g, &d) in donors.iter().enumerate() {
-            if (0..n).all(|i| group_of[i] != g || done(i)) {
-                // Nothing of this group runs: nobody needs an analysis.
-                continue;
-            }
-            let key = scenarios[d].operator_pattern();
-            if let Some(analysis) = cache.lru.get(&key) {
-                prepublished[g] = Some(Some(analysis.clone()));
-                cache.stats.hits += 1;
-            } else {
-                missed[g] = Some(key);
-                cache.stats.misses += 1;
-            }
-            if !done(d) {
-                jobs.push(Job::Run(d));
-            } else if missed[g].is_some() {
-                let had_published = matches!(
-                    completed.get(d).and_then(Option::as_ref),
-                    Some(Ok(o)) if o.recovery.backend_demotions == 0
-                );
-                if had_published {
-                    jobs.push(Job::Regen(d));
-                } else {
-                    // The donor never published: release the group
-                    // up front, unshared.
-                    prepublished[g] = Some(None);
-                }
-            }
-        }
-        drop(cache);
-        jobs.extend(
-            (0..n)
-                .filter(|&i| donors[group_of[i]] != i && !done(i))
-                .map(Job::Run),
-        );
+        let mut jobs: Vec<usize> = (0..n)
+            .filter(|&i| completed.get(i).is_none_or(Option::is_none))
+            .collect();
         if let Some(limit) = self.job_limit {
             jobs.truncate(limit);
         }
-        let published: Mutex<Vec<Option<Option<SharedAnalysis>>>> = Mutex::new(prepublished);
-        let ready = Condvar::new();
-        // Publishes a group's analysis on drop, so a donor that
-        // *panics* mid-run (not just one that returns Err) still
-        // releases its adopters — otherwise they would wait on the
-        // condvar forever and the scoped join could never complete.
-        struct PublishOnDrop<'a> {
-            g: usize,
-            table: &'a Mutex<Vec<Option<Option<SharedAnalysis>>>>,
-            ready: &'a Condvar,
-            analysis: Option<SharedAnalysis>,
-        }
-        impl Drop for PublishOnDrop<'_> {
-            fn drop(&mut self) {
-                let mut guard = lock_unpoisoned(self.table);
-                guard[self.g] = Some(self.analysis.take());
-                drop(guard);
-                self.ready.notify_all();
-            }
-        }
-        self.par_run(&jobs, |job| match *job {
-            Job::Run(i) => {
-                let g = group_of[i];
-                if donors[g] == i && missed[g].is_some() {
-                    let mut publish = PublishOnDrop {
-                        g,
-                        table: &published,
-                        ready: &ready,
-                        analysis: None,
-                    };
-                    let (mut result, observer) = run_one(i, None);
-                    if let Ok((success, recovery)) = &mut result {
-                        // A backend demotion changed the operator
-                        // pattern mid-ladder; the exported analysis
-                        // no longer matches the group, so publish
-                        // nothing and let adopters run unshared.
-                        if recovery.backend_demotions == 0 {
-                            publish.analysis = success.analysis.take();
-                        }
-                    }
-                    drop(publish);
-                    finish(i, result, observer);
-                } else {
-                    let guard = lock_unpoisoned(&published);
-                    let guard = ready
-                        .wait_while(guard, |p| p[g].is_none())
-                        .unwrap_or_else(PoisonError::into_inner);
-                    // SharedAnalysis is Arc-backed; the clone is
-                    // cheap. `flatten` turns a failed donor's empty
-                    // publication into an unshared run.
-                    let analysis = guard[g].clone().flatten();
-                    drop(guard);
-                    let (result, observer) = run_one(i, analysis.as_ref());
-                    finish(i, result, observer);
-                }
-            }
-            Job::Regen(d) => {
-                let mut publish = PublishOnDrop {
-                    g: group_of[d],
-                    table: &published,
-                    ready: &ready,
-                    analysis: None,
-                };
-                // Initialisation alone reproduces the donor's frozen
-                // symbolic analysis (it is fixed at the first
-                // factorisation and timestep-independent). If the
-                // rebuild fails — it succeeded in the original run —
-                // the guard releases the group unshared.
-                let regenerated =
-                    catch_unwind(AssertUnwindSafe(|| regenerate_analysis(&scenarios[d])));
-                if let Ok(Ok(analysis)) = regenerated {
-                    publish.analysis = analysis;
-                }
-                drop(publish);
-            }
+        let analyses = self.group_analyses(scenarios, &group_reps, &group_of, &jobs);
+        let results = self.par_map(&jobs, |&i| {
+            let scenario = &scenarios[i];
+            let adopt = analyses[group_of[i]].as_ref();
+            let (slot, observer) = run_with_recovery(i, scenario, adopt, || factory(i, scenario));
+            record(i, &slot);
+            (slot, observer)
         });
-        // Keep the fresh analyses for later batches, in group order
-        // so the LRU's contents depend on scenario order alone.
-        let published = published
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut cache = lock_unpoisoned(&self.analyses);
-        for (key, analysis) in missed.into_iter().zip(published) {
-            if let (Some(key), Some(Some(analysis))) = (key, analysis) {
-                cache.lru.insert(key, analysis);
-            }
-        }
 
-        let mut report_slots = Vec::with_capacity(n);
-        let mut observers = Vec::with_capacity(n);
-        let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some((result, observer)) => {
-                    report_slots.push(result);
-                    observers.push(observer);
-                }
-                // Not run this time: either journaled earlier (merge the
-                // prior result verbatim) or cut off by the job limit.
-                None => {
-                    let prior = completed.get(index).and_then(Clone::clone);
-                    report_slots.push(prior.unwrap_or_else(|| {
-                        Err(SlotError {
-                            error: ScenarioError::Failed {
-                                detail: "interrupted before the scenario was scheduled".to_string(),
-                            },
-                            recovery: RecoveryRecord::default(),
-                        })
-                    }));
-                    observers.push(None);
-                }
-            }
+        // A slot not run this time keeps its journaled result verbatim, or
+        // reports that the job limit cut it off.
+        let mut slots: Vec<_> = (0..n)
+            .map(|i| {
+                completed.get(i).and_then(Clone::clone).unwrap_or_else(|| {
+                    Err(SlotError {
+                        error: ScenarioError::Failed {
+                            detail: "interrupted before the scenario was scheduled".to_string(),
+                        },
+                        recovery: RecoveryRecord::default(),
+                    })
+                })
+            })
+            .collect();
+        let mut observers: Vec<Option<O>> = (0..n).map(|_| None).collect();
+        for (i, (slot, observer)) in jobs.into_iter().zip(results) {
+            slots[i] = slot;
+            observers[i] = observer;
         }
         (
             BatchReport {
-                slots: report_slots,
+                slots,
                 pattern_groups: group_reps.len(),
                 threads: self.threads,
             },
@@ -704,37 +511,95 @@ impl BatchRunner {
         )
     }
 
-    /// Runs `f` over `jobs` on up to `self.threads` scoped workers with
-    /// a shared work-stealing cursor.
-    fn par_run<F>(&self, jobs: &[Job], f: F)
-    where
-        F: Fn(&Job) + Sync,
-    {
-        if jobs.is_empty() {
-            return;
+    /// Each pattern group's analysis for a batch running `jobs`, indexed
+    /// by group. Looks up every group with a job once in the cache, in
+    /// group order; runs one analysis job per miss on the worker pool,
+    /// and caches the results in group order, so the LRU's contents
+    /// depend on scenario order alone. A failed or panicking analysis job
+    /// leaves its group unshared (`None`) and uncached.
+    fn group_analyses(
+        &self,
+        scenarios: &[Scenario],
+        group_reps: &[usize],
+        group_of: &[usize],
+        jobs: &[usize],
+    ) -> Vec<Option<SharedAnalysis>> {
+        let mut needed = vec![false; group_reps.len()];
+        for &i in jobs {
+            needed[group_of[i]] = true;
         }
-        let workers = self.threads.min(jobs.len());
+        let mut analyses = vec![None; group_reps.len()];
+        let mut misses = Vec::new();
+        let mut cache = lock_unpoisoned(&self.analyses);
+        for (g, &rep) in group_reps.iter().enumerate() {
+            if !needed[g] {
+                continue;
+            }
+            let key = scenarios[rep].operator_pattern();
+            if let Some(analysis) = cache.lru.get(&key) {
+                analyses[g] = analysis.clone();
+                cache.stats.hits += 1;
+            } else {
+                misses.push((g, key));
+                cache.stats.misses += 1;
+            }
+        }
+        drop(cache);
+        let analysed = self.par_map(&misses, |&(g, _)| {
+            catch_unwind(AssertUnwindSafe(|| analyse(&scenarios[group_reps[g]])))
+                .ok()
+                .and_then(Result::ok)
+        });
+        let mut cache = lock_unpoisoned(&self.analyses);
+        for ((g, key), analysis) in misses.into_iter().zip(analysed) {
+            if let Some(analysis) = analysis {
+                analyses[g] = analysis.clone();
+                cache.lru.insert(key, analysis);
+            }
+        }
+        analyses
+    }
+
+    /// Maps `f` over `items` on up to `self.threads` scoped workers with
+    /// a shared work-stealing cursor, returning the results in item
+    /// order.
+    fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&T) -> U + Sync,
+    {
+        let results: Mutex<Vec<Option<U>>> = Mutex::new((0..items.len()).map(|_| None).collect());
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for _ in 0..workers {
+            for _ in 0..self.threads.min(items.len()) {
                 s.spawn(|| loop {
                     let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    f(job);
+                    let Some(item) = items.get(j) else { break };
+                    let result = f(item);
+                    lock_unpoisoned(&results)[j] = Some(result);
                 });
             }
         });
+        results
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            .map(|r| r.expect("every item ran"))
+            .collect()
     }
 }
 
-/// Runs one scenario through the deterministic retry/degradation ladder,
-/// isolating panics per attempt. Returns the final result plus the
-/// observer of the successful attempt (failed slots yield no observer).
+/// Runs scenario `index` through the deterministic retry/degradation
+/// ladder, isolating panics per attempt. Returns the final result plus
+/// the observer of the successful attempt (failed slots yield no
+/// observer).
 fn run_with_recovery<O, F>(
+    index: usize,
     scenario: &Scenario,
     adopt: Option<&SharedAnalysis>,
     factory: F,
-) -> (Result<(JobSuccess, RecoveryRecord), SlotError>, Option<O>)
+) -> (Result<ScenarioOutcome, SlotError>, Option<O>)
 where
     O: Observer,
     F: Fn() -> O,
@@ -764,7 +629,15 @@ where
             Ok(pair) => pair,
         };
         match result {
-            Ok(success) => return (Ok((success, recovery)), Some(observer)),
+            Ok((metrics, solver)) => {
+                let outcome = ScenarioOutcome {
+                    index,
+                    metrics,
+                    solver,
+                    recovery,
+                };
+                return (Ok(outcome), Some(observer));
+            }
             Err(e) if retryable(&e) => {
                 // Retries restart the scenario from scratch; the adopted
                 // analysis belongs to the original configuration only.
@@ -800,30 +673,28 @@ where
     }
 }
 
-/// Runs one scenario end to end, optionally adopting a donor's thermal
+/// Runs one scenario end to end, optionally adopting its group's thermal
 /// analysis before initialisation.
 fn run_scenario<O: Observer>(
     scenario: &Scenario,
     adopt: Option<&SharedAnalysis>,
     observer: &mut O,
-) -> Result<JobSuccess, CmosaicError> {
+) -> Result<(RunMetrics, SolverStats), CmosaicError> {
     let mut sim = scenario.build_simulator()?;
     if let Some(analysis) = adopt {
         sim.adopt_thermal_analysis(analysis);
     }
     sim.initialize()?;
     let metrics = sim.run_observed(scenario.seconds(), observer)?;
-    let analysis = sim.export_thermal_analysis();
-    Ok(JobSuccess {
-        metrics,
-        solver: sim.solver_stats(),
-        analysis,
-    })
+    Ok((metrics, sim.solver_stats()))
 }
 
-/// Rebuilds an already-completed donor's frozen analysis for a resumed
-/// run's pending adopters (see [`Job::Regen`]).
-fn regenerate_analysis(scenario: &Scenario) -> Result<Option<SharedAnalysis>, CmosaicError> {
+/// An analysis job: builds and initialises `scenario` and exports the
+/// frozen analysis its initialisation captured — `None` when it
+/// factorised nothing (a multigrid pattern). The analysis is fixed at the
+/// first factorisation and does not depend on the timestep, so every
+/// scenario of the pattern can adopt it.
+fn analyse(scenario: &Scenario) -> Result<Option<SharedAnalysis>, CmosaicError> {
     let mut sim = scenario.build_simulator()?;
     sim.initialize()?;
     Ok(sim.export_thermal_analysis())
@@ -868,8 +739,8 @@ mod tests {
     #[test]
     fn shared_analysis_factorises_once_per_pattern() {
         // All four scenarios are 2-tier liquid-cooled on one grid: one
-        // pattern group, so exactly one full pivoting factorisation in
-        // the whole batch — the donor's. Adopters ride refactor-only.
+        // pattern group, so exactly one analysis job in the whole batch,
+        // and every scenario adopts its analysis and rides refactor-only.
         let scenarios: Vec<Scenario> = [
             (PolicyKind::LcLb, WorkloadKind::WebServer),
             (PolicyKind::LcFuzzy, WorkloadKind::WebServer),
@@ -888,15 +759,14 @@ mod tests {
                 .expect("valid spec")
         })
         .collect();
-        let report = BatchRunner::new(4).run_scenarios(&scenarios);
+        let runner = BatchRunner::new(4);
+        let report = runner.run_scenarios(&scenarios);
         assert!(report.all_ok());
         assert_eq!(report.pattern_groups, 1);
-        assert_eq!(report.total_full_factorizations(), 1);
-        let outcomes = report.outcomes();
-        assert_eq!(outcomes[0].solver.full_factorizations, 1);
-        for o in &outcomes[1..] {
-            assert_eq!(o.solver.full_factorizations, 0, "adopter {}", o.index);
-            assert_eq!(o.solver.adopted_symbolics, 1);
+        assert_eq!(runner.analysis_cache_stats().misses, 1);
+        for o in report.outcomes() {
+            assert_eq!(o.solver.full_factorizations, 0, "scenario {}", o.index);
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
             assert!(o.solver.refactorizations >= 1);
             assert!(o.recovery.clean());
         }
@@ -905,10 +775,11 @@ mod tests {
     #[test]
     fn per_group_release_keeps_identity_and_sharing_on_interleaved_groups() {
         // Scenarios deliberately interleave two pattern groups (2-tier and
-        // 4-tier) so the donors are not the first two entries of the input
-        // order; per-group release must still hand each adopter its own
-        // group's analysis, factorise once per group, and stay
-        // bit-identical across thread counts.
+        // 4-tier), so a group's first scenario is not the first entry of
+        // the input order; every scenario must still adopt its own group's
+        // analysis (another group's fails the signature check and would
+        // factorise), with one analysis per group, bit-identically across
+        // thread counts.
         let mk = |tiers: usize, seed: u64| {
             ScenarioSpec::new()
                 .tiers(tiers)
@@ -919,19 +790,16 @@ mod tests {
                 .expect("valid spec")
         };
         let scenarios = vec![mk(2, 1), mk(4, 1), mk(2, 2), mk(4, 2), mk(2, 3), mk(4, 3)];
-        let serial = BatchRunner::new(1).run_scenarios(&scenarios);
+        let runner = BatchRunner::new(1);
+        let serial = runner.run_scenarios(&scenarios);
         let parallel = BatchRunner::new(4).run_scenarios(&scenarios);
         assert_eq!(serial.slots, parallel.slots);
         assert_eq!(serial.pattern_groups, 2);
-        assert_eq!(serial.total_full_factorizations(), 2);
-        // Donors are the first scenario of each group in input order.
-        for (idx, o) in serial.outcomes().iter().enumerate() {
-            if idx < 2 {
-                assert_eq!(o.solver.full_factorizations, 1, "donor {idx}");
-            } else {
-                assert_eq!(o.solver.full_factorizations, 0, "adopter {idx}");
-                assert_eq!(o.solver.adopted_symbolics, 1, "adopter {idx}");
-            }
+        assert_eq!(runner.analysis_cache_stats().misses, 2);
+        assert_eq!(serial.outcomes().len(), 6);
+        for o in serial.outcomes() {
+            assert_eq!(o.solver.full_factorizations, 0, "scenario {}", o.index);
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
         }
     }
 
@@ -948,33 +816,24 @@ mod tests {
         vec![mk(2, 1), mk(4, 1), mk(2, 2), mk(4, 2)]
     }
 
-    fn metrics_of(report: &BatchReport) -> Vec<RunMetrics> {
-        report
-            .outcomes()
-            .iter()
-            .map(|o| o.metrics.clone())
-            .collect()
-    }
-
     #[test]
     fn a_warm_runner_skips_every_full_factorisation_bit_identically() {
         // The same batch twice on one runner: the second run finds both
-        // patterns cached, pays no pivoting factorisation at all, and its
-        // metrics equal the first run's and a fresh runner's.
+        // patterns cached and runs no analysis job, and its slots, solver
+        // counters included, equal the first run's and a fresh runner's.
         let scenarios = two_pattern_batch();
         let fresh = BatchRunner::new(1).run_scenarios(&scenarios);
         for threads in [1, 8] {
             let runner = BatchRunner::new(threads);
-            let first = runner.run_scenarios(&scenarios);
-            let second = runner.run_scenarios(&scenarios);
-            assert!(second.all_ok(), "{:?}", second.errors());
-            assert_eq!(first.total_full_factorizations(), 2);
-            assert_eq!(second.total_full_factorizations(), 0);
-            for o in second.outcomes() {
+            let cold = runner.run_scenarios(&scenarios);
+            let warm = runner.run_scenarios(&scenarios);
+            assert!(warm.all_ok(), "{:?}", warm.errors());
+            for o in warm.outcomes() {
+                assert_eq!(o.solver.full_factorizations, 0, "scenario {}", o.index);
                 assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
             }
-            assert_eq!(metrics_of(&second), metrics_of(&first));
-            assert_eq!(metrics_of(&second), metrics_of(&fresh));
+            assert_eq!(cold.slots, fresh.slots);
+            assert_eq!(warm.slots, cold.slots);
             assert_eq!(
                 runner.analysis_cache_stats(),
                 AnalysisCacheStats {
@@ -1021,7 +880,6 @@ mod tests {
         let runner = BatchRunner::new(1);
         runner.run_scenarios(&table1);
         let warm = runner.run_scenarios(&wide);
-        assert_eq!(warm.total_full_factorizations(), 1);
         let stats = runner.analysis_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 2), "{stats:?}");
         assert_eq!(warm.slots, BatchRunner::new(1).run_scenarios(&wide).slots);
@@ -1032,10 +890,11 @@ mod tests {
         let scenarios = two_pattern_batch();
         let (two, four) = (&scenarios[..1], &scenarios[1..2]);
         // Capacity 1, alternating patterns: each batch evicts the other
-        // pattern's analysis, so every batch pays its own factorisation...
+        // pattern's analysis, so every batch runs its own analysis job...
         let runner = BatchRunner::new(1).with_analysis_cache(1);
-        for batch in [two, four, two, four] {
-            assert_eq!(runner.run_scenarios(batch).total_full_factorizations(), 1);
+        for (k, batch) in [two, four, two, four].into_iter().enumerate() {
+            runner.run_scenarios(batch);
+            assert_eq!(runner.analysis_cache_stats().misses, k as u64 + 1);
         }
         assert_eq!(
             runner.analysis_cache_stats(),
@@ -1046,13 +905,17 @@ mod tests {
             }
         );
         // ...but the most recent pattern stays.
-        assert_eq!(runner.run_scenarios(four).total_full_factorizations(), 0);
-        assert_eq!(runner.analysis_cache_stats().hits, 1);
+        runner.run_scenarios(four);
+        let stats = runner.analysis_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 4));
 
-        // Capacity 0 always factorises; sharing within a batch stays on.
+        // Capacity 0 analyses every batch afresh; sharing within a batch
+        // stays on.
         let off = BatchRunner::new(1).with_analysis_cache(0);
         for _ in 0..2 {
-            assert_eq!(off.run_scenarios(&scenarios).total_full_factorizations(), 2);
+            for o in off.run_scenarios(&scenarios).outcomes() {
+                assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+            }
         }
         let stats = off.analysis_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 4, 0));
@@ -1060,9 +923,9 @@ mod tests {
 
     #[test]
     fn failed_donor_releases_its_adopters() {
-        // A donor that fails at run time must publish an empty analysis
-        // so its adopters are not stranded on the condvar; the failures
-        // stay in their own slots while the healthy group completes.
+        // A group whose scenarios fail must not take the batch down: the
+        // failures stay in their own slots while the healthy group
+        // completes.
         let good = ScenarioSpec::new()
             .seconds(2)
             .grid(tiny_grid())
@@ -1077,8 +940,7 @@ mod tests {
             .grid(tiny_grid())
             .build()
             .unwrap();
-        // Failing donor first, then its (also failing) group-mate, then a
-        // healthy group.
+        // The failing group first (two scenarios), then a healthy group.
         let scenarios = vec![failing.clone(), failing, good];
         let parallel = BatchRunner::new(2).run_scenarios(&scenarios);
         let serial = BatchRunner::new(1).run_scenarios(&scenarios);
@@ -1196,7 +1058,8 @@ mod tests {
             "multigrid outcomes must not depend on thread count"
         );
         // Different solver params split the pattern groups, so the mg
-        // scenario is its own donor and still pays no fine factorisation.
+        // scenario has an empty analysis of its own and still pays no
+        // fine factorisation.
         assert_eq!(serial.pattern_groups, 2);
         let outcomes = serial.outcomes();
         let (mg, direct) = (&outcomes[0], &outcomes[1]);
@@ -1251,9 +1114,33 @@ mod tests {
         // patterns on one grid.
         let scenarios = tiny_matrix();
         assert_eq!(scenarios.len(), 28);
-        let report = BatchRunner::new(2).run_scenarios(&scenarios);
+        let runner = BatchRunner::new(2);
+        let report = runner.run_scenarios(&scenarios);
         assert_eq!(report.pattern_groups, 4);
-        assert_eq!(report.total_full_factorizations(), 4);
+        assert_eq!(runner.analysis_cache_stats().misses, 4);
+    }
+
+    #[test]
+    fn a_multigrid_pattern_is_analysed_once_per_runner() {
+        // A multigrid pattern's initialisation factorises nothing. The
+        // cache keeps that empty analysis as well, so a second batch of
+        // the pattern runs no analysis job.
+        let scenarios = vec![ScenarioSpec::new()
+            .seconds(2)
+            .grid(tiny_grid())
+            .solver(cmosaic_thermal::SolverBackend::multigrid())
+            .build()
+            .unwrap()];
+        let runner = BatchRunner::new(1);
+        let first = runner.run_scenarios(&scenarios);
+        let second = runner.run_scenarios(&scenarios);
+        assert!(first.all_ok(), "{:?}", first.errors());
+        assert_eq!(first.slots, second.slots);
+        let solver = &first.outcomes()[0].solver;
+        assert_eq!(solver.full_factorizations, 0, "{solver:?}");
+        assert_eq!(solver.adopted_symbolics, 0, "{solver:?}");
+        let stats = runner.analysis_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
     }
 
     #[test]

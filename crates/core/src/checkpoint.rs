@@ -10,10 +10,10 @@
 //! merges the two sets into a report that is **bit-identical to the
 //! uninterrupted run at any thread count**: all floating-point payloads
 //! are serialised as exact IEEE-754 bit patterns (`f64::to_bits`, hex),
-//! never as decimal round-trips, and completed donors of pattern groups
-//! with pending adopters have their frozen symbolic analyses cheaply
-//! regenerated (initialisation reproduces them exactly) so resumed
-//! adopters still ride the shared-analysis path.
+//! never as decimal round-trips, and a resumed slot adopts its pattern
+//! group's analysis exactly as it would have in the uninterrupted run
+//! (the batch analyses each group from its first scenario, journaled or
+//! not), so its solver counters match too.
 //!
 //! The journal is bound to its study by a fingerprint over every
 //! [`ScenarioSpec`] (FNV-1a over the specs' debug
@@ -35,11 +35,13 @@ use crate::metrics::RunMetrics;
 use crate::scenario::{Fnv1a, ScenarioSpec};
 use crate::CmosaicError;
 
-/// Journal format version. v4 `ok` lines carry no ILU(0) refresh
-/// counter, and recovery counts follow the one-rung backend ladder (a
-/// multigrid slot that broke down once reads `2 1 0` where v3 read
-/// `3 2 0`), so a v3 journal is refused rather than merged.
-const VERSION: u32 = 4;
+/// Journal format version. In v5 every scenario of a pattern group
+/// adopts the group's analysis, so a direct-LU slot reads zero full
+/// factorisations and one adopted symbolic where a v4 journal's first
+/// slot of each group read one and zero; v4 journals are refused rather
+/// than merged, and so are v3 journals, whose recovery counts follow
+/// the old two-rung backend ladder.
+const VERSION: u32 = 5;
 
 /// FNV-1a fingerprint binding a journal to its study: folds the ordered
 /// per-spec [`ScenarioSpec::fingerprint`] values, plus the count, so the
@@ -452,14 +454,19 @@ mod tests {
             StudyJournal::open(&path, 1, 3),
             Err(CmosaicError::Journal { .. })
         ));
-        // A v3 journal of the same study is refused too: its recovery
-        // counts follow the old two-rung ladder.
-        let v3 = "cmosaic-study-journal v3 fingerprint=0000000000000001 scenarios=2\n";
-        std::fs::write(&path, v3).unwrap();
-        assert!(matches!(
-            StudyJournal::open(&path, 1, 2),
-            Err(CmosaicError::Journal { .. })
-        ));
+        // v3 and v4 journals of the same study are refused too: v3
+        // recovery counts follow the old two-rung ladder, and v4 solver
+        // counters the first slot of each pattern group analysing on its
+        // own.
+        for old in [3, 4] {
+            let header =
+                format!("cmosaic-study-journal v{old} fingerprint=0000000000000001 scenarios=2\n");
+            std::fs::write(&path, header).unwrap();
+            assert!(matches!(
+                StudyJournal::open(&path, 1, 2),
+                Err(CmosaicError::Journal { .. })
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 

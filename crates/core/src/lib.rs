@@ -13,9 +13,14 @@
 //! | [`PolicyKind::LcLb`] | `LC_LB` | liquid-cooled at the maximum flow rate, load balancing |
 //! | [`PolicyKind::LcFuzzy`] | `LC_FUZZY` | liquid-cooled, fuzzy joint control of coolant flow rate and per-core DVFS |
 //!
-//! The headline result: `LC_FUZZY` keeps every junction below the 85 °C
-//! threshold while cutting cooling energy by up to ~67 % and system energy
-//! by up to ~30 % against running the pump at the worst-case maximum flow.
+//! The headline result reproduces only in part. `LC_FUZZY` keeps every
+//! junction below the 85 °C threshold and saves energy against running the
+//! pump at the worst-case maximum flow (`LC_LB`), but not by the paper's
+//! figures: the paper reports cooling-energy savings of up to 67 % and
+//! system-energy savings of up to 30 % (50 % / 52 % and 14 % / 18 % for 2 /
+//! 4 tiers in its Fig. 7), while the `fig7_energy` bench measures 45.8 % /
+//! 51.9 % and 29.7 % / 33.9 %. Item 1 of the repository's `ROADMAP.md`
+//! tracks where the reproduction misses the paper.
 //!
 //! # The scenario API
 //!
@@ -76,13 +81,15 @@
 //!   power-map assembly allocate (small, constant).
 //! * **Parallel batch engine.** [`batch::BatchRunner`] fans a scenario
 //!   matrix (e.g. [`experiments::fig6_study`]) across a scoped thread
-//!   pool. Scenarios are grouped by operator pattern; the first of each
-//!   group donates its frozen symbolic LU analysis
-//!   ([`thermal::SharedAnalysis`], `Arc`-shared) to the rest, and the
-//!   runner keeps it in a bounded LRU for its later batches, so the
-//!   expensive full factorisation runs once per (stack, grid, thermal
-//!   parameters) pattern per runner. Outcomes are aggregated by scenario
-//!   index and are bit-identical at any thread count and cache warmth.
+//!   pool. Scenarios are grouped by operator pattern. The runner keeps a
+//!   bounded LRU of frozen symbolic LU analyses
+//!   ([`thermal::SharedAnalysis`], `Arc`-shared); before a batch runs,
+//!   it analyses each pattern the LRU lacks once, and then every scenario
+//!   adopts its pattern's analysis, so the expensive full factorisation
+//!   runs once per (stack, grid, thermal parameters) pattern per runner.
+//!   Outcomes are aggregated by scenario index, and every slot, solver
+//!   counters included, is bit-identical at any thread count and cache
+//!   warmth.
 //!
 //! # Fault tolerance and resumable studies
 //!
@@ -95,9 +102,10 @@
 //!   `catch_unwind`), tripping the per-epoch divergence guard
 //!   ([`CmosaicError::Diverged`]) or otherwise failing leaves a
 //!   structured [`batch::SlotError`] in its own slot while every healthy
-//!   scenario completes and aggregates normally. A failed donor releases
-//!   its adopters (they run unshared) — no deadlocks, no poisoned-lock
-//!   cascades.
+//!   scenario completes and aggregates normally. A pattern whose
+//!   analysis fails leaves its scenarios unshared (each analyses on its
+//!   own), and no lock is held across a scenario, so nothing waits on a
+//!   failed one.
 //! * **A deterministic degradation ladder.** Retryable failures
 //!   (divergence, linear-solver breakdown) re-run the scenario down a
 //!   fixed ladder — backend demotion (multigrid → direct LU, sticky),
@@ -146,12 +154,13 @@
 //! let base = ScenarioSpec::new()
 //!     .grid(GridSpec::new(6, 6).expect("static"))
 //!     .seconds(2);
+//! let runner = BatchRunner::new(2);
 //! let (report, peaks) = Study::new(base)
 //!     .over_tiers([2, 4])
 //!     .over_policies([PolicyKind::LcLb, PolicyKind::LcFuzzy])
-//!     .run_observed(&BatchRunner::new(2), |_, _| PeakTemperature::new())?;
+//!     .run_observed(&runner, |_, _| PeakTemperature::new())?;
 //! assert_eq!(report.len(), 4);
-//! assert_eq!(report.total_full_factorizations(), 2); // one per tier count
+//! assert_eq!(runner.analysis_cache_stats().misses, 2); // one per tier count
 //! // Healthy slots keep their observers (`None` marks failed slots).
 //! assert!(peaks.iter().all(|p| p.as_ref().is_some_and(|p| p.peak().is_some())));
 //! # Ok(())

@@ -21,11 +21,11 @@
 //!   early-abort [`ConstraintMonitor`] observer — an infeasible design
 //!   costs only the epochs up to its first violation;
 //! * an [`Evaluator`]: batches un-cached designs through the
-//!   [`BatchRunner`] (inheriting per-pattern
-//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) donation, the
-//!   runner's analysis cache across evaluation batches and strategies,
-//!   and any-thread-count bit-identity), memoizing every evaluation so
-//!   revisits are free;
+//!   [`BatchRunner`] (inheriting one
+//!   [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) per pattern,
+//!   kept in the runner's analysis cache across evaluation batches and
+//!   strategies, and any-thread-count bit-identity), memoizing every
+//!   evaluation so revisits are free;
 //! * [`SearchStrategy`] implementations sharing that evaluator:
 //!   exhaustive [`GridSearch`], the adaptive, seeded
 //!   [`CoordinateDescent`], and the seeded, bit-reproducible

@@ -783,7 +783,7 @@ impl Scenario {
 
     /// `true` when `other` shares this scenario's thermal-operator
     /// sparsity pattern — same stack, grid and thermal parameters — so a
-    /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) donated by one
+    /// [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis) exported by one
     /// is adoptable by the other.
     pub fn same_operator_pattern(&self, other: &Scenario) -> bool {
         self.stack == other.stack
@@ -804,8 +804,8 @@ impl Scenario {
 
     /// A copy with the solver demoted down the backend ladder, multigrid
     /// → direct LU. `None` when the backend is already direct. Demotion
-    /// changes the operator pattern, so demoted retries never adopt or
-    /// donate a shared analysis.
+    /// changes the operator pattern; like every retry, a demoted one runs
+    /// without its group's shared analysis.
     pub(crate) fn demoted_backend(&self) -> Option<Scenario> {
         if !self.sim_config.thermal.solver.is_iterative() {
             return None;
@@ -826,8 +826,8 @@ impl Scenario {
     }
 
     /// Builds the simulator without running it — the entry point the batch
-    /// engine uses so it can donate a shared thermal analysis before
-    /// initialisation.
+    /// engine uses so it can hand a shared thermal analysis to the
+    /// simulator before initialisation.
     ///
     /// # Errors
     ///

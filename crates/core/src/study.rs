@@ -11,17 +11,18 @@
 //!
 //! [`Study::run`] executes the matrix through a
 //! [`BatchRunner`], inheriting its guarantees:
-//! scenarios sharing a thermal-operator pattern pay **one** full pivoting
-//! factorisation between them (donated
-//! [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis)), and none when the
-//! runner analysed the pattern in an earlier batch; the report is
-//! bit-identical at any thread count, and run-time failures (panics,
-//! divergence, exhausted retry ladders) stay in their own slots
-//! ([`StudyReport::slots`]) instead of discarding the family's healthy
-//! results. [`Study::run_observed`] additionally hooks one [`Observer`]
-//! per scenario into the loop, and [`Study::run_checkpointed`] journals
-//! every finished slot to disk so a killed study resumes where it left
-//! off — bit-identical to the uninterrupted run.
+//! scenarios sharing a thermal-operator pattern adopt **one** analysis
+//! between them (a [`SharedAnalysis`](cmosaic_thermal::SharedAnalysis)
+//! the runner analyses before the batch runs), and the runner analyses
+//! nothing for a pattern it met in an earlier batch; the report is
+//! bit-identical at any thread count and cache warmth, and run-time
+//! failures (panics, divergence, exhausted retry ladders) stay in their
+//! own slots ([`StudyReport::slots`]) instead of discarding the family's
+//! healthy results. [`Study::run_observed`] additionally hooks one
+//! [`Observer`] per scenario into the loop, and
+//! [`Study::run_checkpointed`] journals every finished slot to disk so a
+//! killed study resumes where it left off — bit-identical to the
+//! uninterrupted run.
 //!
 //! ```
 //! use cmosaic::scenario::ScenarioSpec;
@@ -54,7 +55,7 @@ use cmosaic_thermal::SolverBackend;
 
 use std::path::Path;
 
-use crate::batch::{BatchRunner, ScenarioOutcome, SlotError};
+use crate::batch::{BatchReport, BatchRunner, ScenarioOutcome, SlotError};
 use crate::checkpoint::{self, StudyJournal};
 use crate::metrics::RunMetrics;
 use crate::observe::Observer;
@@ -292,14 +293,7 @@ impl Study {
     /// structured [`SlotError`] for each failed scenario — deterministic
     /// regardless of thread count.
     pub fn run(&self, runner: &BatchRunner) -> Result<StudyReport, CmosaicError> {
-        let scenarios = self.build()?;
-        let batch = runner.run_scenarios(&scenarios);
-        Ok(StudyReport {
-            specs: self.specs.clone(),
-            slots: batch.slots,
-            pattern_groups: batch.pattern_groups,
-            threads: batch.threads,
-        })
+        Ok(self.run_observed(runner, |_, _| ())?.0)
     }
 
     /// Like [`Study::run`], with one observer per scenario created by
@@ -321,15 +315,7 @@ impl Study {
     {
         let scenarios = self.build()?;
         let (batch, observers) = runner.run_scenarios_observed(&scenarios, factory);
-        Ok((
-            StudyReport {
-                specs: self.specs.clone(),
-                slots: batch.slots,
-                pattern_groups: batch.pattern_groups,
-                threads: batch.threads,
-            },
-            observers,
-        ))
+        Ok((self.report(batch), observers))
     }
 
     /// Like [`Study::run`], journaling every finished slot to
@@ -364,15 +350,17 @@ impl Study {
             |_, _| (),
             |i, slot| journal.record(i, slot),
         );
-        Ok((
-            StudyReport {
-                specs: self.specs.clone(),
-                slots: batch.slots,
-                pattern_groups: batch.pattern_groups,
-                threads: batch.threads,
-            },
-            resumed,
-        ))
+        Ok((self.report(batch), resumed))
+    }
+
+    /// Pairs a batch run of this study's matrix with its specs.
+    fn report(&self, batch: BatchReport) -> StudyReport {
+        StudyReport {
+            specs: self.specs.clone(),
+            slots: batch.slots,
+            pattern_groups: batch.pattern_groups,
+            threads: batch.threads,
+        }
     }
 }
 
@@ -452,17 +440,6 @@ impl StudyReport {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Total full pivoting factorisations across every successful
-    /// scenario — with analysis sharing and no failures on a fresh
-    /// runner this equals [`StudyReport::pattern_groups`]; a runner that
-    /// had already analysed a pattern skips its factorisation.
-    pub fn total_full_factorizations(&self) -> u64 {
-        self.outcomes()
-            .iter()
-            .map(|o| o.solver.full_factorizations)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -520,11 +497,15 @@ mod tests {
             ]
         );
         // Same stack and thermal params: the allocator axis re-prices
-        // power but shares the one factorisation.
-        let report = study.run(&BatchRunner::new(2)).unwrap();
+        // power but shares the one analysis.
+        let runner = BatchRunner::new(2);
+        let report = study.run(&runner).unwrap();
         assert!(report.all_ok());
         assert_eq!(report.pattern_groups(), 1);
-        assert_eq!(report.total_full_factorizations(), 1);
+        assert_eq!(runner.analysis_cache_stats().misses, 1);
+        for o in report.outcomes() {
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+        }
         // On the homogeneous Niagara preset stack the three allocators
         // price core tiers identically and only differ on memory /
         // accelerator blocks — which this stack does not have — so the
@@ -551,16 +532,20 @@ mod tests {
         assert!(!study.specs()[0].solver_backend().is_iterative());
         assert!(study.specs()[1].solver_backend().is_iterative());
         assert!(study.specs()[2].solver_backend().is_iterative());
-        let report = study.run(&BatchRunner::new(2)).unwrap();
+        let runner = BatchRunner::new(2);
+        let report = study.run(&runner).unwrap();
         assert_eq!(report.len(), 3);
         // Same stack/grid but different thermal params (two multigrid
-        // operating points among them): three groups, and only the direct
-        // cell pays a full factorisation.
+        // operating points among them): three groups, each analysed once,
+        // and only the direct cell has an analysis to adopt.
         assert_eq!(report.pattern_groups(), 3);
+        assert_eq!(runner.analysis_cache_stats().misses, 3);
         let direct = &report.outcomes()[0].solver;
         let iterative = &report.outcomes()[1].solver;
         let mg = &report.outcomes()[2].solver;
-        assert!(direct.full_factorizations >= 1);
+        assert_eq!(direct.adopted_symbolics, 1, "{direct:?}");
+        assert_eq!(iterative.adopted_symbolics, 0, "{iterative:?}");
+        assert_eq!(mg.adopted_symbolics, 0, "{mg:?}");
         assert_eq!(direct.iterative_solves, 0);
         assert!(iterative.iterative_solves >= 1, "{iterative:?}");
         assert_eq!(iterative.iterative_fallbacks, 0, "{iterative:?}");
@@ -588,14 +573,19 @@ mod tests {
 
     #[test]
     fn study_runs_and_shares_analysis_per_pattern_group() {
+        let runner = BatchRunner::new(2);
         let report = Study::new(tiny_base())
             .over_policies([PolicyKind::LcLb, PolicyKind::LcFuzzy])
             .over_workloads([WorkloadKind::WebServer, WorkloadKind::Database])
-            .run(&BatchRunner::new(2))
+            .run(&runner)
             .unwrap();
         assert_eq!(report.len(), 4);
         assert_eq!(report.pattern_groups(), 1);
-        assert_eq!(report.total_full_factorizations(), 1);
+        assert_eq!(runner.analysis_cache_stats().misses, 1);
+        for o in report.outcomes() {
+            assert_eq!(o.solver.full_factorizations, 0, "scenario {}", o.index);
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+        }
         let m = report
             .metrics_matching(|s| {
                 s.policy_kind() == PolicyKind::LcLb && s.workload_kind() == WorkloadKind::Database
@@ -616,10 +606,11 @@ mod tests {
             .over_with(|_| vec![]);
         assert!(dropped.is_empty());
         // Empty studies execute as empty reports, not errors.
-        let report = none.run(&BatchRunner::new(2)).expect("empty batch is fine");
+        let runner = BatchRunner::new(2);
+        let report = none.run(&runner).expect("empty batch is fine");
         assert!(report.is_empty());
         assert_eq!(report.pattern_groups(), 0);
-        assert_eq!(report.total_full_factorizations(), 0);
+        assert_eq!(runner.analysis_cache_stats(), Default::default());
         assert!(report.iter().next().is_none());
         assert!(report.metrics_matching(|_| true).is_none());
         // Axes applied to an already-empty study keep it empty.
@@ -650,7 +641,7 @@ mod tests {
     fn chained_studies_with_mismatched_grids_span_their_own_pattern_groups() {
         // Two independently-built families on different thermal grids:
         // chaining concatenates them in order, and the batch engine keeps
-        // one pattern group (one full factorisation) per grid.
+        // one pattern group (one analysis) per grid.
         let coarse = Study::new(tiny_base()).over_seeds([1, 2]);
         let fine =
             Study::new(tiny_base().grid(GridSpec::new(8, 8).expect("static"))).over_seeds([3, 4]);
@@ -660,9 +651,13 @@ mod tests {
         assert_eq!(grids[0], grids[1]);
         assert_eq!(grids[2], grids[3]);
         assert_ne!(grids[1], grids[2], "chain preserves each family's grid");
-        let report = chained.run(&BatchRunner::new(2)).expect("chained run");
+        let runner = BatchRunner::new(2);
+        let report = chained.run(&runner).expect("chained run");
         assert_eq!(report.pattern_groups(), 2);
-        assert_eq!(report.total_full_factorizations(), 2);
+        assert_eq!(runner.analysis_cache_stats().misses, 2);
+        for o in report.outcomes() {
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+        }
         // Outcomes stay index-aligned with the concatenated spec order.
         for (spec, outcome) in report.iter() {
             assert_eq!(spec.duration(), outcome.metrics.seconds);
@@ -692,8 +687,8 @@ mod tests {
         assert_eq!(index, 1);
         assert!(e.to_string().contains("panicked"));
         assert_eq!(report.outcomes().len(), 2);
-        // The healthy slots still share one factorisation and the
-        // Ok-only iterator skips the hole.
+        // The healthy slots still share one analysis and the Ok-only
+        // iterator skips the hole.
         assert_eq!(report.iter().count(), 2);
         assert!(report.metrics_matching(|s| s.trace_seed() == 9).is_some());
     }
@@ -715,7 +710,7 @@ mod tests {
         assert!(baseline.all_ok());
 
         let path = temp_journal_path("resume");
-        // "Kill" the first run after two jobs (donor + one adopter)...
+        // "Kill" the first run after two jobs (the first two seeds)...
         let (partial, resumed_first) = study
             .run_checkpointed(&BatchRunner::new(2).with_job_limit(2), &path)
             .unwrap();
@@ -736,9 +731,9 @@ mod tests {
     #[test]
     fn a_warm_runner_resumes_bit_identically() {
         // A runner that already ran the study holds both patterns, so the
-        // resumed slots adopt its cached analyses instead of regenerating
-        // one; every slot's metrics still equal the cold, uninterrupted
-        // run's.
+        // resumed slots adopt its cached analysis and no analysis job
+        // runs; every slot, solver counters included, still equals the
+        // cold, uninterrupted run's.
         let study = Study::new(tiny_base())
             .over_tiers([2, 4])
             .over_seeds([1, 2, 3]);
@@ -748,20 +743,17 @@ mod tests {
         study.run(&runner).unwrap();
 
         let path = temp_journal_path("warm-resume");
-        // Both donors and one adopter finish before the "kill".
+        // The three 2-tier scenarios finish before the "kill"; only the
+        // 4-tier group is left for the warm runner to look up.
         study
             .run_checkpointed(&BatchRunner::new(2).with_job_limit(3), &path)
             .unwrap();
         let (full, resumed) = study.run_checkpointed(&runner, &path).unwrap();
         assert_eq!(resumed, 3);
         assert!(full.all_ok());
-        assert_eq!(full.len(), baseline.len());
-        for (i, (warm, cold)) in full.slots().iter().zip(baseline.slots()).enumerate() {
-            let (warm, cold) = (warm.as_ref().unwrap(), cold.as_ref().unwrap());
-            assert_eq!(warm.metrics, cold.metrics, "slot {i}");
-        }
+        assert_eq!(full.slots(), baseline.slots());
         let stats = runner.analysis_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2), "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
         std::fs::remove_file(&path).ok();
     }
 

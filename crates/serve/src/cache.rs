@@ -15,9 +15,11 @@ pub struct CacheStats {
     /// Scenario results that had to be simulated.
     pub result_misses: u64,
     /// Pattern groups whose symbolic analysis came from the runner's
-    /// analysis cache (zero full factorisations for that group).
+    /// analysis cache (no analysis job for that group).
     pub analysis_hits: u64,
-    /// Pattern groups factorised fresh (the analysis was then cached).
+    /// Pattern groups analysed fresh, one analysis job each (the
+    /// analysis was then cached): every full factorisation the daemon's
+    /// healthy batches ran.
     pub analysis_misses: u64,
     /// Evictions from the result LRU.
     pub result_evictions: u64,

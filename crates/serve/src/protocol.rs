@@ -31,6 +31,13 @@
 //! harness for fault-isolation drills). The nested objects reject unknown
 //! keys as well.
 //!
+//! Sizes are bounded, so one request cannot make the daemon allocate
+//! without limit or step forever: `seconds` at most 3 600, `tiers` at
+//! most 8, each `grid` side at most 128 cells, and at most 1 000 thermal
+//! sub-steps per control interval (`control_interval / thermal_dt`,
+//! rounded, with the defaults standing in for omitted fields). A spec
+//! beyond a bound is refused like any other invalid spec.
+//!
 //! # Response events
 //!
 //! `run` answers with zero or more `epoch` events followed by exactly one
@@ -45,6 +52,7 @@ use cmosaic::fault::{FaultKind, FaultPlan};
 use cmosaic::metrics::RunMetrics;
 use cmosaic::policy::PolicyKind;
 use cmosaic::scenario::FlowSchedule;
+use cmosaic::sim::SimConfig;
 use cmosaic::ScenarioSpec;
 use cmosaic_floorplan::GridSpec;
 use cmosaic_materials::units::{Celsius, VolumetricFlow};
@@ -107,11 +115,23 @@ impl Request {
     }
 }
 
+/// Longest simulated duration a served spec may ask for, seconds.
+const MAX_SECONDS: usize = 3_600;
+/// Most tiers a served spec may stack.
+const MAX_TIERS: usize = 8;
+/// Most cells along either side of a served spec's thermal grid.
+const MAX_GRID_SIDE: usize = 128;
+/// Most thermal sub-steps per control interval a served spec may ask for.
+const MAX_SUBSTEPS: f64 = 1_000.0;
+
 /// Builds a [`ScenarioSpec`] from a protocol spec object (see the module
-/// docs for the field list). Unknown fields are errors.
+/// docs for the field list and the size bounds). Unknown fields are
+/// errors.
 pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
     let fields = v.as_obj().ok_or("spec must be an object")?;
     let mut spec = ScenarioSpec::new();
+    let defaults = SimConfig::default();
+    let (mut thermal_dt, mut control_interval) = (defaults.thermal_dt, defaults.control_interval);
     let str_of = |val: &Json, what: &str| -> Result<String, String> {
         val.as_str()
             .map(str::to_string)
@@ -120,13 +140,19 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
     let usize_of = |val: &Json, what: &str| -> Result<usize, String> {
         val.as_usize().ok_or(format!("{what} must be an integer"))
     };
+    let bounded = |val: &Json, what: &str, max: usize| -> Result<usize, String> {
+        match usize_of(val, what)? {
+            n if n > max => Err(format!("{what} must be at most {max}")),
+            n => Ok(n),
+        }
+    };
     let f64_of = |val: &Json, what: &str| -> Result<f64, String> {
         val.as_f64().ok_or(format!("{what} must be a number"))
     };
     for (key, val) in fields {
         spec = match key.as_str() {
             "label" => spec.label(str_of(val, "label")?),
-            "tiers" => spec.tiers(usize_of(val, "tiers")?),
+            "tiers" => spec.tiers(bounded(val, "tiers", MAX_TIERS)?),
             "coolant" => match str_of(val, "coolant")?.as_str() {
                 "air" => spec.air(),
                 "water" => spec.water(),
@@ -134,8 +160,11 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
             },
             "grid" => {
                 only_keys(val, "grid", &["nx", "ny"])?;
-                let nx = usize_of(val.get("nx").ok_or("grid requires nx")?, "grid.nx")?;
-                let ny = usize_of(val.get("ny").ok_or("grid requires ny")?, "grid.ny")?;
+                let side = |key: &str, what: &str| {
+                    let val = val.get(key).ok_or(format!("grid requires {key}"))?;
+                    bounded(val, what, MAX_GRID_SIDE)
+                };
+                let (nx, ny) = (side("nx", "grid.nx")?, side("ny", "grid.ny")?);
                 spec.grid(GridSpec::new(nx, ny).map_err(|e| e.to_string())?)
             }
             "workload" => spec.workload(match str_of(val, "workload")?.as_str() {
@@ -158,10 +187,16 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
                 "mg" => SolverBackend::multigrid(),
                 other => return Err(format!("unknown solver '{other}' (direct|mg)")),
             }),
-            "seconds" => spec.seconds(usize_of(val, "seconds")?),
+            "seconds" => spec.seconds(bounded(val, "seconds", MAX_SECONDS)?),
             "seed" => spec.seed(val.as_u64().ok_or("seed must be an integer")?),
-            "thermal_dt" => spec.thermal_dt(f64_of(val, "thermal_dt")?),
-            "control_interval" => spec.control_interval(f64_of(val, "control_interval")?),
+            "thermal_dt" => {
+                thermal_dt = f64_of(val, "thermal_dt")?;
+                spec.thermal_dt(thermal_dt)
+            }
+            "control_interval" => {
+                control_interval = f64_of(val, "control_interval")?;
+                spec.control_interval(control_interval)
+            }
             "threshold_celsius" => spec.threshold(Celsius(f64_of(val, "threshold_celsius")?)),
             "sensor_noise" => {
                 only_keys(val, "sensor_noise", &["std", "seed"])?;
@@ -192,6 +227,13 @@ pub fn parse_spec(v: &Json) -> Result<ScenarioSpec, String> {
             }
             other => return Err(format!("unknown spec field '{other}'")),
         };
+    }
+    // The simulator takes `(control_interval / thermal_dt).round()`
+    // sub-steps per interval; a non-positive step is left to `build`.
+    if (control_interval / thermal_dt).round() > MAX_SUBSTEPS {
+        return Err(format!(
+            "control_interval / thermal_dt must be at most {MAX_SUBSTEPS} sub-steps"
+        ));
     }
     Ok(spec)
 }
@@ -411,10 +453,42 @@ mod tests {
                 r#"{"fault":{"panic_at":1,"nan_at":2}}"#,
                 "fault takes panic_at alone",
             ),
+            // Sizes beyond the bounds, in numeric and string-encoded form.
+            (r#"{"seconds":3601}"#, "seconds must be at most 3600"),
+            (
+                r#"{"seconds":"2305843009213693952"}"#,
+                "seconds must be at most 3600",
+            ),
+            (
+                r#"{"seconds":9007199254740992}"#,
+                "seconds must be at most 3600",
+            ),
+            (r#"{"tiers":9}"#, "tiers must be at most 8"),
+            (
+                r#"{"grid":{"nx":129,"ny":8}}"#,
+                "grid.nx must be at most 128",
+            ),
+            (
+                r#"{"grid":{"nx":8,"ny":"18446744073709551615"}}"#,
+                "grid.ny must be at most 128",
+            ),
+            (r#"{"thermal_dt":1e-300}"#, "at most 1000 sub-steps"),
+            (
+                r#"{"thermal_dt":0.001,"control_interval":1.002}"#,
+                "at most 1000 sub-steps",
+            ),
+            (
+                r#"{"control_interval":1e300,"thermal_dt":0.25}"#,
+                "at most 1000 sub-steps",
+            ),
+            (r#"{"thermal_dt":0}"#, "at most 1000 sub-steps"),
         ] {
             let err = parse_spec(&Json::parse(text).unwrap()).unwrap_err();
             assert!(err.contains(want), "{text}: {err}");
         }
+        // The bounds themselves are admitted.
+        let edge = r#"{"seconds":3600,"tiers":8,"grid":{"nx":128,"ny":128},"thermal_dt":0.001}"#;
+        assert!(parse_spec(&Json::parse(edge).unwrap()).is_ok());
     }
 
     #[test]

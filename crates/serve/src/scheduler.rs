@@ -18,18 +18,19 @@
 //! behind the batch that computed them). The batch's scenarios are
 //! deduplicated by fingerprint (two requests asking for the same scenario
 //! share one simulation), resolved against the result LRU, and the remainder
-//! executes as **one** [`BatchRunner`] batch, so one symbolic
-//! factorisation serves every request of the batch with the same
-//! operator pattern. The worker owns a single runner for its whole life,
-//! and the runner keeps the analysis of every pattern it factorised
-//! (sized by [`SchedulerConfig::analysis_cache`]), so patterns an earlier
-//! batch already met cost zero full factorisations; that cache and the
-//! result LRU give later batches the sharing a longer wait would have
-//! bought. The `stats` endpoint reads the runner's
-//! [`analysis_cache_stats`](cmosaic::BatchRunner::analysis_cache_stats).
+//! executes as **one** [`BatchRunner`] batch, so one symbolic analysis
+//! serves every request of the batch with the same operator pattern. The
+//! worker owns a single runner for its whole life, and the runner keeps
+//! the analysis of every pattern it analysed (sized by
+//! [`SchedulerConfig::analysis_cache`]), so patterns an earlier batch
+//! already met cost no analysis; that cache and the result LRU give later
+//! batches the sharing a longer wait would have bought. The `stats`
+//! endpoint reads the runner's
+//! [`analysis_cache_stats`](cmosaic::BatchRunner::analysis_cache_stats):
+//! its `analysis_misses` count every analysis the daemon ran.
 //!
 //! None of this machinery is observable in the run responses themselves:
-//! analysis donation is bit-neutral in the engine, so a scenario's
+//! analysis sharing is bit-neutral in the engine, so a scenario's
 //! outcome — and the serialized slot payload built from it — is a pure
 //! bitwise function of its spec, whatever the batching, window timing or
 //! cache warmth did. Per-epoch streams are captured alongside the result
@@ -146,10 +147,6 @@ pub struct BatchSummary {
     pub unique_scenarios: u64,
     /// Distinct operator patterns among the scenarios actually executed.
     pub pattern_groups: u64,
-    /// Full factorisations the executed scenarios performed — with a
-    /// cold analysis cache this equals `pattern_groups`, with a warm one
-    /// it drops to zero.
-    pub full_factorizations: u64,
 }
 
 struct Submission {
@@ -549,7 +546,6 @@ impl Worker {
                         subs: Arc::clone(&subs[i]),
                     });
             summary.pattern_groups = report.pattern_groups as u64;
-            summary.full_factorizations = report.total_full_factorizations();
             for outcome in report.outcomes() {
                 accumulate(&mut solver_sum, &outcome.solver);
             }

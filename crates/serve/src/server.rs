@@ -365,10 +365,6 @@ fn stats_event(s: &StatsSnapshot) -> Json {
                 ("requests", Json::u64(s.last_batch.requests)),
                 ("unique_scenarios", Json::u64(s.last_batch.unique_scenarios)),
                 ("pattern_groups", Json::u64(s.last_batch.pattern_groups)),
-                (
-                    "full_factorizations",
-                    Json::u64(s.last_batch.full_factorizations),
-                ),
             ]),
         ),
     ])

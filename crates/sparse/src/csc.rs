@@ -1,7 +1,5 @@
 //! Compressed sparse column storage.
 
-use crate::SparseError;
-
 /// A sparse matrix in compressed sparse column (CSC) format.
 ///
 /// Entries within each column are sorted by row index and unique. CSC is the
@@ -226,43 +224,6 @@ impl CscMatrix {
         }
     }
 
-    /// In-place `y += alpha · A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn matvec_acc(&self, x: &[f64], alpha: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "matvec_acc: x dimension mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec_acc: y dimension mismatch");
-        for (c, &xv) in x.iter().enumerate() {
-            let xc = alpha * xv;
-            if xc == 0.0 {
-                continue;
-            }
-            for k in self.col_ptr[c]..self.col_ptr[c + 1] {
-                y[self.row_idx[k]] += self.values[k] * xc;
-            }
-        }
-    }
-
-    /// Transposed product `y = Aᵀ·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows`.
-    pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows, "matvec_transpose: dimension mismatch");
-        let mut y = vec![0.0; self.ncols];
-        for (c, yc) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.col_ptr[c]..self.col_ptr[c + 1] {
-                acc += self.values[k] * x[self.row_idx[k]];
-            }
-            *yc = acc;
-        }
-        y
-    }
-
     /// The main diagonal as a dense vector (zeros for missing entries).
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.nrows.min(self.ncols);
@@ -282,70 +243,6 @@ impl CscMatrix {
             }
         }
         CscMatrix::from_triplets(self.ncols, self.nrows, &rows, &cols, &vals)
-    }
-
-    /// `true` if the matrix is square and its sparsity pattern equals the
-    /// pattern of its transpose (values may differ).
-    pub fn is_structurally_symmetric(&self) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        let t = self.transpose();
-        self.col_ptr == t.col_ptr && self.row_idx == t.row_idx
-    }
-
-    /// Maximum absolute difference `max |A − Aᵀ|` over all entries; zero for
-    /// numerically symmetric matrices.
-    pub fn asymmetry(&self) -> f64 {
-        let t = self.transpose();
-        let mut worst = 0.0f64;
-        for c in 0..self.ncols {
-            for (r, v) in self.col_iter(c) {
-                worst = worst.max((v - t.get(r, c)).abs());
-            }
-            for (r, v) in t.col_iter(c) {
-                worst = worst.max((v - self.get(r, c)).abs());
-            }
-        }
-        worst
-    }
-
-    /// Returns `A + alpha·D` where `D` is the diagonal matrix with entries
-    /// `d` — used to form the backward-Euler operator `G + C/Δt`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::Shape`] if `d.len()` differs from the matrix
-    /// dimension or the matrix is not square.
-    pub fn add_diagonal(&self, d: &[f64], alpha: f64) -> Result<CscMatrix, SparseError> {
-        if self.nrows != self.ncols || d.len() != self.nrows {
-            return Err(SparseError::Shape {
-                detail: format!(
-                    "add_diagonal: matrix {}x{}, diagonal length {}",
-                    self.nrows,
-                    self.ncols,
-                    d.len()
-                ),
-            });
-        }
-        let mut rows: Vec<usize> = Vec::with_capacity(self.nnz() + d.len());
-        let mut cols: Vec<usize> = Vec::with_capacity(self.nnz() + d.len());
-        let mut vals: Vec<f64> = Vec::with_capacity(self.nnz() + d.len());
-        for c in 0..self.ncols {
-            for (r, v) in self.col_iter(c) {
-                rows.push(r);
-                cols.push(c);
-                vals.push(v);
-            }
-        }
-        for (i, &di) in d.iter().enumerate() {
-            rows.push(i);
-            cols.push(i);
-            vals.push(alpha * di);
-        }
-        Ok(CscMatrix::from_triplets(
-            self.nrows, self.ncols, &rows, &cols, &vals,
-        ))
     }
 
     /// Dense copy (row-major, rows × cols) — intended for tests and small
@@ -428,49 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_transpose_agrees_with_transpose_matvec() {
-        let a = sample();
-        let x = [1.0, -2.0, 0.5];
-        let y1 = a.matvec_transpose(&x);
-        let y2 = a.transpose().matvec(&x);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn structural_symmetry_detection() {
-        let sym =
-            CscMatrix::from_triplets(2, 2, &[0, 1, 0, 1], &[0, 0, 1, 1], &[2.0, -1.0, -1.0, 2.0]);
-        assert!(sym.is_structurally_symmetric());
-        assert!(sym.asymmetry() < 1e-15);
-        // Entry at (1,0) with no matching (0,1): structurally asymmetric —
-        // exactly the upwind-advection pattern of the micro-channel model.
-        let asym = CscMatrix::from_triplets(2, 2, &[0, 1, 1], &[0, 0, 1], &[2.0, -1.0, 2.0]);
-        assert!(!asym.is_structurally_symmetric());
-        assert!(asym.asymmetry() > 0.5);
-        // The sample matrix has a symmetric *pattern* but asymmetric values.
-        assert!(sample().is_structurally_symmetric());
-        assert!(sample().asymmetry() > 0.0);
-    }
-
-    #[test]
-    fn add_diagonal_builds_backward_euler_operator() {
-        let a = sample();
-        let b = a.add_diagonal(&[10.0, 20.0, 30.0], 2.0).unwrap();
-        assert_eq!(b.get(0, 0), 1.0 + 20.0);
-        assert_eq!(b.get(1, 1), 3.0 + 40.0);
-        assert_eq!(b.get(2, 2), 5.0 + 60.0);
-        assert_eq!(b.get(0, 2), 2.0);
-        assert!(a.add_diagonal(&[1.0], 1.0).is_err());
-    }
-
-    #[test]
     fn identity_is_identity() {
         let i = CscMatrix::identity(4);
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(i.matvec(&x), x.to_vec());
-        assert!(i.is_structurally_symmetric());
     }
 
     #[test]

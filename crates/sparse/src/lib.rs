@@ -62,7 +62,7 @@
 //! solver: [`lu::analyse`] (or [`lu::factor_with_symbolic`], which always
 //! searches for pivots) performs one full factorisation and freezes the
 //! column ordering, pivot sequence and factor layout in a [`SymbolicLu`];
-//! [`LuFactors::refactor`] (or [`SymbolicLu::refactor_into`] for
+//! [`SymbolicLu::refactor`] (or [`SymbolicLu::refactor_into`] for
 //! allocation reuse) then replays only the numeric sweep — no DFS, no
 //! pivot search — for any matrix with the *identical* pattern.
 //!

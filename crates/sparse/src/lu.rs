@@ -52,7 +52,7 @@
 //! rates, transient time steps, two-phase sweeps). A [`SymbolicLu`]
 //! captures the column ordering, pivot sequence and envelope of one
 //! analysis, together with the rows of `A` mapped to pivot steps, and
-//! [`LuFactors::refactor`] replays only the numeric sweep over that frozen
+//! [`SymbolicLu::refactor`] replays only the numeric sweep over that frozen
 //! layout — the same trick 3D-ICE gets from SuperLU's
 //! `SamePattern_SameRowPerm` path. The sweep is left-looking: column `j`
 //! scatters `A(:,j)` into a dense pivot-space column, then applies `L(:,k)`
@@ -873,18 +873,6 @@ impl LuFactors {
         self.env.n
     }
 
-    /// Numeric-only refactorisation: recomputes factors for `a` over the
-    /// frozen pattern and pivot sequence of `symbolic`, skipping the DFS
-    /// and pivot search. Equivalent to [`SymbolicLu::refactor`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SymbolicLu::refactor_into`]; on
-    /// [`SparseError::UnstablePivot`], fall back to a fresh [`factor`].
-    pub fn refactor(symbolic: &SymbolicLu, a: &CscMatrix) -> Result<LuFactors, SparseError> {
-        symbolic.refactor(a)
-    }
-
     /// Stored entries in `L` (excluding the implicit unit diagonal): the
     /// envelope, padding included.
     pub fn nnz_l(&self) -> usize {
@@ -962,24 +950,6 @@ impl LuFactors {
         }
         env.q.scatter_into(y, x);
         Ok(())
-    }
-
-    /// Solves `A·X = B` for multiple right-hand sides, reusing one scratch
-    /// buffer across all columns instead of allocating one per column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::Shape`] if any right-hand side has the wrong
-    /// length.
-    pub fn solve_many(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, SparseError> {
-        let mut ws = SolveWorkspace::with_dimension(self.n());
-        bs.iter()
-            .map(|b| {
-                let mut x = vec![0.0f64; self.n()];
-                self.solve_with(&mut ws, b, &mut x)?;
-                Ok(x)
-            })
-            .collect()
     }
 }
 
@@ -1124,7 +1094,7 @@ mod tests {
         let (_, sym) = factor_with_symbolic(&a0, ColumnOrdering::Rcm).unwrap();
         for scale in [0.3, 1.0, 2.5, 7.0] {
             let a = grid_with_advection(scale);
-            let re = LuFactors::refactor(&sym, &a).unwrap();
+            let re = sym.refactor(&a).unwrap();
             let fresh = factor(&a).unwrap();
             let b: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.31).cos()).collect();
             let x_re = re.solve(&b).unwrap();
@@ -1288,33 +1258,6 @@ mod tests {
         let mut pre = SolveWorkspace::with_dimension(a.nrows());
         f.solve_with(&mut pre, &b, &mut x).unwrap();
         assert_eq!(pre.grows(), 0);
-    }
-
-    #[test]
-    fn solve_many_matches_column_by_column_solves() {
-        let a = grid_with_advection(1.0);
-        let f = factor(&a).unwrap();
-        let n = a.nrows();
-        let bs: Vec<Vec<f64>> = (0..5)
-            .map(|k| {
-                (0..n)
-                    .map(|i| ((i * (k + 2)) as f64 * 0.21).cos())
-                    .collect()
-            })
-            .collect();
-        let many = f.solve_many(&bs).unwrap();
-        assert_eq!(many.len(), bs.len());
-        for (b, x) in bs.iter().zip(&many) {
-            let single = f.solve(b).unwrap();
-            assert_eq!(
-                x, &single,
-                "shared-scratch solve must match per-column solve"
-            );
-            assert!(residual_inf(&a, x, b) < 1e-10);
-        }
-        // A bad column surfaces as an error, same as `solve`.
-        let bad = vec![vec![1.0; n], vec![1.0; n - 1]];
-        assert!(f.solve_many(&bad).is_err());
     }
 
     #[test]

@@ -650,7 +650,7 @@ proptest! {
             c.update_values(&ident, &vals);
             c
         };
-        let re = lu::LuFactors::refactor(&sym, &a2).unwrap();
+        let re = sym.refactor(&a2).unwrap();
         let fresh = lu::factor(&a2).unwrap();
         let x_re = re.solve(&b).unwrap();
         let x_fresh = fresh.solve(&b).unwrap();
@@ -704,7 +704,7 @@ proptest! {
                 .fold(0.0f64, f64::max)
                 / scale
         };
-        match lu::LuFactors::refactor(&sym, &a2) {
+        match sym.refactor(&a2) {
             Ok(re) => {
                 // The frozen sequence survived: backward error bounded by
                 // the tolerated pivot growth (1e8) times machine epsilon.

@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          plus two-phase x 2 tiers):\n",
         study.len()
     );
-    let (report, extents) =
-        study.run_observed(&BatchRunner::new(threads), |_, _| HotspotExtent::default())?;
+    let runner = BatchRunner::new(threads);
+    let (report, extents) = study.run_observed(&runner, |_, _| HotspotExtent::default())?;
 
     println!(
         "{:<10} {:<24} {:>6} {:>9} {:>9} {:>9} {:>12}",
@@ -118,10 +118,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nOne batch, {} thermal pattern groups, {} full factorisations \
-         (one per group — every other scenario adopted a donor's analysis).",
+        "\nOne batch, {} thermal pattern groups, {} analyses \
+         (one per group — every scenario adopted its group's analysis).",
         report.pattern_groups(),
-        report.total_full_factorizations()
+        runner.analysis_cache_stats().misses
     );
     println!("Reading the table:");
     println!("  * starving the pump (8 ml/min) leaves hot spots with real spatial extent,");

@@ -114,19 +114,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let solver = stats.get("solver").expect("solver stats");
     let n = |v: &Json, k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
     println!(
-        "stats: {} scenarios across {} requests, {} full factorisation(s), \
+        "stats: {} scenarios across {} requests, {} analysis (full factorisation), \
          {} adopted, {} result-cache hit(s)",
         n(cache, "scenarios"),
         n(cache, "requests"),
-        n(solver, "full_factorizations"),
+        n(cache, "analysis_misses"),
         n(solver, "adopted_symbolics"),
         n(cache, "result_hits"),
     );
-    assert_eq!(
-        n(solver, "full_factorizations"),
-        1,
-        "one pattern, one factorisation"
-    );
+    assert_eq!(n(cache, "analysis_misses"), 1, "one pattern, one analysis");
     assert_eq!(
         n(cache, "result_hits"),
         2,

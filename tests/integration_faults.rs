@@ -1,7 +1,8 @@
 //! Failure-path integration suite for the fault-tolerant batch engine:
 //!
-//! * a panicking donor never deadlocks its adopters — they run unshared
-//!   and the batch still returns a complete, partial `BatchReport`;
+//! * a panicking scenario fails only its own slot: the other scenarios
+//!   of its pattern group still adopt the group's analysis, and the
+//!   batch returns a complete, partial `BatchReport`;
 //! * an injected NaN at epoch `k` exhausts the retry ladder and surfaces
 //!   `ScenarioError::Diverged` with the correct epoch and cell;
 //! * an iterative-solver breakdown on a multigrid scenario is healed by
@@ -11,7 +12,8 @@
 //!   scenarios) is bit-identical across thread counts with the healthy
 //!   aggregates intact;
 //! * a checkpointed study killed partway (`with_job_limit`) resumes from
-//!   its journal bit-identical to an uninterrupted run.
+//!   its journal bit-identical to an uninterrupted run, at every job
+//!   boundary.
 //!
 //! The thread counts exercised default to 1 and 8; CI pins them via the
 //! `CMOSAIC_TEST_THREADS` environment variable (comma-separated list).
@@ -56,8 +58,9 @@ fn temp_journal_path(tag: &str) -> std::path::PathBuf {
 #[test]
 fn panicking_donor_releases_its_adopters_without_deadlock() {
     // All four scenarios share one operator pattern; slot 0 is the
-    // group's donor and panics on its very first control interval, so
-    // every adopter must be released to run unshared.
+    // group's first scenario and panics on its very first control
+    // interval. The group's analysis job only initialises it, so the
+    // other three still adopt the analysis and complete.
     let mut scenarios = vec![base_spec()
         .fault_plan(FaultPlan::none().at(0, FaultKind::Panic))
         .build()
@@ -77,6 +80,9 @@ fn panicking_donor_releases_its_adopters_without_deadlock() {
             "slot 0 carries the panic: {e}"
         );
         assert_eq!(e.recovery.attempts, 1, "panics are never retried");
+        for o in report.outcomes() {
+            assert_eq!(o.solver.adopted_symbolics, 1, "slot {}", o.index);
+        }
         reports.push(report);
     }
     for r in &reports[1..] {
@@ -182,7 +188,7 @@ fn mg_breakdown_walks_both_rungs_of_the_ladder() {
 #[test]
 fn mg_backend_is_bit_identical_across_thread_counts() {
     // The multigrid happy path in a mixed group layout: two mg scenarios
-    // (donor + adopter of their pattern group) next to a direct pair.
+    // (one pattern group) interleaved with a direct pair (another).
     // Every slot must be bit-identical across thread counts, and the mg
     // slots must complete without a single fine-level factorisation or
     // fallback.
@@ -361,11 +367,10 @@ fn resumed_study_with_faulty_slots_keeps_its_errors() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Nightly drill: interrupt a larger mixed-health study at every
+/// Resume drill: interrupt a larger mixed-health study at every
 /// possible job boundary and resume each, demanding bit-identity with
-/// the uninterrupted run throughout. Run with `--ignored`.
+/// the uninterrupted run throughout.
 #[test]
-#[ignore = "nightly resume drill: interrupts at every job boundary"]
 fn resumed_study_survives_interruption_at_every_boundary() {
     let mut specs: Vec<ScenarioSpec> = (1u64..=6).map(|s| base_spec().seed(s)).collect();
     // Make one slot diverge so errors cross the journal too.

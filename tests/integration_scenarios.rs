@@ -57,29 +57,26 @@ fn fig7_dataset_is_bit_identical_across_threads() {
 #[test]
 fn fig6_study_factorises_once_per_pattern_at_any_thread_count() {
     for threads in [1usize, 8] {
-        let report = fig6_study(SECONDS, SEED, tiny_grid())
-            .run(&BatchRunner::new(threads))
-            .unwrap();
-        // 2/4 tiers x air/liquid on one grid: four operator patterns, and
-        // the SolverStats across all 28 scenarios show exactly four full
-        // pivoting factorisations — everything else rode the donated
-        // symbolic analyses.
+        let runner = BatchRunner::new(threads);
+        let report = fig6_study(SECONDS, SEED, tiny_grid()).run(&runner).unwrap();
+        // 2/4 tiers x air/liquid on one grid: four operator patterns, so
+        // the runner runs exactly four analyses, and all 28 scenarios
+        // ride them with no full pivoting factorisation of their own.
         assert_eq!(report.pattern_groups(), 4);
-        assert_eq!(report.total_full_factorizations(), 4, "{threads} threads");
-        let adopted: u64 = report
-            .outcomes()
-            .iter()
-            .map(|o| o.solver.adopted_symbolics)
-            .sum();
-        assert_eq!(adopted, 24, "28 scenarios minus 4 donors");
+        assert_eq!(runner.analysis_cache_stats().misses, 4, "{threads} threads");
+        for o in report.outcomes() {
+            assert_eq!(o.solver.full_factorizations, 0, "scenario {}", o.index);
+            assert_eq!(o.solver.adopted_symbolics, 1, "scenario {}", o.index);
+        }
+        assert_eq!(report.outcomes().len(), 28);
     }
 }
 
 #[test]
 fn analysis_donation_is_bit_neutral_against_standalone_runs() {
     use cmosaic::study::Study;
-    // Two specs of the same operator pattern: in a shared batch the
-    // first donates its symbolic analysis and the second adopts it.
+    // Two specs of the same operator pattern: in a shared batch both
+    // adopt the one analysis the runner ran for their group.
     let spec = |seed: u64| {
         ScenarioSpec::new()
             .label(format!("seed-{seed}"))
@@ -87,24 +84,25 @@ fn analysis_donation_is_bit_neutral_against_standalone_runs() {
             .seconds(SECONDS)
             .seed(seed)
     };
-    let solo = |seed: u64| {
-        let report = Study::from_specs(vec![spec(seed)])
-            .run(&BatchRunner::new(1))
-            .unwrap();
-        report.outcomes()[0].metrics.clone()
-    };
+    // `Scenario::run` analyses on its own; even a single-scenario batch
+    // adopts, so the standalone reference runs outside the batch engine.
+    let solo = |seed: u64| spec(seed).build().unwrap().run().unwrap();
+    let runner = BatchRunner::new(2);
     let batch = Study::from_specs(vec![spec(1), spec(2)])
-        .run(&BatchRunner::new(2))
+        .run(&runner)
         .unwrap();
     let outcomes = batch.outcomes();
-    // The batch really exercised donation: one pivoting factorisation,
-    // and the second slot rode the donated analysis.
-    assert_eq!(batch.total_full_factorizations(), 1);
-    assert!(outcomes[1].solver.adopted_symbolics >= 1);
-    // Donation is bit-neutral: each slot is bitwise what a standalone
-    // run of the same spec produces, donor and adopter alike.
-    assert_eq!(outcomes[0].metrics, solo(1), "donor != standalone");
-    assert_eq!(outcomes[1].metrics, solo(2), "adopter != standalone");
+    // The batch really exercised sharing: one analysis, and both slots
+    // rode it without a pivoting factorisation of their own.
+    assert_eq!(runner.analysis_cache_stats().misses, 1);
+    for o in &outcomes {
+        assert_eq!(o.solver.full_factorizations, 0, "slot {}", o.index);
+        assert_eq!(o.solver.adopted_symbolics, 1, "slot {}", o.index);
+    }
+    // Adoption is bit-neutral: each slot is bitwise what a standalone,
+    // self-analysing run of the same spec produces.
+    assert_eq!(outcomes[0].metrics, solo(1), "slot 0 != standalone");
+    assert_eq!(outcomes[1].metrics, solo(2), "slot 1 != standalone");
 }
 
 #[test]

@@ -1,28 +1,28 @@
 //! Integration tests of the `cmosaic-serve` daemon:
 //!
 //! * concurrent overlapping requests coalesce into one batch with exactly
-//!   one full factorisation per distinct operator pattern — not per
-//!   request — asserted via the `stats` counters;
+//!   one analysis per distinct operator pattern — not per request —
+//!   asserted via the `stats` counters;
 //! * a batch dispatches as soon as its runnable specs fill every runner
 //!   thread (`batches_full`), or at once when it has none, and otherwise
 //!   closes by the window, and same-pattern requests in separate full
-//!   batches still factorise once, all asserted with counters (and, for
+//!   batches still analyse once, all asserted with counters (and, for
 //!   the batch with nothing to simulate, a reply well inside a 60 s
 //!   window);
 //! * every served result is bit-identical (at the serialized-slot level)
 //!   to an offline `BatchRunner` run of the same spec, cold or warm, and
 //!   warm cache hits replay the identical per-epoch stream;
 //! * a request whose every spec is cached is answered at submission: it
-//!   forms no batch and no factorisation, counts its hits and repeats,
+//!   forms no batch and no analysis, counts its hits and repeats,
 //!   and is still refused after shutdown; a partly cached one still
 //!   forms a batch;
 //! * a panicking scenario fails only its own slot while co-batched
 //!   requests complete, and the daemon keeps serving afterwards;
 //! * both transports speak the protocol end to end: NDJSON over a unix
 //!   socket and chunked NDJSON over HTTP/1.1, with graceful shutdown;
-//!   an overlong NDJSON line, an overlong HTTP header line, an oversized
-//!   HTTP body and an unparsable `Content-Length` are refused without
-//!   harming the daemon.
+//!   an overlong NDJSON line, a spec beyond the size bounds, an overlong
+//!   HTTP header line, an oversized HTTP body and an unparsable
+//!   `Content-Length` are refused without harming the daemon.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -123,7 +123,7 @@ fn coalesced_requests_share_one_factorization_and_match_offline_runs() {
     let (_, d) = drain(rx_d);
 
     // One coalesced batch: 4 requests, 7 requested slots, 3 unique
-    // scenarios, 1 pattern group, exactly 1 full factorisation.
+    // scenarios, 1 pattern group, exactly 1 analysis.
     let stats = scheduler.stats();
     assert_eq!(stats.cache.batches, 1, "requests must coalesce: {stats:?}");
     assert_eq!(stats.cache.batches_full, 0, "closed by the window");
@@ -134,11 +134,11 @@ fn coalesced_requests_share_one_factorization_and_match_offline_runs() {
     assert_eq!(stats.cache.result_hits, 0);
     assert_eq!(stats.last_batch.pattern_groups, 1);
     assert_eq!(
-        stats.last_batch.full_factorizations, 1,
-        "one factorisation per pattern, not per request: {stats:?}"
+        stats.cache.analysis_misses, 1,
+        "one analysis per pattern, not per request: {stats:?}"
     );
-    assert_eq!(stats.solver.full_factorizations, 1);
-    assert!(stats.solver.adopted_symbolics >= 2, "{stats:?}");
+    assert_eq!(stats.solver.full_factorizations, 0, "{stats:?}");
+    assert_eq!(stats.solver.adopted_symbolics, 3, "{stats:?}");
 
     // Every slot is bit-identical to the offline ground truth.
     let (o1, o2, o3) = (
@@ -171,7 +171,7 @@ fn two_single_spec_requests_fill_two_threads_as_one_full_batch() {
     assert_eq!(stats.cache.batches, 1, "{stats:?}");
     assert_eq!(stats.cache.batches_full, 1, "{stats:?}");
     assert_eq!(stats.last_batch.requests, 2);
-    assert_eq!(stats.solver.full_factorizations, 1);
+    assert_eq!(stats.cache.analysis_misses, 1);
     assert_eq!(a[0].encode(), offline_slot(&spec(101)));
     assert_eq!(b[0].encode(), offline_slot(&spec(102)));
     scheduler.shutdown();
@@ -228,8 +228,8 @@ fn a_batch_with_nothing_to_simulate_dispatches_at_once() {
     assert_eq!(stats.cache.result_misses, 2);
     assert_eq!(stats.cache.result_hits, 1);
     assert_eq!(stats.last_batch.requests, 1);
-    assert_eq!(stats.last_batch.full_factorizations, 0);
-    assert_eq!(stats.solver.full_factorizations, 1, "{stats:?}");
+    assert_eq!(stats.last_batch.pattern_groups, 0);
+    assert_eq!(stats.cache.analysis_misses, 1, "{stats:?}");
     assert_eq!(a[0].encode(), offline_slot(&long(131)));
     assert_eq!(b[0].encode(), a[0].encode());
     scheduler.shutdown();
@@ -246,13 +246,13 @@ fn same_pattern_requests_in_separate_full_batches_factorise_once() {
     let stats = scheduler.stats();
     assert_eq!(stats.cache.batches, 2, "{stats:?}");
     assert_eq!(stats.cache.batches_full, 2, "{stats:?}");
-    assert_eq!(stats.cache.analysis_misses, 1);
-    assert_eq!(stats.cache.analysis_hits, 1);
     assert_eq!(
-        stats.solver.full_factorizations, 1,
-        "one full factorisation across both batches: {stats:?}"
+        stats.cache.analysis_misses, 1,
+        "one analysis across both batches: {stats:?}"
     );
-    assert_eq!(stats.last_batch.full_factorizations, 0);
+    assert_eq!(stats.cache.analysis_hits, 1);
+    assert_eq!(stats.solver.full_factorizations, 0, "{stats:?}");
+    assert_eq!(stats.solver.adopted_symbolics, 4, "{stats:?}");
 
     assert_eq!(first[0].encode(), offline_slot(&spec(121)));
     assert_eq!(first[1].encode(), offline_slot(&spec(122)));
@@ -272,15 +272,16 @@ fn warm_cache_replays_bit_identical_results_and_epoch_streams() {
     let (warm_epochs, warm) = drain(rx);
 
     // The warm answer comes from the result cache, with no batch and no
-    // factorisation beyond the cold run's ...
+    // analysis beyond the cold run's ...
     let stats = scheduler.stats();
     assert_eq!(stats.cache.result_hits, 1, "{stats:?}");
     assert_eq!(stats.cache.result_misses, 1);
     assert_eq!(stats.cache.batches, 1, "the warm request formed no batch");
     assert_eq!(
-        stats.solver.full_factorizations, 1,
-        "the warm request factorised nothing"
+        stats.cache.analysis_misses, 1,
+        "the warm request analysed nothing"
     );
+    assert_eq!(stats.solver.adopted_symbolics, 1, "ran no scenario");
     // ... and is indistinguishable from the cold one, epochs included.
     assert_eq!(cold[0].encode(), warm[0].encode());
     assert_eq!(cold_epochs.len(), warm_epochs.len());
@@ -320,19 +321,17 @@ fn fully_cached_requests_are_answered_at_submission() {
     assert_eq!(cold_streams.len(), 2, "both specs streamed");
     let after_cold = scheduler.stats();
     assert_eq!(after_cold.cache.batches, 1, "{after_cold:?}");
-    assert_eq!(after_cold.solver.full_factorizations, 1);
+    assert_eq!(after_cold.cache.analysis_misses, 1);
 
     for stream in [false, true] {
         let before = scheduler.stats();
         let rx = scheduler.submit(specs(), stream).unwrap();
         let (epochs, warm) = answered_at_submission(rx);
         let after = scheduler.stats();
-        // No batch, no factorisation, one hit per unique spec.
+        // No batch, no analysis, no scenario run, one hit per unique spec.
         assert_eq!(after.cache.batches, before.cache.batches, "{after:?}");
-        assert_eq!(
-            after.solver.full_factorizations,
-            before.solver.full_factorizations
-        );
+        assert_eq!(after.cache.analysis_misses, before.cache.analysis_misses);
+        assert_eq!(after.solver, before.solver);
         assert_eq!(after.cache.result_hits, before.cache.result_hits + 2);
         assert_eq!(after.cache.result_misses, before.cache.result_misses);
         assert_eq!(after.cache.requests, before.cache.requests + 1);
@@ -619,6 +618,55 @@ fn unix_socket_refuses_an_overlong_line_and_keeps_serving() {
     server.wait();
 }
 
+#[test]
+fn unix_socket_refuses_an_oversized_spec_and_keeps_running_scenarios() {
+    let path = socket_path("oversized");
+    let server = Server::start(ServerConfig {
+        socket: Some(path.clone()),
+        http: None,
+        scheduler: config(5),
+    })
+    .expect("server starts");
+    let mut stream = UnixStream::connect(&path).expect("client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        Json::parse(line.trim()).expect("response is valid JSON")
+    };
+
+    // A duration whose workload trace no allocator could hold, in the
+    // string form that passes the JSON number range: refused as a
+    // request error before any scenario is built.
+    send_line(
+        &mut stream,
+        r#"{"op":"run","id":"big","specs":[{"grid":{"nx":6,"ny":6},"seconds":"2305843009213693952"}]}"#,
+    );
+    let refused = next();
+    assert_eq!(refused.get("event").and_then(Json::as_str), Some("error"));
+    let detail = refused.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("seconds must be at most"), "{detail}");
+
+    // The next request on the same server still runs its scenario.
+    send_line(
+        &mut stream,
+        r#"{"op":"run","id":"ok","specs":[{"tiers":2,"grid":{"nx":6,"ny":6},"seconds":3,"seed":43}]}"#,
+    );
+    let done = next();
+    assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
+    let results = done
+        .get("results")
+        .and_then(Json::as_arr)
+        .expect("results array");
+    assert_eq!(results[0].encode(), offline_slot(&spec(43)));
+    drop(stream);
+    server.shutdown();
+    server.wait();
+}
+
 /// Minimal HTTP client: one request, returns (status line, body with
 /// chunked framing stripped when present).
 fn http_roundtrip(addr: std::net::SocketAddr, request: &str) -> (String, String) {
@@ -711,8 +759,8 @@ fn http_transport_streams_epochs_and_serves_stats() {
     let stats = Json::parse(&body).unwrap();
     assert_eq!(
         stats
-            .get("last_batch")
-            .and_then(|b| b.get("full_factorizations"))
+            .get("cache")
+            .and_then(|c| c.get("analysis_misses"))
             .and_then(Json::as_u64),
         Some(1)
     );
