@@ -922,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_donor_releases_its_adopters() {
+    fn a_failing_pattern_group_stays_in_its_slots() {
         // A group whose scenarios fail must not take the batch down: the
         // failures stay in their own slots while the healthy group
         // completes.

@@ -100,28 +100,37 @@ impl StudyJournal {
                 .and_then(|()| file.flush())
                 .map_err(|e| journal_err(format!("cannot write {}: {e}", path.display())))?;
         } else {
-            let mut lines = text.lines();
+            let mut lines = text.split_inclusive('\n');
             let header = lines.next().unwrap_or("");
             let expected = format!(
                 "cmosaic-study-journal v{VERSION} fingerprint={fingerprint:016x} scenarios={scenarios}"
             );
-            if header != expected {
+            if header.trim_end_matches('\n') != expected {
                 return Err(journal_err(format!(
-                    "{} does not belong to this study (found `{header}`, expected `{expected}`)",
-                    path.display()
+                    "{} does not belong to this study (found `{}`, expected `{expected}`)",
+                    path.display(),
+                    header.trim_end_matches('\n'),
                 )));
             }
+            let mut kept = header.len();
             for line in lines {
-                // A torn tail from a kill mid-append parses as garbage;
-                // everything from the first malformed line on is dropped
-                // and simply re-run.
-                let Some((index, slot)) = parse_slot_line(line) else {
+                // A torn tail from a kill mid-append lacks its newline or
+                // parses as garbage; everything from the first such line
+                // on is dropped and simply re-run.
+                let Some((index, slot)) = line.strip_suffix('\n').and_then(parse_slot_line) else {
                     break;
                 };
                 if index >= scenarios {
                     break;
                 }
                 completed[index] = Some(slot);
+                kept += line.len();
+            }
+            // Cut the dropped tail off, so the next append starts a line
+            // of its own instead of gluing onto the fragment.
+            if kept < text.len() {
+                file.set_len(kept as u64)
+                    .map_err(|e| journal_err(format!("cannot truncate {}: {e}", path.display())))?;
             }
         }
         Ok(StudyJournal {
@@ -479,16 +488,28 @@ mod tests {
             journal.record(1, &sample_ok(1));
         }
         // Emulate a kill mid-append: chop the file mid-line, including
-        // inside the recovery record (after 4 and after 5 tokens).
+        // inside the recovery record (after 4 and after 5 tokens) and
+        // just before the newline.
         let text = std::fs::read_to_string(&path).unwrap();
         let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
         // Cutting at the last line's n-th space leaves n tokens.
         let nth_space = |n: usize| last + text[last..].match_indices(' ').nth(n - 1).unwrap().0;
-        for cut in [text.len() - 10, nth_space(4), nth_space(5)] {
+        for cut in [text.len() - 10, nth_space(4), nth_space(5), text.len() - 1] {
             std::fs::write(&path, &text[..cut]).unwrap();
+            {
+                let journal = StudyJournal::open(&path, 9, 4).unwrap();
+                assert_eq!(journal.completed_count(), 1, "torn slot 1 is re-run");
+                assert_eq!(journal.completed()[0], Some(sample_ok(0)));
+                // The resumed run appends after the dropped tail...
+                journal.record(1, &sample_ok(1));
+                journal.record(2, &sample_ok(2));
+            }
+            // ...and every appended line loads on the next resume.
             let journal = StudyJournal::open(&path, 9, 4).unwrap();
-            assert_eq!(journal.completed_count(), 1, "torn slot 1 is re-run");
-            assert_eq!(journal.completed()[0], Some(sample_ok(0)));
+            assert_eq!(journal.completed_count(), 3, "cut at byte {cut}");
+            for i in 0..3 {
+                assert_eq!(journal.completed()[i], Some(sample_ok(i)));
+            }
         }
         std::fs::remove_file(&path).ok();
     }

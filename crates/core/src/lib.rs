@@ -40,8 +40,8 @@
 //! per scenario ([`scenario::ScenarioSpec::solver`]): direct sparse LU
 //! (default), or multigrid-preconditioned BiCGSTAB with automatic direct
 //! fallback for fine grids where LU fill bites (`BENCH_iterative.json`
-//! has the two level on warm solves at 48², direct LU ahead below and
-//! multigrid from 64²).
+//! has the two level on warm solves at 64², direct LU ahead below and
+//! multigrid from 96²).
 //! [`observe::Observer`] hooks ride along: per-epoch callbacks receiving
 //! an [`observe::EpochCtx`] (temperature field, powers, flow, the policy's
 //! action) without forking the simulation loop — built-ins cover peak

@@ -23,12 +23,12 @@
 //! column-pointer arrays describe the whole layout, shared through an
 //! `Arc` by a [`SymbolicLu`] and every [`LuFactors`] built over it. The
 //! triangular solves and the refactorisation then run every update as one
-//! contiguous `x[a..b] -= v[..]·t`, which the compiler vectorises (the
-//! refactorisation fuses two such updates into one pass; see below). Under
-//! RCM the thermal operators' factors are banded, so the envelope stores
-//! only a few to a few tens of percent more entries than the exact pattern
-//! ([`SymbolicLu::exact_nnz`] against [`SymbolicLu::nnz_l`] +
-//! [`SymbolicLu::nnz_u`]).
+//! contiguous `x[a..b] -= v[..]·t`, which the compiler vectorises, and each
+//! fuses two columns' updates into one pass over its dense vector (see
+//! [Paired columns](#paired-columns)). Under RCM the thermal operators'
+//! factors are banded, so the envelope stores only a few to a few tens of
+//! percent more entries than the exact pattern ([`SymbolicLu::exact_nnz`]
+//! against [`SymbolicLu::nnz_l`] + [`SymbolicLu::nnz_u`]).
 //!
 //! The padding leaves every result bit-identical to an index-per-entry
 //! layout for finite inputs. Each kernel visits the columns in the same
@@ -45,6 +45,31 @@
 //! that is exactly zero, which no later step turns into a nonzero
 //! difference.
 //!
+//! # Paired columns
+//!
+//! Both envelope kernels, the refactorisation sweep and the pair of
+//! triangular solves, apply two pivot columns per pass over their dense
+//! vector, so each pass streams the vector once for two columns' updates.
+//! The sweep's elimination of one column and the forward solve share one
+//! routine: column `k`'s update of row `k + 1` lands first, because it
+//! completes `k + 1`'s multiplier, then each lower row takes `k`'s update
+//! and then `k + 1`'s. The sweep moves each multiplier into `U`; the solve
+//! keeps it in its vector. The backward solve is the mirror: column `j`
+//! updates row `j - 1` first, then each row above takes `j`'s update and
+//! then `j - 1`'s. A zero multiplier still skips its column, and an odd
+//! count leaves its last column to a pass of its own.
+//!
+//! # Two builds, one result
+//!
+//! On x86-64 each kernel body is compiled twice from the same source: for
+//! the baseline, and with AVX2 enabled (private module `dispatch`, the
+//! crate's only `unsafe` code); other targets compile it once. Each call
+//! runs the AVX2 build when the CPU reports AVX2 and the baseline build
+//! otherwise; no option selects the build. AVX2 widens the vectorised updates from two slots to four, and
+//! nothing else changes: neither build fuses a multiply-add or reorders a
+//! reduction, so every slot receives the same multiply, then subtract, in
+//! the same order, and the results are identical with or without AVX2.
+//!
 //! # Symbolic/numeric split
 //!
 //! The RC networks this crate serves have a sparsity pattern fixed at model
@@ -57,14 +82,8 @@
 //! `SamePattern_SameRowPerm` path. The sweep is left-looking: column `j`
 //! scatters `A(:,j)` into a dense pivot-space column, then applies `L(:,k)`
 //! for every `k` of its `U` extent in ascending order, which is a valid
-//! elimination order. It applies them two per pass over the column: `k`'s
-//! update of row `k + 1` lands first, because it completes `k + 1`'s
-//! multiplier, then each lower row takes `k`'s update and then `k + 1`'s.
-//! Every entry thus receives the subtractions of one column per pass, in
-//! the same order, and a zero multiplier still skips its column; an odd
-//! extent leaves its last column to a pass of its own. The triangular
-//! solves keep one column per pass: they are bound by streaming their
-//! factors, so pairing would not pay there. A refactorisation skips the DFS
+//! elimination order, two columns per pass (see
+//! [Paired columns](#paired-columns)). A refactorisation skips the DFS
 //! *and* the pivot search, so it is valid only while the frozen pivot
 //! sequence remains numerically acceptable; a pivot-growth guard detects
 //! degradation and reports [`SparseError::UnstablePivot`] so callers can
@@ -182,7 +201,7 @@ impl Envelope {
 /// `dst -= src·t`, slot by slot: a multiply, then a subtract, never a
 /// fused multiply-add, so each slot rounds exactly as an index-per-entry
 /// update of the same entry would.
-#[inline]
+#[inline(always)]
 fn sub_scaled(dst: &mut [f64], src: &[f64], t: f64) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d -= s * t;
@@ -193,7 +212,7 @@ fn sub_scaled(dst: &mut [f64], src: &[f64], t: f64) {
 /// takes `a`'s subtraction before `b`'s, exactly as two
 /// [`sub_scaled`] passes would leave it. `a` and `b` both start at
 /// `dst[0]` and may differ in length.
-#[inline]
+#[inline(always)]
 fn sub_scaled_pair(dst: &mut [f64], a: &[f64], ta: f64, b: &[f64], tb: f64) {
     let both = a.len().min(b.len());
     let (dst_both, dst_tail) = dst.split_at_mut(both);
@@ -204,6 +223,144 @@ fn sub_scaled_pair(dst: &mut [f64], a: &[f64], ta: f64, b: &[f64], tb: f64) {
     // At most one of the tails is nonempty.
     sub_scaled(dst_tail, &a[both..], ta);
     sub_scaled(dst_tail, &b[both..], tb);
+}
+
+/// The mirror of [`sub_scaled_pair`] for the backward pass: `a` and `b`
+/// both end at `dst`'s end and may differ in length; each slot takes
+/// `a`'s subtraction before `b`'s.
+#[inline(always)]
+fn sub_scaled_pair_back(dst: &mut [f64], a: &[f64], ta: f64, b: &[f64], tb: f64) {
+    let (both, reach) = (a.len().min(b.len()), a.len().max(b.len()));
+    let at = dst.len() - reach;
+    let (dst_head, dst_both) = dst[at..].split_at_mut(reach - both);
+    for ((d, &sa), &sb) in dst_both
+        .iter_mut()
+        .zip(&a[a.len() - both..])
+        .zip(&b[b.len() - both..])
+    {
+        *d -= sa * ta;
+        *d -= sb * tb;
+    }
+    // At most one of the heads is nonempty, and it spans `dst_head`.
+    sub_scaled(dst_head, &a[..a.len() - both], ta);
+    sub_scaled(dst_head, &b[..b.len() - both], tb);
+}
+
+/// Forward elimination through the pivot columns `cols` of `L` in the
+/// dense pivot-space column `x`, two columns per pass: column `k`'s
+/// update of row `k + 1` lands first, because it completes `k + 1`'s
+/// multiplier, then each lower row takes `k`'s update and then
+/// `k + 1`'s. A zero multiplier skips its column, and an odd range
+/// leaves its last column to a pass of its own.
+///
+/// `multiplier(k, &mut x[k])` reads column `k`'s multiplier once row `k`
+/// is final: the refactorisation sweep moves it into `U`, the forward
+/// solve keeps it in `x`.
+#[inline(always)]
+fn eliminate_forward(
+    env: &Envelope,
+    l_vals: &[f64],
+    x: &mut [f64],
+    cols: Range<usize>,
+    mut multiplier: impl FnMut(usize, &mut f64) -> f64,
+) {
+    let mut k = cols.start;
+    while k + 1 < cols.end {
+        let xk = multiplier(k, &mut x[k]);
+        let lk_below = match l_vals[env.l_col(k)].split_first() {
+            Some((&l, below)) if xk != 0.0 => {
+                x[k + 1] -= l * xk;
+                below
+            }
+            _ => &[],
+        };
+        let xk1 = multiplier(k + 1, &mut x[k + 1]);
+        let lk1 = if xk1 != 0.0 {
+            &l_vals[env.l_col(k + 1)]
+        } else {
+            &[]
+        };
+        // Both columns' remaining rows start at k + 2.
+        sub_scaled_pair(&mut x[k + 2..], lk_below, xk, lk1, xk1);
+        k += 2;
+    }
+    if k < cols.end {
+        let xk = multiplier(k, &mut x[k]);
+        if xk != 0.0 {
+            let l = &l_vals[env.l_col(k)];
+            sub_scaled(&mut x[k + 1..k + 1 + l.len()], l, xk);
+        }
+    }
+}
+
+/// The AVX2 entries of the two envelope kernels and their dispatchers
+/// (module docs, *Two builds, one result*). A kernel body is one
+/// `#[inline(always)]` function ([`SymbolicLu::sweep_kernel`],
+/// [`LuFactors::substitute`]) whose helpers are `#[inline(always)]` too,
+/// so it compiles into its dispatcher as the baseline build and into its
+/// entry, every loop included, as the AVX2 build. Only `avx2` is
+/// enabled: no `fma`, so no multiply-add can fuse.
+#[allow(unsafe_code)]
+mod dispatch {
+    use super::{LuFactors, SparseError, SymbolicLu};
+
+    /// [`SymbolicLu::sweep_kernel`], as its AVX2 build where the CPU has
+    /// AVX2.
+    pub(super) fn sweep(
+        sym: &SymbolicLu,
+        a_vals: &[f64],
+        f: &mut LuFactors,
+        x: &mut [f64],
+        diagonal_margin: bool,
+    ) -> Result<(), SparseError> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reported AVX2, the one feature
+            // `sweep_avx2` enables.
+            return unsafe { sweep_avx2(sym, a_vals, f, x, diagonal_margin) };
+        }
+        sym.sweep_kernel(a_vals, f, x, diagonal_margin)
+    }
+
+    /// [`SymbolicLu::sweep_kernel`] built with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_avx2(
+        sym: &SymbolicLu,
+        a_vals: &[f64],
+        f: &mut LuFactors,
+        x: &mut [f64],
+        diagonal_margin: bool,
+    ) -> Result<(), SparseError> {
+        sym.sweep_kernel(a_vals, f, x, diagonal_margin)
+    }
+
+    /// [`LuFactors::substitute`], as its AVX2 build where the CPU has
+    /// AVX2.
+    pub(super) fn substitute(f: &LuFactors, y: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reported AVX2, the one feature
+            // `substitute_avx2` enables.
+            return unsafe { substitute_avx2(f, y) };
+        }
+        f.substitute(y);
+    }
+
+    /// [`LuFactors::substitute`] built with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn substitute_avx2(f: &LuFactors, y: &mut [f64]) {
+        f.substitute(y);
+    }
 }
 
 /// The result of a sparse LU factorisation: `P·A·Q = L·U`.
@@ -506,9 +663,7 @@ fn analyse_diagonal(a: &CscMatrix, q: &Permutation) -> Option<(LuFactors, Symbol
     let symbolic = SymbolicLu::diagonal(a, q)?;
     let mut factors = symbolic.allocate_factors();
     let mut x = vec![0.0; symbolic.n()];
-    symbolic
-        .sweep(a.values(), &mut factors, &mut x, true)
-        .ok()?;
+    dispatch::sweep(&symbolic, a.values(), &mut factors, &mut x, true).ok()?;
     Some((factors, symbolic))
 }
 
@@ -716,18 +871,20 @@ impl SymbolicLu {
             });
         }
         f.env = Arc::clone(&self.env);
-        self.sweep(a.values(), f, x, false)
+        dispatch::sweep(self, a.values(), f, x, false)
     }
 
     /// The left-looking numeric sweep of `a_vals` (on this analysis'
     /// pattern) into `f`, which must have this layout, in the zeroed
-    /// length-`n` column `x`, left zeroed on every exit.
+    /// length-`n` column `x`, left zeroed on every exit. Callers reach it
+    /// through [`dispatch::sweep`].
     ///
     /// With `diagonal_margin`, a column also fails unless its pivot beats
     /// every other entry below it by [`DIAGONAL_MARGIN`], a non-finite
     /// entry included: the guard [`analyse`] accepts the diagonal pivot
     /// sequence with. It fails as [`SparseError::UnstablePivot`].
-    fn sweep(
+    #[inline(always)]
+    fn sweep_kernel(
         &self,
         a_vals: &[f64],
         f: &mut LuFactors,
@@ -741,44 +898,15 @@ impl SymbolicLu {
                 x[self.a_steps[k]] = a_vals[k];
             }
             // Eliminate with the frozen pivot sequence, ascending through
-            // the U extent (a topological order), two columns per pass
-            // over `x`; padded rows hold zero and skip their column.
+            // the U extent (a topological order), moving each multiplier
+            // into U; padded rows hold zero and skip their column.
             let u = &mut f.u_vals[env.u_col(jj)];
             let u_first = jj - u.len();
-            let l_vals = &f.l_vals;
-            let mut pairs = u.chunks_exact_mut(2);
-            for (k, uv) in (u_first..).step_by(2).zip(&mut pairs) {
-                let (lk, lk1) = (&l_vals[env.l_col(k)], &l_vals[env.l_col(k + 1)]);
-                // Column k updates row k + 1 before it is taken...
-                let xk = std::mem::take(&mut x[k]);
-                uv[0] = xk;
-                let lk_below = match lk.split_first() {
-                    Some((&l, below)) if xk != 0.0 => {
-                        x[k + 1] -= l * xk;
-                        below
-                    }
-                    _ => &[],
-                };
-                let xk1 = std::mem::take(&mut x[k + 1]);
-                uv[1] = xk1;
-                // ...and every row below k + 1 takes k's update, then
-                // k + 1's: both columns' remaining rows start at k + 2.
-                let below = &mut x[k + 2..];
-                if xk1 != 0.0 {
-                    sub_scaled_pair(below, lk_below, xk, lk1, xk1);
-                } else {
-                    sub_scaled(below, lk_below, xk);
-                }
-            }
-            if let [uv] = pairs.into_remainder() {
-                let k = jj - 1;
-                let xk = std::mem::take(&mut x[k]);
-                *uv = xk;
-                if xk != 0.0 {
-                    let l = &l_vals[env.l_col(k)];
-                    sub_scaled(&mut x[k + 1..k + 1 + l.len()], l, xk);
-                }
-            }
+            eliminate_forward(env, &f.l_vals, x, u_first..jj, |k, xk| {
+                let t = std::mem::take(xk);
+                u[k - u_first] = t;
+                t
+            });
             let d = std::mem::take(&mut x[jj]);
             let l_slots = env.l_col(jj);
             let below = &mut x[jj + 1..jj + 1 + l_slots.len()];
@@ -931,25 +1059,54 @@ impl LuFactors {
         for (yj, &row) in y.iter_mut().zip(&env.p) {
             *yj = b[row];
         }
-        // Forward: y = L⁻¹ P b.
-        for j in 0..n {
-            let t = y[j];
-            if t != 0.0 {
-                let l = &self.l_vals[env.l_col(j)];
-                sub_scaled(&mut y[j + 1..j + 1 + l.len()], l, t);
-            }
-        }
-        // Backward: y = U⁻¹ y.
-        for j in (0..n).rev() {
-            let yj = y[j] / self.u_diag[j];
-            y[j] = yj;
-            if yj != 0.0 {
-                let u = &self.u_vals[env.u_col(j)];
-                sub_scaled(&mut y[j - u.len()..j], u, yj);
-            }
-        }
+        dispatch::substitute(self, y);
         env.q.scatter_into(y, x);
         Ok(())
+    }
+
+    /// The forward and backward substitution of
+    /// [`LuFactors::solve_with`], in place in the pivot-space vector `y`
+    /// (length `n`). Callers reach it through [`dispatch::substitute`].
+    ///
+    /// Both passes apply two columns per pass. The forward pass is
+    /// [`eliminate_forward`] over every column of `L`, keeping each
+    /// multiplier in `y`. The backward pass mirrors it: column `j`
+    /// divides row `j` by its pivot and updates row `j - 1` first, because
+    /// that completes `j - 1`'s value, then each row above `j - 1` takes
+    /// `j`'s update and then `j - 1`'s; both columns' remaining rows end
+    /// at `j - 2`. A zero value skips its column, and with `n` odd,
+    /// column 0, which has no `U` entries, is left to its division.
+    #[inline(always)]
+    fn substitute(&self, y: &mut [f64]) {
+        let env = &*self.env;
+        // Forward: y = L⁻¹ P b.
+        eliminate_forward(env, &self.l_vals, y, 0..env.n, |_, yk| *yk);
+        // Backward: y = U⁻¹ y.
+        let mut j = env.n;
+        while j >= 2 {
+            let (hi, lo) = (j - 1, j - 2);
+            let yh = y[hi] / self.u_diag[hi];
+            y[hi] = yh;
+            let uh_above = match self.u_vals[env.u_col(hi)].split_last() {
+                Some((&u, above)) if yh != 0.0 => {
+                    y[lo] -= u * yh;
+                    above
+                }
+                _ => &[],
+            };
+            let yl = y[lo] / self.u_diag[lo];
+            y[lo] = yl;
+            let ul = if yl != 0.0 {
+                &self.u_vals[env.u_col(lo)]
+            } else {
+                &[]
+            };
+            sub_scaled_pair_back(&mut y[..lo], uh_above, yh, ul, yl);
+            j -= 2;
+        }
+        if j == 1 {
+            y[0] /= self.u_diag[0];
+        }
     }
 }
 
@@ -1407,6 +1564,90 @@ mod tests {
             // pivot search.
             assert_pivot_search(&stack_operator(tiers, false, false), ColumnOrdering::Rcm);
         }
+    }
+
+    /// Which builds [`dispatch`] compares with the baseline bodies on
+    /// this host.
+    fn compared_builds() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return "the AVX2 builds against the baseline builds";
+        }
+        "the baseline builds against themselves (this host runs no AVX2 build)"
+    }
+
+    /// A random sparse matrix with about four off-diagonal entries a row
+    /// (xorshift from `seed`), strictly diagonally dominant by rows only,
+    /// so partial pivoting may leave the diagonal.
+    fn random_dominant(n: usize, seed: u64) -> CscMatrix {
+        let mut s = seed;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut t = TripletMatrix::new(n, n);
+        let mut row_abs = vec![0.0f64; n];
+        for _ in 0..4 * n {
+            let (r, c) = (next() as usize % n, next() as usize % n);
+            if r != c {
+                let v = (next() % 2001) as f64 / 1000.0 - 1.0;
+                t.push(r, c, v);
+                row_abs[r] += v.abs();
+            }
+        }
+        for (r, s) in row_abs.into_iter().enumerate() {
+            t.push(r, r, s + 0.5);
+        }
+        t.to_csc()
+    }
+
+    #[test]
+    fn dispatched_kernels_match_the_baseline_bodies_bitwise() {
+        let mut matrices = Vec::new();
+        for tiers in [2, 4] {
+            for liquid in [false, true] {
+                for transient in [false, true] {
+                    matrices.push(stack_operator(tiers, liquid, transient));
+                }
+            }
+        }
+        matrices.extend([(37, 1), (64, 2), (101, 3)].map(|(n, seed)| random_dominant(n, seed)));
+        for (m, a) in matrices.iter().enumerate() {
+            let n = a.nrows();
+            let (_, sym) = factor_with_symbolic(a, ColumnOrdering::Rcm).unwrap();
+            let mut x = vec![0.0; n];
+            for margin in [false, true] {
+                let mut base = sym.allocate_factors();
+                let base_swept = sym.sweep_kernel(a.values(), &mut base, &mut x, margin);
+                let mut built = sym.allocate_factors();
+                let built_swept = dispatch::sweep(&sym, a.values(), &mut built, &mut x, margin);
+                assert_eq!(built_swept, base_swept, "matrix {m}, margin {margin}");
+                assert_eq!(value_bits(&built), value_bits(&base), "matrix {m}");
+            }
+            let f = sym.refactor(a).unwrap();
+            let dense: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
+            let unit: Vec<f64> = (0..n).map(|i| f64::from(i == n / 3)).collect();
+            let gapped: Vec<f64> = dense
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 3 == 0 { 0.0 } else { v })
+                .collect();
+            for rhs in [dense, unit, gapped] {
+                let mut base = rhs.clone();
+                f.substitute(&mut base);
+                let mut built = rhs;
+                dispatch::substitute(&f, &mut built);
+                let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&built), bits(&base), "matrix {m}");
+            }
+        }
+        eprintln!(
+            "envelope kernels over {} matrices: compared {}",
+            matrices.len(),
+            compared_builds()
+        );
     }
 
     #[test]

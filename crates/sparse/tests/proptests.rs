@@ -150,6 +150,12 @@ mod index_per_entry {
         /// Forward then backward substitution, scattering through the
         /// stored row indices.
         pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+            self.q.scatter(&self.backward(self.forward(b)))
+        }
+
+        /// Forward substitution, `L⁻¹·P·b` in pivot order: entry `j` is
+        /// column `j`'s multiplier.
+        pub fn forward(&self, b: &[f64]) -> Vec<f64> {
             let mut w = b.to_vec();
             let mut y = vec![0.0; self.n];
             for j in 0..self.n {
@@ -161,6 +167,12 @@ mod index_per_entry {
                     }
                 }
             }
+            y
+        }
+
+        /// Backward substitution of a forward result, `U⁻¹·y` in pivot
+        /// order: entry `j` is column `j`'s multiplier.
+        pub fn backward(&self, mut y: Vec<f64>) -> Vec<f64> {
             for j in (0..self.n).rev() {
                 let yj = y[j] / self.u_diag[j];
                 y[j] = yj;
@@ -170,7 +182,7 @@ mod index_per_entry {
                     }
                 }
             }
-            self.q.scatter(&y)
+            y
         }
 
         /// The left-looking numeric sweep of `a` over this factorisation's
@@ -809,41 +821,99 @@ proptest! {
     }
 }
 
-/// Edges of the refactorisation sweep's paired column update, counted
-/// over a factorisation's columns: a `U` extent of odd length (one column
-/// left unpaired), a zero multiplier at `k` or at `k + 1` of a pair, and,
-/// with both multipliers nonzero, `L(:,k)` below row `k + 1` shorter or
-/// longer than `L(:,k + 1)`.
+/// Edges of a paired column update, counted over the pairs of one pass:
+/// an odd number of columns (one left unpaired), a zero multiplier at the
+/// first or at the second column of a pair (the first column updates the
+/// second's row before the second's multiplier is read), and, with both
+/// multipliers nonzero, the first column's remaining update shorter or
+/// longer than the second's.
 #[derive(Debug, Default)]
 struct PairEdges {
     odd: usize,
-    zero_k: usize,
-    zero_k1: usize,
+    zero_first: usize,
+    zero_second: usize,
     shorter: usize,
     longer: usize,
 }
 
 impl PairEdges {
-    fn count(&mut self, f: &index_per_entry::Lu) {
+    /// Counts one pair: whether each multiplier is nonzero, the length of
+    /// the first column's update past the second's row, and the length of
+    /// the second's.
+    fn pair(&mut self, first: bool, second: bool, first_rest: usize, second_len: usize) {
+        match (first, second) {
+            (false, true) => self.zero_first += 1,
+            (true, false) => self.zero_second += 1,
+            (true, true) => {
+                self.shorter += usize::from(first_rest < second_len);
+                self.longer += usize::from(first_rest > second_len);
+            }
+            (false, false) => {}
+        }
+    }
+
+    /// The refactorisation sweep's pairs: columns `k` and `k + 1` of each
+    /// `U` extent, ascending.
+    fn count_sweep(&mut self, f: &index_per_entry::Lu) {
         let extents = f.extents();
         for (j, e) in extents.iter().enumerate() {
-            if (j - e.u_first) % 2 == 1 {
-                self.odd += 1;
-            }
+            self.odd += (j - e.u_first) % 2;
             for k in (e.u_first..j.saturating_sub(1)).step_by(2) {
-                match (e.multiplier(k) != 0.0, e.multiplier(k + 1) != 0.0) {
-                    (false, true) => self.zero_k += 1,
-                    (true, false) => self.zero_k1 += 1,
-                    (true, true) => {
-                        let below_k = extents[k].l_len.saturating_sub(1);
-                        let l_k1 = extents[k + 1].l_len;
-                        self.shorter += usize::from(below_k < l_k1);
-                        self.longer += usize::from(below_k > l_k1);
-                    }
-                    (false, false) => {}
-                }
+                self.pair(
+                    e.multiplier(k) != 0.0,
+                    e.multiplier(k + 1) != 0.0,
+                    extents[k].l_len.saturating_sub(1),
+                    extents[k + 1].l_len,
+                );
             }
         }
+    }
+
+    /// The forward solve's pairs, columns `k` and `k + 1` of `L` from
+    /// column 0 up, with the multipliers `y` of [`index_per_entry::Lu::forward`].
+    fn count_forward(&mut self, f: &index_per_entry::Lu, y: &[f64]) {
+        let extents = f.extents();
+        self.odd += y.len() % 2;
+        for k in (0..y.len().saturating_sub(1)).step_by(2) {
+            self.pair(
+                y[k] != 0.0,
+                y[k + 1] != 0.0,
+                extents[k].l_len.saturating_sub(1),
+                extents[k + 1].l_len,
+            );
+        }
+    }
+
+    /// The backward solve's pairs, columns `j` and `j - 1` of `U` from
+    /// column `n - 1` down, with the multipliers `z` of
+    /// [`index_per_entry::Lu::backward`].
+    fn count_backward(&mut self, f: &index_per_entry::Lu, z: &[f64]) {
+        let extents = f.extents();
+        let u_len = |j: usize| j - extents[j].u_first;
+        self.odd += z.len() % 2;
+        for j in (1..z.len()).rev().step_by(2) {
+            self.pair(
+                z[j] != 0.0,
+                z[j - 1] != 0.0,
+                u_len(j).saturating_sub(1),
+                u_len(j - 1),
+            );
+        }
+    }
+
+    /// Panics unless every edge occurred.
+    fn assert_every_edge(&self, pass: &str) {
+        let PairEdges {
+            odd,
+            zero_first,
+            zero_second,
+            shorter,
+            longer,
+        } = *self;
+        assert!(
+            odd > 0 && zero_first > 0 && zero_second > 0 && shorter > 0 && longer > 0,
+            "every edge of the {pass} pairing must occur: {self:?}"
+        );
     }
 }
 
@@ -890,7 +960,7 @@ fn paired_sweep_matches_the_index_per_entry_sweep_on_its_edges() {
                     pivoted.refactor(m, false),
                 ) {
                     (Ok(()), Ok(oracle)) => {
-                        edges.count(&oracle);
+                        edges.count_sweep(&oracle);
                         let mut x = vec![0.0; n];
                         for rhs in [&b, &unit] {
                             f.solve_with(&mut ws, rhs, &mut x).unwrap();
@@ -907,18 +977,53 @@ fn paired_sweep_matches_the_index_per_entry_sweep_on_its_edges() {
         }
     }
     eprintln!("paired sweep edges: {edges:?}");
-    let PairEdges {
-        odd,
-        zero_k,
-        zero_k1,
-        shorter,
-        longer,
-    } = edges;
-    assert!(
-        odd > 0 && zero_k > 0 && zero_k1 > 0 && shorter > 0 && longer > 0,
-        "every edge of the pairing must occur: {edges:?}",
-        edges = (odd, zero_k, zero_k1, shorter, longer)
-    );
+    edges.assert_every_edge("sweep");
+}
+
+/// Both triangular solves apply two columns per pass (the forward one
+/// `k` and `k + 1` upwards, the backward one `j` and `j - 1` downwards);
+/// on random sparse matrices and right-hand sides with exact zeros,
+/// `solve_with` reproduces the index-per-entry solve bit for bit.
+/// Requires every edge of each pass's pairing to occur.
+#[test]
+fn paired_solves_match_the_index_per_entry_solve_on_their_edges() {
+    let mut rng = TestRng::for_test("paired_solves_match_the_index_per_entry_solve_on_their_edges");
+    let (pairs, dominant) = (dominant_pattern_pair(), dominant_system());
+    let (mut forward, mut backward) = (PairEdges::default(), PairEdges::default());
+    let mut ws = SolveWorkspace::new();
+    for case in 0..160 {
+        let (a, b) = if case % 2 == 0 {
+            let (a, _, b) = pairs.new_value(&mut rng);
+            (a, b)
+        } else {
+            dominant.new_value(&mut rng)
+        };
+        let n = a.nrows();
+        let unit: Vec<f64> = (0..n)
+            .map(|i| if i == case % n { 1.0 } else { 0.0 })
+            .collect();
+        let gapped: Vec<f64> = b
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 3 == case % 3 { 0.0 } else { v })
+            .collect();
+        let mut x = vec![0.0; n];
+        for ordering in ORDERINGS {
+            let context = format!("case {case}, {ordering:?}");
+            let f = lu::factor_with_ordering(&a, ordering).unwrap();
+            let oracle = index_per_entry::factor(&a, ordering);
+            for rhs in [&b, &unit, &gapped] {
+                f.solve_with(&mut ws, rhs, &mut x).unwrap();
+                assert_eq!(bits(&x), bits(&oracle.solve(rhs)), "{context}");
+                let y = oracle.forward(rhs);
+                forward.count_forward(&oracle, &y);
+                backward.count_backward(&oracle, &oracle.backward(y));
+            }
+        }
+    }
+    eprintln!("paired solve edges: forward {forward:?}, backward {backward:?}");
+    forward.assert_every_edge("forward solve");
+    backward.assert_every_edge("backward solve");
 }
 
 /// BiCGSTAB as it was written before its reductions rode the vector

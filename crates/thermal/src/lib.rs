@@ -62,8 +62,8 @@
 //!
 //! * [`SolverBackend::DirectLu`] (default) — the split direct solver
 //!   described above. Fastest at the paper's 12×12-per-layer grids and,
-//!   per `BENCH_iterative.json`, on warm solves up to 32²; level with
-//!   multigrid at 48².
+//!   per `BENCH_iterative.json`, on warm solves up to 48²; level with
+//!   multigrid at 64².
 //! * [`SolverBackend::IterativeMg`] — BiCGSTAB over the **matrix-free**
 //!   [`StencilOperator`], preconditioned by a geometric multigrid V-cycle
 //!   built by re-discretising the stack physics on 2×-coarser in-plane
@@ -74,7 +74,7 @@
 //!   counts stay resolution-independent as the grid refines. Only the
 //!   small coarsest level is assembled and LU-factored (reusing a frozen
 //!   symbolic analysis across operating points). It wins warm solves
-//!   from 64² up.
+//!   from 96² up.
 //!
 //! **Fallback contract.** The multigrid backend never fails where the
 //! direct backend would succeed, and it falls back along one direct

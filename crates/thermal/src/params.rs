@@ -23,14 +23,15 @@ pub enum AdvectionScheme {
 /// * [`SolverBackend::DirectLu`] (default) — sparse LU with the
 ///   symbolic/numeric refactorisation split. Robust, bit-reproducible,
 ///   and the fastest at the paper's grids: `BENCH_iterative.json` has it
-///   ahead on warm solves up to 32² per layer and level with multigrid at
-///   48². Its factor fill grows superlinearly with grid resolution.
+///   ahead on warm solves up to 48² per layer and level with multigrid at
+///   64². Its factor fill grows superlinearly with grid resolution.
 /// * [`SolverBackend::IterativeMg`] — BiCGSTAB preconditioned by a
 ///   geometric multigrid V-cycle over the **matrix-free**
 ///   [`StencilOperator`](crate::StencilOperator): the fine level is never
 ///   assembled, operating-point setup is O(nz) scalar updates, and
 ///   iteration counts stay (near-)resolution-independent as the grid
-///   refines, so it wins from 64² up. If a solve breaks down or fails to
+///   refines, so it wins warm solves from 96² up and every fresh
+///   operating point from 16² up. If a solve breaks down or fails to
 ///   converge, the model **falls back to direct LU automatically** for
 ///   that operator (recorded in
 ///   [`SolverStats::iterative_fallbacks`](crate::SolverStats::iterative_fallbacks)),

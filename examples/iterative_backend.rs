@@ -8,8 +8,8 @@
 //! operator (setup O(n), iteration counts resolution-independent, and the
 //! fine operator is never assembled at all). It falls back to direct LU
 //! automatically if an iterative solve ever breaks down
-//! (`BENCH_iterative.json` has the two level on warm solves at 48², direct
-//! LU ahead below and multigrid from 64²).
+//! (`BENCH_iterative.json` has the two level on warm solves at 64², direct
+//! LU ahead below and multigrid from 96²).
 //!
 //! This example runs the same fig6-style scenario under both backends,
 //! shows they agree to solver tolerance, and sweeps the backend as a
